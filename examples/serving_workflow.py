@@ -150,7 +150,8 @@ def main() -> None:
         print(f"\nserving {store.names()} on http://{host}:{port}")
 
         try:
-            analyst(ServingClient(f"http://{host}:{port}"))
+            with ServingClient(f"http://{host}:{port}") as client:
+                analyst(client)
         finally:
             server.shutdown()
             server.server_close()

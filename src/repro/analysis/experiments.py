@@ -2425,13 +2425,13 @@ def run_continual_release(
                 stop = threading.Event()
 
                 def hammer() -> None:
-                    client = ServingClient(cluster.url)
-                    while not stop.is_set():
-                        try:
-                            client.query("ACGT", release="continual")
-                            queries_done[0] += 1
-                        except Exception as error:  # client-visible failure
-                            client_errors.append(repr(error))
+                    with ServingClient(cluster.url) as client:
+                        while not stop.is_set():
+                            try:
+                                client.query("ACGT", release="continual")
+                                queries_done[0] += 1
+                            except Exception as error:  # client-visible failure
+                                client_errors.append(repr(error))
 
                 threads = [
                     threading.Thread(target=hammer, daemon=True)
@@ -2615,28 +2615,29 @@ def run_chaos_drill(
                     )
                     rng = np.random.default_rng(seed + 100 + client_index)
                     local_latencies = []
-                    for step in range(requests_per_client):
-                        started = time.perf_counter()
-                        try:
-                            if step % 4 == 0:
-                                lo = int(rng.integers(0, batch_size - 16))
-                                subset = patterns[lo : lo + 16]
-                                counts = client.batch(subset)
-                                ok = counts == [
-                                    expected_single[p] for p in subset
-                                ]
-                            else:
-                                pattern = patterns[int(rng.integers(batch_size))]
-                                ok = client.query(pattern) == expected_single[
-                                    pattern
-                                ]
-                            if not ok:
+                    with client:
+                        for step in range(requests_per_client):
+                            started = time.perf_counter()
+                            try:
+                                if step % 4 == 0:
+                                    lo = int(rng.integers(0, batch_size - 16))
+                                    subset = patterns[lo : lo + 16]
+                                    counts = client.batch(subset)
+                                    ok = counts == [
+                                        expected_single[p] for p in subset
+                                    ]
+                                else:
+                                    pattern = patterns[int(rng.integers(batch_size))]
+                                    ok = client.query(pattern) == expected_single[
+                                        pattern
+                                    ]
+                                if not ok:
+                                    with lock:
+                                        mismatches[0] += 1
+                            except Exception as error:  # client-visible failure
                                 with lock:
-                                    mismatches[0] += 1
-                        except Exception as error:  # client-visible failure
-                            with lock:
-                                client_errors.append(repr(error))
-                        local_latencies.append(time.perf_counter() - started)
+                                    client_errors.append(repr(error))
+                            local_latencies.append(time.perf_counter() - started)
                     with lock:
                         latencies.extend(local_latencies)
                         retries_total[0] += client.num_retries

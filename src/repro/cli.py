@@ -370,23 +370,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_query(args: argparse.Namespace) -> int:
-    client = ServingClient(args.url, timeout=args.timeout)
     if not args.patterns and args.mine is None:
         print("error: provide at least one pattern or --mine THRESHOLD", file=sys.stderr)
         return 2
     try:
-        if args.mine is not None:
-            patterns = client.mine(args.mine, release=args.release)
-            for pattern, count in patterns[:args.limit]:
-                print(f"{pattern:16s} {count:12.1f}")
-            if not patterns:
-                print("(no pattern exceeded the threshold)")
-        elif len(args.patterns) == 1:
-            print(f"{client.query(args.patterns[0], release=args.release):.1f}")
-        else:
-            counts = client.batch(args.patterns, release=args.release)
-            for pattern, count in zip(args.patterns, counts):
-                print(f"{pattern:16s} {count:12.1f}")
+        with ServingClient(args.url, timeout=args.timeout) as client:
+            if args.mine is not None:
+                patterns = client.mine(args.mine, release=args.release)
+                for pattern, count in patterns[:args.limit]:
+                    print(f"{pattern:16s} {count:12.1f}")
+                if not patterns:
+                    print("(no pattern exceeded the threshold)")
+            elif len(args.patterns) == 1:
+                print(f"{client.query(args.patterns[0], release=args.release):.1f}")
+            else:
+                counts = client.batch(args.patterns, release=args.release)
+                for pattern, count in zip(args.patterns, counts):
+                    print(f"{pattern:16s} {count:12.1f}")
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -623,6 +623,8 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     finally:
+        if isinstance(target, ServingClient):
+            target.close()
         if service is not None:
             service.close()
         if cluster is not None:
@@ -632,9 +634,9 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
 
 def _cmd_releases(args: argparse.Namespace) -> int:
     if args.url:
-        client = ServingClient(args.url)
         try:
-            infos = client.releases()
+            with ServingClient(args.url) as client:
+                infos = client.releases()
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
             return 2

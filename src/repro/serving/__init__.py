@@ -30,7 +30,8 @@ PrivateCountingTrie` to serving millions of pattern queries:
 ``server`` / ``client``
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
     ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
-    per-release routing, plus a ``urllib``-based client.
+    per-release routing, plus a client that pools keep-alive
+    ``http.client`` connections.
 ``loadtest``
     A deterministic concurrency harness: seeded mixed workloads replayed
     from barrier-started threads — or spawned client *processes*

@@ -2,8 +2,26 @@
 
 Analysts talk to a running server (``dpsc serve``) through this class or
 plain ``curl``; the wire format is the JSON API documented in
-:mod:`repro.serving.server`.  Only :mod:`urllib.request` is used, so the
+:mod:`repro.serving.server`.  Only :mod:`http.client` is used, so the
 client works anywhere the library does.
+
+Transport:
+
+* **Keep-alive connection pool.**  Calls travel over persistent HTTP/1.1
+  connections: a call takes an idle connection or opens one, reads the
+  whole response, and returns the connection to the pool unless the
+  response said ``Connection: close``.  Two in-flight calls never share a
+  connection, so N concurrent callers hold at most N connections.
+  :meth:`ServingClient.close` (or leaving a ``with`` block) closes the
+  pooled connections.  ``http://`` and ``https://`` base URLs are
+  accepted, with an optional path prefix; environment proxies are not
+  used.
+* **Stale re-send.**  A server may close a keep-alive connection while it
+  sits idle in the pool.  A request that fails on a *reused* connection
+  with ``RemoteDisconnected``, ``ConnectionResetError`` or
+  ``BrokenPipeError`` is re-sent once, at once, on a new connection within
+  the same attempt: no backoff sleep, no ``retries`` budget spent.  Every
+  other failure goes through the retry loop below.
 
 Resilience (docs/RESILIENCE.md):
 
@@ -12,7 +30,8 @@ Resilience (docs/RESILIENCE.md):
   (:data:`DEFAULT_ENDPOINT_TIMEOUTS`: ``/healthz`` short, ``/mine`` long)
   unless a flat ``timeout`` overrides them.  The deadline is stamped on the
   wire as ``X-DPSC-Deadline`` so routers and workers can refuse work nobody
-  is waiting for, and each attempt's socket timeout is the time remaining.
+  is waiting for, and each attempt's socket timeout is the time remaining,
+  on new and reused connections alike.
 * **Retries with seeded backoff.**  Connection-level failures and HTTP 5xx
   responses are retried (every endpoint is an idempotent read) up to
   ``retries`` times within the deadline, sleeping decorrelated-jitter
@@ -30,10 +49,8 @@ from __future__ import annotations
 import http.client
 import itertools
 import json
+import threading
 import time
-import urllib.error
-import urllib.parse
-import urllib.request
 from typing import Mapping, Sequence
 
 from repro.exceptions import ReproError
@@ -65,6 +82,16 @@ DEFAULT_TIMEOUT = 30.0
 #: (502/503/504 from the router) or an injected/unexpected server error on
 #: an idempotent read.  4xx means the request itself is wrong — never retry.
 _RETRYABLE_STATUSES = range(500, 600)
+
+_CONNECTION_CLASSES = {
+    "http": http.client.HTTPConnection,
+    "https": http.client.HTTPSConnection,
+}
+
+#: how a reused connection fails when the server closed it while it sat
+#: idle in the pool (``http.client.RemoteDisconnected`` is a
+#: ``ConnectionResetError``).
+_STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -111,6 +138,10 @@ class ServingClient:
     uses :data:`DEFAULT_ENDPOINT_TIMEOUTS` per endpoint.  ``retries`` caps
     re-attempts on connection failures and 5xx responses; ``seed`` makes
     the backoff delays replayable.
+
+    The client pools keep-alive connections and is safe to share between
+    threads; :meth:`close` (or a ``with`` block) closes the pooled
+    connections, after which the next call simply opens a new one.
     """
 
     def __init__(
@@ -124,6 +155,17 @@ class ServingClient:
         endpoint_timeouts: Mapping[str, float] | None = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        scheme, separator, rest = self.base_url.partition("://")
+        connection_class = _CONNECTION_CLASSES.get(scheme.lower())
+        netloc, _, prefix = rest.partition("/")
+        if not separator or connection_class is None or not netloc:
+            raise ValueError(
+                f"base_url must be an http:// or https:// URL, got {base_url!r}"
+            )
+        self._connection_class = connection_class
+        self._netloc = netloc
+        #: a path in the base URL prefixes every request path
+        self._path_prefix = f"/{prefix}" if prefix else ""
         self.timeout = timeout
         self.retries = int(retries)
         self.backoff = backoff if backoff is not None else BackoffPolicy(cap=1.0)
@@ -143,9 +185,17 @@ class ServingClient:
             "dpsc_client_deadline_exceeded_total",
             "API calls abandoned because their total deadline ran out.",
         )
+        self._connections_opened = self.telemetry.counter(
+            "dpsc_client_connections_opened_total",
+            "Connections opened to the server (idle ones are pooled and reused).",
+        )
         #: per-request sequence feeding the backoff seed, so concurrent
         #: requests draw independent (but replayable) delay schedules.
         self._sequence = itertools.count()
+        #: idle keep-alive connections; a call pops the most recently
+        #: returned one (the likeliest to still be open) or opens a new one.
+        self._idle: list[http.client.HTTPConnection] = []
+        self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Transport
@@ -160,6 +210,70 @@ class ServingClient:
     def num_retries(self) -> int:
         return int(self._retries_total.value)
 
+    def close(self) -> None:
+        """Close every idle pooled connection (one still carrying a call
+        goes back to the pool when that call ends)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection in idle:
+            connection.close()
+
+    def __enter__(self) -> "ServingClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _connect(self, timeout: float) -> http.client.HTTPConnection:
+        connection = self._connection_class(self._netloc, timeout=timeout)
+        connection.connect()
+        self._connections_opened.inc()
+        return connection
+
+    def _round_trip(
+        self,
+        connection: http.client.HTTPConnection,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: dict[str, str],
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One request and its whole response; the connection goes back to
+        the pool unless the response (or a failure) ended it."""
+        try:
+            connection.request(method, path, body=body, headers=headers)
+            response = connection.getresponse()
+            data = response.read()
+        except BaseException:
+            connection.close()
+            raise
+        if response.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append(connection)
+        return response.status, response.headers, data
+
+    def _exchange(
+        self,
+        method: str,
+        path: str,
+        body: bytes | None,
+        headers: dict[str, str],
+        timeout: float,
+    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+        """One attempt: over an idle pooled connection when there is one,
+        re-sent once on a new connection if that one turns out stale."""
+        with self._idle_lock:
+            connection = self._idle.pop() if self._idle else None
+        if connection is not None:
+            connection.sock.settimeout(timeout)
+            try:
+                return self._round_trip(connection, method, path, body, headers)
+            except _STALE_ERRORS:
+                pass  # the server closed it while it sat idle
+        return self._round_trip(self._connect(timeout), method, path, body, headers)
+
     def _request(
         self,
         path: str,
@@ -172,13 +286,13 @@ class ServingClient:
         budget = timeout if timeout is not None else self.timeout_for(endpoint)
         deadline = Deadline.after(budget)
         url = f"{self.base_url}{path}"
-        data = None
+        method, data = "GET", None
         headers = {
             "Accept": "application/json" if decode == "json" else "text/plain",
             DEADLINE_HEADER: deadline.header_value(),
         }
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method, data = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
         delays = self.backoff.iter_delays(f"{self.seed}:{next(self._sequence)}")
         attempts = 0
@@ -197,43 +311,40 @@ class ServingClient:
                     payload=last_payload,
                     attempts=attempts,
                 ) from None
-            request = urllib.request.Request(url, data=data, headers=headers)
             attempts += 1
             retry_after = None
             try:
-                with urllib.request.urlopen(request, timeout=remaining) as response:
-                    body = response.read()
-                if decode == "json":
-                    return json.loads(body.decode("utf-8"))
-                return body.decode("utf-8")
-            except urllib.error.HTTPError as error:
-                body = error.read()
+                status, response_headers, body = self._exchange(
+                    method, self._path_prefix + path, data, headers, remaining
+                )
+            except (OSError, http.client.HTTPException) as error:
+                # refused/reset connections, socket timeouts, bad responses
+                last_status = 0
+                last_payload = None
+                last_failure = f"cannot reach {url}: {error}"
+            else:
+                if 200 <= status < 300:
+                    text = body.decode("utf-8")
+                    return json.loads(text) if decode == "json" else text
                 try:
                     parsed = json.loads(body.decode("utf-8"))
                     last_payload = parsed if isinstance(parsed, dict) else None
                 except (ValueError, UnicodeDecodeError):
                     last_payload = None
-                last_status = error.code
+                last_status = status
                 message = (last_payload or {}).get("error") or (
-                    f"server returned HTTP {error.code}"
+                    f"server returned HTTP {status}"
                 )
-                if error.code not in _RETRYABLE_STATUSES:
+                if status not in _RETRYABLE_STATUSES:
                     raise ServingClientError(
                         message,
-                        error.code,
+                        status,
                         endpoint=endpoint,
                         payload=last_payload,
                         attempts=attempts,
                     ) from None
-                last_failure = f"HTTP {error.code}: {message}"
-                retry_after = _parse_retry_after(error.headers.get("Retry-After"))
-            except (urllib.error.URLError, OSError, http.client.HTTPException) as error:
-                # URLError wraps the transport error in .reason; raw socket
-                # timeouts/resets mid-read arrive as OSError/HTTPException.
-                reason = getattr(error, "reason", error)
-                last_status = 0
-                last_payload = None
-                last_failure = f"cannot reach {url}: {reason}"
+                last_failure = f"HTTP {status}: {message}"
+                retry_after = _parse_retry_after(response_headers.get("Retry-After"))
             if attempts > self.retries:
                 raise ServingClientError(
                     f"{endpoint} failed after {attempts} attempt(s); "

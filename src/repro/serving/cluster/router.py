@@ -60,6 +60,7 @@ from repro.serving.resilience import (
     CircuitBreaker,
     Deadline,
 )
+from repro.serving.server import BAD_CONTENT_LENGTH, content_length
 
 __all__ = ["Router", "RouterHTTPError", "create_router_server", "shard_of"]
 
@@ -837,7 +838,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _error(
-        self, message: str, status: int, retry_after: float | None = None
+        self,
+        message: str,
+        status: int,
+        retry_after: float | None = None,
+        *,
+        close: bool = False,
     ) -> None:
         body = json.dumps({"error": message}).encode("utf-8")
         self.send_response(status)
@@ -845,12 +851,10 @@ class _RouterHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{retry_after:g}")
+        if close:  # also ends this handler's keep-alive loop
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        return self.rfile.read(length) if length else b""
 
     def _request_deadline(self):
         """The request's :class:`Deadline` (or ``None``); raises 504 when it
@@ -907,7 +911,11 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self._error(f"internal error: {error}", 500)
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        raw = self._read_body()
+        length = content_length(self.headers)
+        if length is None:
+            self._error(BAD_CONTENT_LENGTH, 400, close=True)
+            return
+        raw = self.rfile.read(length) if length else b""
         try:
             if self.path == "/mine":
                 # Validation happens at the worker (identical handler code),

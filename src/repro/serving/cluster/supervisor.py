@@ -19,14 +19,18 @@ limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
 they differ from the served generation it spawns a *complete new
 generation* (all-ready or the reload fails and the old generation keeps
 serving), atomically swaps the router's table pointer, then gracefully
-drains the old workers.  Requests in flight on old workers finish (worker
-drain joins its handler threads); requests racing the swap retry onto the
-new generation.  Nothing is dropped, and no moment exists where a client
-can observe a mix of versions in one response.
+drains the old workers.  A request in flight on an old worker either
+finishes before that worker exits or fails at the router, which retries
+it on the new generation (worker drain joins no handler thread); requests
+racing the swap retry the same way.  Nothing is dropped, and no moment
+exists where a client can observe a mix of versions in one response.
 
 **Graceful shutdown.**  ``stop()`` drains outside-in: stop accepting at the
-router, join the router's in-flight handlers (which may still need
-workers), close the router's batcher, *then* drain the workers.  SIGTERM on
+router and close the public port, close the router's batcher, *then*
+drain the workers.  Router handler threads are daemon threads that no
+step joins, so idle keep-alive client connections never hold ``stop()``
+open; a relay still in flight may fail, and the client's retry covers
+it.  SIGTERM on
 ``serve_forever`` triggers exactly this path via the same
 :func:`~repro.serving.server.install_graceful_shutdown` hook as the
 single-process server.
@@ -293,8 +297,10 @@ class Cluster:
         self._wake.set()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=10.0)
-        # Stop accepting, then join in-flight router handlers — they may
-        # still need workers, so workers drain last.
+        # Stop accepting and close the public port; workers drain last.
+        # server_close() joins no router handler (they are daemon threads),
+        # so a relay still in flight may lose its worker and fail — the
+        # client's retry covers it.
         self._server.shutdown()
         self._server.server_close()
         if self._serve_thread is not None:

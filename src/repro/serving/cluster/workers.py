@@ -23,9 +23,11 @@ Process discipline (all of it load-bearing for the cluster tests):
   cleanup runs — the OS closes the pipe, the read raises ``EOFError`` and
   the worker ``os._exit``\\ s.  Routers crash; workers must not linger.
 * **graceful drain** — a ``"stop"`` control message (or SIGTERM directly
-  to the worker) stops accepting, joins in-flight handler threads and
-  flushes the micro-batcher before the process exits, the same drain
-  order as the single-process path.
+  to the worker) stops accepting and flushes the micro-batcher before the
+  process exits, the same drain order as the single-process path.
+  Handler threads are daemon threads and are not joined: a request in
+  flight when the worker exits fails at the router, which retries it on a
+  live worker.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ def _watch_control(conn, server) -> None:
             os._exit(3)
         if message == "stop":
             # shutdown() blocks until serve_forever exits; the main thread
-            # then finishes the drain (join handlers, flush micro-batches).
+            # then finishes the drain (flush micro-batches, exit).
             server.shutdown()
             return
 
@@ -111,7 +113,7 @@ def worker_main(config: dict, conn) -> None:
         server.serve_forever()
     finally:
         restore()
-        server.server_close()  # block_on_close joins in-flight handlers
+        server.server_close()  # daemon handler threads are not joined
         service.close()  # flushes queued micro-batches
         try:
             conn.send(("stopped",))

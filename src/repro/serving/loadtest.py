@@ -382,23 +382,23 @@ def _client_process_main(base_url: str, tasks, go, conn) -> None:
     """
     from repro.serving.client import ServingClient
 
-    client = ServingClient(base_url)
-    conn.send("ready")
-    go.wait()
     indices: list[int] = []
     results: list[object] = []
     samples: list[tuple[str, float]] = []
     errors: list[str] = []
-    for index, operation in tasks:
-        began = time.perf_counter()
-        try:
-            outcome = execute_operation(client, operation)
-        except Exception as error:  # noqa: BLE001 - recorded and compared
-            errors.append(f"op {index} ({operation.kind}): {error!r}")
-        else:
-            indices.append(index)
-            results.append(outcome)
-            samples.append((operation.kind, time.perf_counter() - began))
+    with ServingClient(base_url) as client:
+        conn.send("ready")
+        go.wait()
+        for index, operation in tasks:
+            began = time.perf_counter()
+            try:
+                outcome = execute_operation(client, operation)
+            except Exception as error:  # noqa: BLE001 - recorded and compared
+                errors.append(f"op {index} ({operation.kind}): {error!r}")
+            else:
+                indices.append(index)
+                results.append(outcome)
+                samples.append((operation.kind, time.perf_counter() - began))
     conn.send((indices, results, samples, errors))
     conn.close()
 
@@ -432,15 +432,14 @@ def run_load_test_processes(
         raise ReproError("run_load_test_processes needs at least one process")
     workload = list(workload)
     client = ServingClient(base_url)
-    if expected is None:
-        expected = [execute_operation(client, operation) for operation in workload]
-    expected = list(expected)
-    if len(expected) != len(workload):
-        raise ReproError("expected results and workload differ in length")
-
     go = _SPAWN.Event()
     members = []
     try:
+        if expected is None:
+            expected = [execute_operation(client, operation) for operation in workload]
+        expected = list(expected)
+        if len(expected) != len(workload):
+            raise ReproError("expected results and workload differ in length")
         for offset in range(processes):
             tasks = [
                 (index, workload[index])
@@ -483,6 +482,7 @@ def run_load_test_processes(
         seconds = time.perf_counter() - started
         after = _health(client) if verify_counters else None
     finally:
+        client.close()
         for process, parent_conn in members:
             process.join(timeout=10.0)
             if process.is_alive():  # pragma: no cover - hung client

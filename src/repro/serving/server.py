@@ -307,7 +307,7 @@ class QueryService:
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
         with self._latency["batch"].time():
-            return [float(c) for c in self.release(release).batch_query(patterns)]
+            return self.release(release).batch_query(patterns).tolist()
 
     def mine(
         self,
@@ -446,6 +446,19 @@ class QueryService:
         return cls(releases, **kwargs)
 
 
+def content_length(headers) -> int | None:
+    """A request's body length (0 without ``Content-Length``), or ``None``
+    when the header is not a non-negative decimal integer: such a body
+    cannot be delimited (``rfile.read(-1)`` blocks until the peer hangs
+    up), so handlers answer 400 and close the connection."""
+    value = headers.get("Content-Length", "0").strip()
+    return int(value) if value.isascii() and value.isdigit() else None
+
+
+#: the 400 answer to an unusable ``Content-Length`` (router and server).
+BAD_CONTENT_LENGTH = "Content-Length must be a non-negative integer"
+
+
 def _is_int(value: object) -> bool:
     """True for JSON integers only (bool is an int subclass in Python —
     ``true`` is not a length)."""
@@ -471,22 +484,18 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     # ------------------------------------------------------------------
-    def _respond(self, payload: dict, status: int = 200) -> None:
+    def _respond(self, payload: dict, status: int = 200, *, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if close:  # also ends this handler's keep-alive loop
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, message: str, status: int) -> None:
-        self._respond({"error": message}, status=status)
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", "0"))
-        if not length:
-            return {}
-        return json.loads(self.rfile.read(length).decode("utf-8"))
+    def _error(self, message: str, status: int, *, close: bool = False) -> None:
+        self._respond({"error": message}, status=status, close=close)
 
     def _refuse_or_inject(self) -> bool:
         """Deadline refusal + the ``worker.handle`` failpoint; ``True`` when
@@ -560,8 +569,12 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(f"internal error: {error}", 500)
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        length = content_length(self.headers)
+        if length is None:
+            self._error(BAD_CONTENT_LENGTH, 400, close=True)
+            return
         try:
-            payload = self._read_json()
+            payload = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
         except (ValueError, UnicodeDecodeError):
             self._error("request body is not valid JSON", 400)
             return
@@ -703,11 +716,14 @@ def serve_forever(
     """Serve until SIGTERM/SIGINT (or KeyboardInterrupt), then drain.
 
     The drain order is the graceful-shutdown contract the cluster tier
-    reuses: stop accepting (``shutdown``), join the in-flight handler
-    threads (``server_close`` — ``block_on_close`` holds them), then flush
-    the micro-batcher (``service.close`` drains its queue before joining
-    the worker).  In-flight requests complete; only new connections are
-    refused.
+    reuses: stop accepting (``shutdown``), close the listening socket
+    (``server_close``), then flush the micro-batcher (``service.close``
+    drains its queue before joining the worker).  Handler threads are
+    daemon threads, so ``server_close`` joins none of them: idle keep-alive
+    connections never hold the exit open, and a request still in flight
+    when the process exits gets no answer.  On the tier the router retries
+    requests in flight on a drained worker; the client's retry covers the
+    rest.
     """
     server = create_server(service, host, port, verbose=verbose)
     bound_host, bound_port = server.server_address[:2]

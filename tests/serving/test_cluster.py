@@ -42,6 +42,7 @@ from repro.serving import (
     run_load_test_processes,
 )
 from repro.serving.cluster import shard_of
+from tests.serving.test_server import post_with_content_length
 
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length -> split-eligible
 MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths -> passthrough
@@ -81,7 +82,8 @@ def cluster(store):
 
 @pytest.fixture(scope="module")
 def client(cluster):
-    return ServingClient(cluster.url)
+    with ServingClient(cluster.url) as client:
+        yield client
 
 
 class TestShardOf:
@@ -115,6 +117,13 @@ class TestParity:
 
     def test_mine(self, client, reference):
         assert client.mine(1.0) == reference.mine(1.0)
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_unusable_content_length_is_json_400_and_closes(self, cluster, value):
+        head, payload = post_with_content_length(cluster.url, value)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in payload["error"]
 
     def test_releases(self, client, reference):
         via_router = client.releases()
@@ -333,6 +342,24 @@ class TestShutdown:
             assert time.monotonic() < deadline, "workers survived stop()"
             time.sleep(0.05)
         cluster.stop()  # second stop must be a no-op
+
+    def test_stop_is_prompt_with_an_idle_pooled_client(self, store, reference):
+        cluster = Cluster(store, workers=2)
+        cluster.start()
+        workers = cluster.workers()
+        with ServingClient(cluster.url) as client:
+            assert client.batch(UNIFORM) == reference.batch(UNIFORM)
+            opened = client.telemetry.get("dpsc_client_connections_opened_total")
+            assert opened.value == 1  # now idle in the client's pool
+            started = time.monotonic()
+            stopper = threading.Thread(target=cluster.stop)
+            stopper.start()
+            stopper.join(timeout=60)
+            assert not stopper.is_alive()
+            # well inside the 30 s drain after which stop() would terminate
+            # workers: no handler on an idle connection holds anything open
+            assert time.monotonic() - started < 10.0
+        assert [worker.process.exitcode for worker in workers] == [0, 0]
 
 
 class TestProcessLoadtest:

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import http.client
+import json
+import socket
 import threading
 
 import numpy as np
@@ -18,6 +21,7 @@ from repro.serving import (
     ServingClientError,
     create_server,
 )
+from tests.serving.test_release_format import make_structure
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +187,28 @@ def http_client(structures):
     host, port = server.server_address[:2]
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
-    yield ServingClient(f"http://{host}:{port}"), structures
+    with ServingClient(f"http://{host}:{port}") as client:
+        yield client, structures
     server.shutdown()
     server.server_close()
     service.close()
+
+
+def post_with_content_length(base_url: str, value: str) -> tuple[bytes, dict]:
+    """A raw ``POST /query`` whose ``Content-Length`` is ``value``; reads
+    until the server closes the connection (a server still waiting for a
+    body fails the call with a socket timeout)."""
+    host, port = base_url.split("//", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=5) as sock:
+        sock.sendall(
+            f"POST /query HTTP/1.1\r\nHost: {host}\r\n"
+            f"Content-Length: {value}\r\n\r\n".encode("ascii")
+        )
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head, json.loads(body)
 
 
 class TestHTTPEndToEnd:
@@ -267,6 +289,14 @@ class TestHTTPEndToEnd:
             assert excinfo.value.status == 400, payload
             assert excinfo.value.args[0], payload  # JSON error message
 
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_unusable_content_length_is_json_400_and_closes(self, http_client, value):
+        client, _ = http_client
+        head, payload = post_with_content_length(client.base_url, value)
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"\r\nConnection: close" in head
+        assert "Content-Length" in payload["error"]
+
     def test_mine_accepts_integral_fields(self, http_client):
         client, structures = http_client
         assert client.mine(
@@ -288,6 +318,51 @@ class TestHTTPEndToEnd:
         with pytest.raises(ServingClientError) as excinfo:
             client.healthz()
         assert excinfo.value.status == 0
+
+
+class TestBatchEncoding:
+    def test_batch_body_is_byte_identical_to_the_per_count_float_encoding(self):
+        rng = np.random.default_rng(13)
+        patterns = sorted(
+            {"".join(rng.choice(list("ab"), size=rng.integers(1, 9))) for _ in range(400)}
+        )
+        counts = {}
+        for index, pattern in enumerate(patterns):
+            if index % 3 == 0:
+                counts[pattern] = 0.0
+            elif index % 3 == 1:
+                counts[pattern] = round(float(rng.uniform(-50.0, 1000.0)), 3)
+            else:
+                counts[pattern] = round(float(rng.uniform(1e6, 5e7)), 3)
+        compiled = CompiledTrie.from_structure(make_structure(counts))
+        probes = patterns + ["zz", "", "abx"]
+        expected = json.dumps(
+            {
+                "release": "demo",
+                "counts": [float(c) for c in compiled.batch_query(probes)],
+            }
+        ).encode("utf-8")
+        service = QueryService({"demo": compiled}, micro_batch=False)
+        server = create_server(service, port=0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        connection = http.client.HTTPConnection(*server.server_address[:2], timeout=10)
+        try:
+            connection.request(
+                "POST",
+                "/batch",
+                body=json.dumps({"patterns": probes}).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 200
+            assert response.read() == expected
+        finally:
+            connection.close()
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
+            service.close()
 
 
 class TestFromStore:
