@@ -45,7 +45,8 @@ EPSILON = 20.0
 CAP = PrivacyBudget(epsilon=45.0, delta=1e-5)
 
 
-def curator(store: ReleaseStore, ledger: BudgetLedger) -> None:
+def curator(store: ReleaseStore, ledger: BudgetLedger):
+    """Build and store the releases; returns the in-memory genome release."""
     print("=== curator ===")
     print(f"global cap: epsilon = {CAP.epsilon}, delta = {CAP.delta}")
     rng = np.random.default_rng(11)
@@ -58,7 +59,8 @@ def curator(store: ReleaseStore, ledger: BudgetLedger) -> None:
         .with_ledger(ledger, "genome-panel")
     )
 
-    record = genome_panel.build("heavy-path", rng=rng).release(store, "genome")
+    genome_release = genome_panel.build("heavy-path", rng=rng)
+    record = genome_release.release(store, "genome")
     print(f"released genome v{record.version}: {record.num_patterns} patterns")
 
     # A second release of the *same* panel — this time the fixed-length
@@ -92,9 +94,10 @@ def curator(store: ReleaseStore, ledger: BudgetLedger) -> None:
         genome_panel.build("heavy-path", rng=rng)
     except BudgetExceededError as error:
         print(f"third genome-panel build refused: {error}")
+    return genome_release
 
 
-def analyst(client: ServingClient) -> None:
+def analyst(client: ServingClient, genome_release) -> None:
     print()
     print("=== analyst ===")
     for info in client.releases():
@@ -116,6 +119,9 @@ def analyst(client: ServingClient) -> None:
         for _ in range(5000)
     ]
     counts = client.batch(batch, release="genome")
+    assert counts == genome_release.compiled().batch_query(batch).tolist(), (
+        "served batch counts differ from the in-memory release"
+    )
     positive = sum(1 for c in counts if c > 0)
     print(f"  batch of {len(batch)} patterns: {positive} with positive counts")
 
@@ -140,7 +146,7 @@ def main() -> None:
         root = Path(directory)
         store = ReleaseStore(root / "releases")
         ledger = BudgetLedger(CAP, path=root / "ledger.json")
-        curator(store, ledger)
+        genome_release = curator(store, ledger)
 
         service = QueryService.from_store(store, default_release="genome")
         server = create_server(service, port=0)
@@ -151,7 +157,7 @@ def main() -> None:
 
         try:
             with ServingClient(f"http://{host}:{port}") as client:
-                analyst(client)
+                analyst(client, genome_release)
         finally:
             server.shutdown()
             server.server_close()

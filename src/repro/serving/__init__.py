@@ -31,7 +31,9 @@ PrivateCountingTrie` to serving millions of pattern queries:
     A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
     ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
     per-release routing, plus a client that pools keep-alive
-    ``http.client`` connections.
+    ``http.client`` connections.  ``/batch`` answers raw little-endian
+    float64 instead of JSON when ``Accept`` names
+    ``application/x-dpsc-f64``, as the client asks it to.
 ``loadtest``
     A deterministic concurrency harness: seeded mixed workloads replayed
     from barrier-started threads — or spawned client *processes*

@@ -2,8 +2,10 @@
 
 Analysts talk to a running server (``dpsc serve``) through this class or
 plain ``curl``; the wire format is the JSON API documented in
-:mod:`repro.serving.server`.  Only :mod:`http.client` is used, so the
-client works anywhere the library does.
+:mod:`repro.serving.server`.  The transport is :mod:`http.client`, so the
+client works anywhere the library does.  ``/batch`` asks for the raw
+float64 answer (``Accept: application/x-dpsc-f64``) and decodes it with
+numpy; a 2xx ``/batch`` answer in any other format is malformed.
 
 Transport:
 
@@ -51,11 +53,12 @@ import itertools
 import json
 import threading
 import time
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
+from repro.serving.server import F64_MEDIA_TYPE, decode_f64, names_f64
 
 __all__ = [
     "ServingClient",
@@ -92,6 +95,14 @@ _CONNECTION_CLASSES = {
 #: idle in the pool (``http.client.RemoteDisconnected`` is a
 #: ``ConnectionResetError``).
 _STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
+
+
+def _json_body(headers: http.client.HTTPMessage, body: bytes):
+    return json.loads(body.decode("utf-8"))
+
+
+def _text_body(headers: http.client.HTTPMessage, body: bytes) -> str:
+    return body.decode("utf-8")
 
 
 def _parse_retry_after(value: str | None) -> float | None:
@@ -280,17 +291,18 @@ class ServingClient:
         payload: dict | None = None,
         *,
         timeout: float | None = None,
-        decode: str = "json",
+        accept: str = "application/json",
+        decode: Callable[[http.client.HTTPMessage, bytes], object] = _json_body,
     ):
+        """One API call: its 2xx answer passed through ``decode(headers,
+        body)``, or :class:`ServingClientError`.  A ``ValueError`` from
+        ``decode`` (a body that does not parse) is not retried."""
         endpoint = path.split("?", 1)[0]
         budget = timeout if timeout is not None else self.timeout_for(endpoint)
         deadline = Deadline.after(budget)
         url = f"{self.base_url}{path}"
         method, data = "GET", None
-        headers = {
-            "Accept": "application/json" if decode == "json" else "text/plain",
-            DEADLINE_HEADER: deadline.header_value(),
-        }
+        headers = {"Accept": accept, DEADLINE_HEADER: deadline.header_value()}
         if payload is not None:
             method, data = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
@@ -324,8 +336,15 @@ class ServingClient:
                 last_failure = f"cannot reach {url}: {error}"
             else:
                 if 200 <= status < 300:
-                    text = body.decode("utf-8")
-                    return json.loads(text) if decode == "json" else text
+                    try:
+                        return decode(response_headers, body)
+                    except ValueError as error:
+                        raise ServingClientError(
+                            f"malformed {endpoint} answer: {error}",
+                            status,
+                            endpoint=endpoint,
+                            attempts=attempts,
+                        ) from None
                 try:
                     parsed = json.loads(body.decode("utf-8"))
                     last_payload = parsed if isinstance(parsed, dict) else None
@@ -381,10 +400,16 @@ class ServingClient:
         payload: dict = {"patterns": list(patterns)}
         if release is not None:
             payload["release"] = release
-        return [
-            float(c)
-            for c in self._request("/batch", payload, timeout=timeout)["counts"]
-        ]
+
+        def decode(headers: http.client.HTTPMessage, body: bytes) -> list[float]:
+            content_type = headers.get("Content-Type")
+            if not names_f64(content_type):
+                raise ValueError(f"Content-Type {content_type!r}, not {F64_MEDIA_TYPE}")
+            return decode_f64(body, len(payload["patterns"])).tolist()
+
+        return self._request(
+            "/batch", payload, timeout=timeout, accept=F64_MEDIA_TYPE, decode=decode
+        )
 
     def mine(
         self,
@@ -421,7 +446,7 @@ class ServingClient:
 
     def metrics(self) -> str:
         """The server's metrics in Prometheus text exposition format."""
-        return self._request("/metrics", decode="text")
+        return self._request("/metrics", accept="text/plain", decode=_text_body)
 
     def metrics_snapshot(self) -> dict:
         """The server's raw metrics registry snapshot (``/metrics?format=json``)."""

@@ -5,8 +5,9 @@ comes from a worker.  Three request paths, ordered by how much the router
 has to understand the bytes flowing through it:
 
 * **passthrough** — ``/mine``, ``/releases`` and non-split ``/batch``
-  requests are forwarded as the original raw bytes to one worker and the
-  worker's response bytes are relayed verbatim.  Workers run the exact
+  requests are forwarded as the original raw bytes (with the client's
+  ``Accept`` on ``/batch``) to one worker, and the worker's status,
+  ``Content-Type`` and body are relayed verbatim.  Workers run the exact
   single-process handler code, so passthrough replies are bit-identical to
   the single-process server by construction.
 * **split** — a uniform-length ``/batch`` of at least ``split_min_patterns``
@@ -14,13 +15,23 @@ has to understand the bytes flowing through it:
   pattern index* (:func:`shard_of` — deterministic across runs and
   processes, unlike ``hash()`` under ``PYTHONHASHSEED``), the sub-batches
   run concurrently, and the counts are scattered back into request order.
-  Counts are deterministic post-processing of the released structure and
-  JSON floats round-trip exactly through ``repr``, so the reassembled body
-  is byte-identical to the single-process answer for the same request.
+  Sub-batches always ask workers for raw float64
+  (:data:`~repro.serving.server.F64_MEDIA_TYPE`) and the router answers in
+  the client's format, so it never writes or parses a float repr: a JSON
+  answer is byte-identical to the single-process one for the same request,
+  an f64 answer bit-identical.
 * **micro-batch** — concurrent single ``/query`` requests coalesce in a
   router-side batcher (same eager-flush design as the in-process
   :class:`~repro.serving.server.MicroBatcher`) and ride one worker
-  ``/batch`` call instead of N worker round-trips.
+  ``/batch`` call, answered in raw float64, instead of N worker
+  round-trips.
+
+Worker connections are keep-alive and pooled: a forward takes an idle
+connection to its worker or opens one, and hands it back afterwards.  The
+pool keeps at most ``split_threads`` idle connections per worker, each of
+which holds a worker handler thread, and none to workers that have left the
+table (hot reload, respawn): those would otherwise sit in ``CLOSE_WAIT`` for
+the router's lifetime.
 
 Failure policy: every endpoint is an idempotent read (queries are
 post-processing; the only server-side state is counters), so a connection
@@ -51,6 +62,8 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+import numpy as np
+
 from repro import faults
 from repro.obs import MetricsRegistry, log_buckets, merge_snapshots, render_snapshot
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
@@ -60,9 +73,19 @@ from repro.serving.resilience import (
     CircuitBreaker,
     Deadline,
 )
-from repro.serving.server import BAD_CONTENT_LENGTH, content_length
+from repro.serving.server import (
+    BAD_CONTENT_LENGTH,
+    F64_MEDIA_TYPE,
+    content_length,
+    decode_f64,
+    encode_f64,
+    names_f64,
+)
 
 __all__ = ["Router", "RouterHTTPError", "create_router_server", "shard_of"]
+
+#: one worker (or router) answer: status, body and ``Content-Type``.
+Answer = tuple[int, bytes, str]
 
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
 _FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
@@ -86,14 +109,16 @@ _FP_RELAY = faults.failpoint(
 )
 
 
-def shard_of(index: int, shards: int) -> int:
-    """Stable shard for a pattern index.
+def shard_of(index, shards: int):
+    """Stable shard for a pattern index (an ``int``, or a ``uint64`` array
+    of indices, shard by shard the same).
 
     A multiplicative hash rather than ``index % shards`` so shard loads stay
     balanced under any access pattern, and rather than ``hash()`` so the
     assignment is identical across processes and runs (``PYTHONHASHSEED``
     randomizes ``str`` hashes, and determinism here is part of the replay
-    story).
+    story).  Only the low 32 bits of the product are kept, so ``uint64``
+    wraparound does not change them.
     """
     return ((index * _HASH_MULTIPLIER) & 0xFFFFFFFF) % shards
 
@@ -105,6 +130,18 @@ def _error_message(body: bytes, status: int) -> str:
     except (ValueError, UnicodeDecodeError, AttributeError):
         message = None
     return message if isinstance(message, str) else f"upstream error (HTTP {status})"
+
+
+def _worker_counts(answer: Answer, patterns: int) -> np.ndarray:
+    """The counts of a worker's 200 raw float64 ``/batch`` answer to
+    ``patterns`` patterns; a 502 when it is anything else."""
+    _, body, content_type = answer
+    if not names_f64(content_type):
+        raise RouterHTTPError(502, f"worker answered /batch without {F64_MEDIA_TYPE}")
+    try:
+        return decode_f64(body, patterns)
+    except ValueError as error:
+        raise RouterHTTPError(502, f"worker answered /batch with {error}") from None
 
 
 class RouterHTTPError(Exception):
@@ -228,14 +265,18 @@ class RouterBatcher:
             if release is not None:
                 payload["release"] = release
             try:
-                status, body = self._router.forward_any(
-                    "POST", "/batch", json.dumps(payload).encode("utf-8")
+                answer = self._router.forward_any(
+                    "POST",
+                    "/batch",
+                    json.dumps(payload).encode("utf-8"),
+                    headers={"Accept": F64_MEDIA_TYPE},
                 )
+                status, body, _ = answer
                 if status != 200:
                     raise RouterHTTPError(status, _error_message(body, status))
-                counts = json.loads(body.decode("utf-8"))["counts"]
+                counts = _worker_counts(answer, len(group)).tolist()
                 for pending, count in zip(group, counts):
-                    pending.result = float(count)
+                    pending.result = count
             except Exception as error:  # propagate to every waiter
                 for pending in group:
                     pending.error = error
@@ -362,7 +403,13 @@ class Router:
             "dpsc_router_worker_respawns", "Workers respawned after crashes."
         ).set_function(lambda: float(self.respawns_fn()))
         self._rr = itertools.count()
-        self._local = threading.local()
+        #: idle keep-alive connections to workers, by port; a forward takes
+        #: one or opens one, so no two requests ever share a socket.
+        self._idle: dict[int, list[http.client.HTTPConnection]] = {}
+        self._idle_lock = threading.Lock()
+        #: idle connections kept per worker (each holds a worker handler
+        #: thread); a burst of more concurrent forwards closes its surplus.
+        self._idle_cap = split_threads
         self._executor = ThreadPoolExecutor(
             max_workers=split_threads, thread_name_prefix="repro-router-shard"
         )
@@ -389,22 +436,35 @@ class Router:
         conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         return conn
 
-    def _connection(self, port: int) -> http.client.HTTPConnection:
-        pool = self._local.__dict__.setdefault("connections", {})
-        conn = pool.get(port)
-        if conn is None:
-            conn = self._new_connection(port, self.worker_timeout)
-            pool[port] = conn
-        return conn
+    def _checkout(self, port: int) -> http.client.HTTPConnection:
+        """An idle pooled connection to ``port``, or a new one.
 
-    def _drop_connection(self, port: int) -> None:
-        pool = self._local.__dict__.setdefault("connections", {})
-        conn = pool.pop(port, None)
-        if conn is not None:
-            try:
+        Before opening one, the idle connections to ports no longer in the
+        worker table are closed: their workers were drained by a reload or
+        replaced by a respawn, and nothing else would ever close them.
+        """
+        with self._idle_lock:
+            idle = self._idle.get(port)
+            if idle:
+                return idle.pop()
+            current = {worker.port for worker in self.table.workers()}
+            stale = [self._idle.pop(p) for p in list(self._idle) if p not in current]
+        for connections in stale:
+            for conn in connections:
                 conn.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+        return self._new_connection(port, self.worker_timeout)
+
+    def _checkin(self, port: int, conn: http.client.HTTPConnection) -> None:
+        """Pool ``conn`` after a complete exchange, or close it when its
+        worker has left the table or ``port`` already holds ``_idle_cap``
+        idle connections (the surplus of a burst of concurrent forwards)."""
+        if any(worker.port == port for worker in self.table.workers()):
+            with self._idle_lock:
+                idle = self._idle.setdefault(port, [])
+                if len(idle) < self._idle_cap:
+                    idle.append(conn)
+                    return
+        conn.close()
 
     def forward(
         self,
@@ -416,18 +476,19 @@ class Router:
         pooled: bool = True,
         timeout: float | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes]:
+    ) -> Answer:
         """One HTTP round-trip to one worker; raises on connection failure.
 
-        Pooled connections are keep-alive (workers speak HTTP/1.1) and
-        thread-local, so handler threads and shard-executor threads never
-        contend on a socket.  Unpooled mode is for scrapes, which want a
-        short timeout instead of the batch-sized one.  ``headers`` rides on
-        top of the defaults (deadline propagation uses it).
+        Pooled connections are keep-alive (workers speak HTTP/1.1) and go
+        back to the pool only after a complete exchange, so concurrent
+        forwards never contend on a socket.  Unpooled mode is for scrapes,
+        which want a short timeout instead of the batch-sized one.
+        ``headers`` rides on top of the defaults (deadline propagation and
+        ``Accept`` use it).
         """
         _FP_RELAY.hit()
         if pooled:
-            conn = self._connection(worker.port)
+            conn = self._checkout(worker.port)
         else:
             conn = self._new_connection(
                 worker.port, timeout or self.scrape_timeout
@@ -441,16 +502,14 @@ class Router:
             conn.request(method, path, body=body, headers=send_headers)
             response = conn.getresponse()
             data = response.read()
-            status = response.status
         except BaseException:
-            if pooled:
-                self._drop_connection(worker.port)
-            else:
-                conn.close()
-            raise
-        if not pooled:
             conn.close()
-        return status, data
+            raise
+        if pooled and not response.will_close:
+            self._checkin(worker.port, conn)
+        else:
+            conn.close()
+        return response.status, data, response.getheader("Content-Type", "application/json")
 
     def _breaker(self, worker: WorkerHandle) -> CircuitBreaker:
         """The circuit breaker guarding one worker (keyed by port, so a
@@ -499,12 +558,13 @@ class Router:
             gate.leave()
 
     @staticmethod
-    def _deadline_headers(deadline: Deadline | None) -> dict[str, str] | None:
-        return (
-            None
-            if deadline is None
-            else {DEADLINE_HEADER: deadline.header_value()}
-        )
+    def _worker_headers(
+        deadline: Deadline | None, accept: str | None = None
+    ) -> dict[str, str]:
+        headers = {} if deadline is None else {DEADLINE_HEADER: deadline.header_value()}
+        if accept is not None:
+            headers["Accept"] = accept
+        return headers
 
     def forward_any(
         self,
@@ -515,7 +575,7 @@ class Router:
         preferred: WorkerHandle | None = None,
         deadline: Deadline | None = None,
         headers: dict[str, str] | None = None,
-    ) -> tuple[int, bytes]:
+    ) -> Answer:
         """Forward to some admitted live worker, retrying on failure.
 
         Safe because every endpoint is an idempotent read: re-executing a
@@ -532,7 +592,7 @@ class Router:
         """
         retry_deadline = time.monotonic() + self.retry_timeout
         tried: set[int] = set()
-        last_error: tuple[int, bytes] | None = None
+        last_error: Answer | None = None
         use_preferred = preferred is not None
         while True:
             if deadline is not None and deadline.expired():
@@ -567,9 +627,7 @@ class Router:
                 time.sleep(self.retry_wait)
                 continue
             try:
-                status, data = self.forward(
-                    worker, method, path, body, headers=headers
-                )
+                answer = self.forward(worker, method, path, body, headers=headers)
             except _RELAY_RETRYABLE:
                 breaker.record_failure()
                 tried.add(worker.port)
@@ -584,12 +642,12 @@ class Router:
                     ) from None
                 time.sleep(self.retry_wait)
                 continue
-            if status >= 500:
+            if answer[0] >= 500:
                 # the worker answered, but with a server-side failure on an
                 # idempotent read — count it against the breaker and retry
                 # elsewhere; keep the freshest body in case retries run out.
                 breaker.record_failure()
-                last_error = (status, data)
+                last_error = answer
                 tried.add(worker.port)
                 self._retries.inc()
                 if time.monotonic() >= retry_deadline:
@@ -597,7 +655,7 @@ class Router:
                 time.sleep(self.retry_wait)
                 continue
             breaker.record_success()
-            return status, data
+            return answer
 
     # ------------------------------------------------------------------
     # Endpoint logic (the handler below is a thin shim over these)
@@ -615,12 +673,12 @@ class Router:
             payload: dict = {"pattern": pattern}
             if release is not None:
                 payload["release"] = release
-            status, body = self.forward_any(
+            status, body, _ = self.forward_any(
                 "POST",
                 "/query",
                 json.dumps(payload).encode("utf-8"),
                 deadline=deadline,
-                headers=self._deadline_headers(deadline),
+                headers=self._worker_headers(deadline),
             )
             if status != 200:
                 raise RouterHTTPError(status, _error_message(body, status))
@@ -633,9 +691,11 @@ class Router:
         patterns: list[str],
         release: str | None,
         deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
-        """Dispatch one validated ``/batch``: split when profitable, else
-        forward the original bytes untouched."""
+        accept: str | None = None,
+    ) -> Answer:
+        """Dispatch one validated ``/batch`` whose client sent ``Accept:
+        accept``: split when profitable, else forward the original bytes
+        untouched."""
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
         with self._latency["batch"].time():
@@ -654,26 +714,29 @@ class Router:
                     "/batch",
                     raw,
                     deadline=deadline,
-                    headers=self._deadline_headers(deadline),
+                    headers=self._worker_headers(deadline, accept),
                 )
-            return self._split_batch(live, patterns, release, deadline)
+            return self._split_batch(
+                live, patterns, release, deadline, names_f64(accept)
+            )
 
     def _split_batch(
         self,
         live: list[WorkerHandle],
         patterns: list[str],
         release: str | None,
-        deadline: Deadline | None = None,
-    ) -> tuple[int, bytes]:
+        deadline: Deadline | None,
+        f64: bool,
+    ) -> Answer:
         shards = len(live)
-        assignment: list[list[tuple[int, str]]] = [[] for _ in range(shards)]
-        for index, pattern in enumerate(patterns):
-            assignment[shard_of(index, shards)].append((index, pattern))
+        assignment = shard_of(np.arange(len(patterns), dtype=np.uint64), shards)
+        headers = self._worker_headers(deadline, F64_MEDIA_TYPE)
         futures = []
-        for shard_index, members in enumerate(assignment):
-            if not members:
+        for shard_index in range(shards):
+            members = np.flatnonzero(assignment == shard_index)
+            if not len(members):
                 continue
-            sub: dict = {"patterns": [pattern for _, pattern in members]}
+            sub: dict = {"patterns": [patterns[index] for index in members.tolist()]}
             if release is not None:
                 sub["release"] = release
             futures.append(
@@ -686,43 +749,39 @@ class Router:
                         json.dumps(sub).encode("utf-8"),
                         preferred=live[shard_index],
                         deadline=deadline,
-                        headers=self._deadline_headers(deadline),
+                        headers=headers,
                     ),
                 )
             )
         self._split_batches.inc()
         self._split_subrequests.inc(len(futures))
-        counts = [0.0] * len(patterns)
-        relay: tuple[int, bytes] | None = None
+        counts = np.empty(len(patterns), dtype="<f8")
+        relay: Answer | None = None
+        # every future is joined, so no shard outlives the request; the
+        # first failure is relayed (an upstream error body verbatim)
         for members, future in futures:
             try:
-                status, body = future.result()
+                answer = future.result()
+                if answer[0] != 200:
+                    relay = relay or answer
+                    continue
+                counts[members] = _worker_counts(answer, len(members))
             except RouterHTTPError as error:
-                # still join the remaining futures so no shard outlives the
-                # request, then relay the first failure
                 relay = relay or (
                     error.status,
                     json.dumps({"error": error.message}).encode("utf-8"),
+                    "application/json",
                 )
-                continue
-            if status != 200:
-                # relay the first upstream error verbatim (still joining the
-                # remaining futures so no shard outlives the request)
-                relay = relay or (status, body)
-                continue
-            sub_counts = json.loads(body.decode("utf-8"))["counts"]
-            for (index, _), count in zip(members, sub_counts):
-                counts[index] = float(count)
         if relay is not None:
             return relay
+        if f64:
+            return 200, encode_f64(counts), F64_MEDIA_TYPE
         body = json.dumps(
-            {"release": release or self.default_release, "counts": counts}
-        ).encode("utf-8")
-        return 200, body
+            {"release": release or self.default_release, "counts": counts.tolist()}
+        )
+        return 200, body.encode("utf-8"), "application/json"
 
-    def route_mine(
-        self, raw: bytes, deadline: Deadline | None = None
-    ) -> tuple[int, bytes]:
+    def route_mine(self, raw: bytes, deadline: Deadline | None = None) -> Answer:
         self._requests["mine"].inc()
         with self._latency["mine"].time():
             return self.forward_any(
@@ -730,10 +789,10 @@ class Router:
                 "/mine",
                 raw,
                 deadline=deadline,
-                headers=self._deadline_headers(deadline),
+                headers=self._worker_headers(deadline),
             )
 
-    def route_releases(self) -> tuple[int, bytes]:
+    def route_releases(self) -> Answer:
         return self.forward_any("GET", "/releases")
 
     def health(self) -> dict:
@@ -787,7 +846,7 @@ class Router:
         sources = [("router", self.metrics.snapshot())]
         for worker in self.table.live():
             try:
-                status, body = self.forward(
+                status, body, _ = self.forward(
                     worker, "GET", "/metrics?format=json", pooled=False
                 )
                 if status != 200:
@@ -805,6 +864,11 @@ class Router:
             self._batcher.close()
             self._batcher = None
         self._executor.shutdown(wait=False)
+        with self._idle_lock:
+            idle, self._idle = self._idle, {}
+        for connections in idle.values():
+            for conn in connections:
+                conn.close()
 
 
 class _RouterHandler(BaseHTTPRequestHandler):
@@ -828,11 +892,12 @@ class _RouterHandler(BaseHTTPRequestHandler):
 
     # ------------------------------------------------------------------
     def _respond(self, payload: dict, status: int = 200) -> None:
-        self._respond_raw(status, json.dumps(payload).encode("utf-8"))
+        self._respond_raw((status, json.dumps(payload).encode("utf-8"), "application/json"))
 
-    def _respond_raw(self, status: int, body: bytes) -> None:
+    def _respond_raw(self, answer: Answer) -> None:
+        status, body, content_type = answer
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
@@ -887,8 +952,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     self.end_headers()
                     self.wfile.write(body)
             elif parsed.path == "/releases":
-                status, body = self.router.route_releases()
-                self._respond_raw(status, body)
+                self._respond_raw(self.router.route_releases())
             elif parsed.path == "/query":
                 deadline = self._request_deadline()
                 query = parse_qs(parsed.query)
@@ -922,8 +986,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 # so error bodies relay verbatim without a router-side parse.
                 deadline = self._request_deadline()
                 with self.router.admission():
-                    status, body = self.router.route_mine(raw, deadline)
-                self._respond_raw(status, body)
+                    answer = self.router.route_mine(raw, deadline)
+                self._respond_raw(answer)
                 return
             if self.path == "/admin/reload":
                 reload_fn = self.router.reload_fn
@@ -965,10 +1029,15 @@ class _RouterHandler(BaseHTTPRequestHandler):
                     return
                 deadline = self._request_deadline()
                 with self.router.admission():
-                    status, body = self.router.route_batch(
-                        raw, payload, patterns, release, deadline
+                    answer = self.router.route_batch(
+                        raw,
+                        payload,
+                        patterns,
+                        release,
+                        deadline,
+                        self.headers.get("Accept"),
                     )
-                self._respond_raw(status, body)
+                self._respond_raw(answer)
             else:
                 self._error(f"unknown path {self.path!r}", 404)
         except RouterHTTPError as error:

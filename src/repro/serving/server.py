@@ -10,7 +10,9 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
   the raw registry snapshot) — see docs/OBSERVABILITY.md
 * ``GET  /releases``         the served releases and their public metadata
 * ``POST /query``            ``{"pattern": ..., "release": ...}`` -> count
-* ``POST /batch``            ``{"patterns": [...]}`` -> vectorized counts
+* ``POST /batch``            ``{"patterns": [...]}`` -> vectorized counts; a
+  request whose ``Accept`` names :data:`F64_MEDIA_TYPE` gets them as raw
+  little-endian float64 instead of JSON (errors are always JSON)
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
 
 Every operational number lives in the service's
@@ -39,6 +41,8 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlparse
+
+import numpy as np
 
 from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
@@ -304,10 +308,17 @@ class QueryService:
 
     def batch(self, patterns: Sequence[str], release: str | None = None) -> list[float]:
         """Vectorized noisy counts for many patterns at once."""
+        return self.batch_counts(patterns, release).tolist()
+
+    def batch_counts(
+        self, patterns: Sequence[str], release: str | None = None
+    ) -> np.ndarray:
+        """:meth:`batch` as the float64 array that ``/batch`` encodes in
+        either answer format."""
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
         with self._latency["batch"].time():
-            return self.release(release).batch_query(patterns).tolist()
+            return self.release(release).batch_query(patterns)
 
     def mine(
         self,
@@ -458,6 +469,38 @@ def content_length(headers) -> int | None:
 #: the 400 answer to an unusable ``Content-Length`` (router and server).
 BAD_CONTENT_LENGTH = "Content-Length must be a non-negative integer"
 
+#: the ``/batch`` answer format a request asks for by naming it in
+#: ``Accept``: the counts as little-endian float64 in request order, 8 bytes
+#: per pattern.  Bit-identical to the JSON counts by construction, with no
+#: float repr to write or parse.  The router and the client speak it too.
+F64_MEDIA_TYPE = "application/x-dpsc-f64"
+
+
+def names_f64(value: str | None) -> bool:
+    """True when an ``Accept`` or ``Content-Type`` header value names
+    :data:`F64_MEDIA_TYPE` (parameters and case ignored)."""
+    return value is not None and any(
+        media.split(";", 1)[0].strip().lower() == F64_MEDIA_TYPE
+        for media in value.split(",")
+    )
+
+
+def encode_f64(counts: np.ndarray) -> bytes:
+    """The body of the :data:`F64_MEDIA_TYPE` ``/batch`` answer of ``counts``."""
+    return np.asarray(counts, dtype="<f8").tobytes()
+
+
+def decode_f64(body: bytes, patterns: int) -> np.ndarray:
+    """The counts of an :data:`F64_MEDIA_TYPE` answer to a batch of
+    ``patterns`` patterns (a read-only view of ``body``); ``ValueError``
+    unless the body holds exactly 8 bytes per pattern."""
+    if len(body) != 8 * patterns:
+        raise ValueError(
+            f"an {F64_MEDIA_TYPE} body of {len(body)} bytes does not hold "
+            f"{patterns} counts"
+        )
+    return np.frombuffer(body, dtype="<f8")
+
 
 def _is_int(value: object) -> bool:
     """True for JSON integers only (bool is an int subclass in Python —
@@ -486,8 +529,13 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     def _respond(self, payload: dict, status: int = 200, *, close: bool = False) -> None:
         body = json.dumps(payload).encode("utf-8")
+        self._send(status, body, "application/json", close=close)
+
+    def _send(
+        self, status: int, body: bytes, content_type: str, *, close: bool = False
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         if close:  # also ends this handler's keep-alive loop
             self.send_header("Connection", "close")
@@ -606,12 +654,16 @@ class _Handler(BaseHTTPRequestHandler):
                 ):
                     self._error("'patterns' must be a list of strings", 400)
                     return
-                self._respond(
-                    {
-                        "release": release or self.service.default_release,
-                        "counts": self.service.batch(patterns, release),
-                    }
-                )
+                counts = self.service.batch_counts(patterns, release)
+                if names_f64(self.headers.get("Accept")):
+                    self._send(200, encode_f64(counts), F64_MEDIA_TYPE)
+                else:
+                    self._respond(
+                        {
+                            "release": release or self.service.default_release,
+                            "counts": counts.tolist(),
+                        }
+                    )
             elif self.path == "/mine":
                 threshold = payload.get("threshold")
                 if not isinstance(threshold, (int, float)) or isinstance(

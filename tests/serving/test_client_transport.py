@@ -7,8 +7,10 @@ connection (docs/RESILIENCE.md).  These tests count the connections the
 client opens (``dpsc_client_connections_opened_total``), make the server
 hang up an idle connection, stall a reused one past the deadline, share
 one client between threads, and SIGTERM a ``dpsc serve`` process while a
-pooled connection sits idle.  Every client is closed, so the module runs
-clean under ``python -X dev`` (no unclosed-socket warnings).
+pooled connection sits idle.  They also check that ``/batch`` asks for
+raw float64 only and refuses any other answer.  Every client is closed,
+so the module runs clean under ``python -X dev`` (no unclosed-socket
+warnings).
 """
 
 from __future__ import annotations
@@ -22,11 +24,13 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from repro.serving import QueryService, ReleaseStore, ServingClient, create_server
 from repro.serving.client import ServingClientError
 from repro.serving.resilience import BackoffPolicy
+from repro.serving.server import F64_MEDIA_TYPE
 from tests.serving.test_release_format import make_structure
 
 COUNTS = {"ab": 5.0, "ba": 3.0, "abab": 1.5}
@@ -46,6 +50,10 @@ class _EchoHandler(BaseHTTPRequestHandler):
     ``server.hang_up`` patterns are answered and then the connection is
     closed without ``Connection: close``, as a server reaping idle
     connections does; ``server.drop`` patterns get no answer at all.
+    ``POST /batch`` answers ``[float(pattern), ...]`` as an
+    ``application/x-dpsc-f64`` body whatever the ``Accept``, one count
+    short when ``server.batch_answer`` is ``"short"``, or as JSON
+    ``{"counts": [...]}`` when it is ``"json"``.
     """
 
     protocol_version = "HTTP/1.1"
@@ -56,6 +64,9 @@ class _EchoHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         server = self.server
         body = self.rfile.read(int(self.headers["Content-Length"]))
+        if self.path == "/batch":
+            self._batch(json.loads(body)["patterns"])
+            return
         pattern = json.loads(body)["pattern"]
         with server.lock:
             server.requests.append((self.path, pattern))
@@ -72,6 +83,25 @@ class _EchoHandler(BaseHTTPRequestHandler):
         if pattern in server.hang_up:
             self.close_connection = True
 
+    def _batch(self, patterns: list[str]) -> None:
+        server = self.server
+        with server.lock:
+            server.requests.append((self.path, self.headers["Accept"]))
+        counts = [float(pattern) for pattern in patterns]
+        if server.batch_answer == "json":
+            content_type = "application/json"
+            payload = json.dumps({"counts": counts}).encode("utf-8")
+        else:
+            if server.batch_answer == "short":
+                counts = counts[:-1]
+            content_type = F64_MEDIA_TYPE
+            payload = np.asarray(counts, "<f8").tobytes()
+        self.send_response(200)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
     def log_message(self, *_args) -> None:  # silence test output
         pass
 
@@ -87,6 +117,7 @@ class _EchoServer(ThreadingHTTPServer):
         self.stall: dict[str, float] = {}
         self.hang_up: set[str] = set()
         self.drop: set[str] = set()
+        self.batch_answer = "f64"
         self.accepted = 0
         self.closed = 0
 
@@ -233,6 +264,34 @@ class TestConnectionReuse:
         assert server.accepted == opened(client)
         client.close()  # closes the idle connections every thread opened
         assert server.wait_closed(server.accepted)
+
+
+class TestBatchDecoding:
+    def test_batch_asks_for_f64_only_and_decodes_it(self, echo_server):
+        server, url = echo_server
+        with ServingClient(url) as client:
+            assert client.batch(["1", "2.5", "-3"]) == [1.0, 2.5, -3.0]
+        assert server.requests == [("/batch", F64_MEDIA_TYPE)]
+
+    def test_an_f64_body_of_the_wrong_length_fails_after_one_attempt(self, echo_server):
+        server, url = echo_server
+        server.batch_answer = "short"
+        with ServingClient(url, retries=3, backoff=FAST) as client:
+            with pytest.raises(ServingClientError, match="malformed /batch") as excinfo:
+                client.batch(["1", "2"])
+            assert excinfo.value.attempts == 1
+            assert excinfo.value.status == 200
+            assert client.num_retries == 0
+        assert len(server.requests) == 1
+
+    def test_a_json_batch_answer_is_malformed(self, echo_server):
+        server, url = echo_server
+        server.batch_answer = "json"
+        with ServingClient(url, retries=3, backoff=FAST) as client:
+            with pytest.raises(ServingClientError, match="application/json") as excinfo:
+                client.batch(["1", "2"])
+            assert excinfo.value.attempts == 1
+        assert len(server.requests) == 1
 
 
 class TestBaseURL:

@@ -13,7 +13,15 @@ acceptance contract:
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
   live sibling and the supervisor respawns the dead one;
 * killing the router process leaves **no orphan workers**;
-* hot reload swaps worker generations without dropping a request.
+* hot reload swaps worker generations without dropping a request, and the
+  router keeps no connection to a retired worker;
+* a burst of concurrent forwards leaves at most ``split_threads`` idle
+  router connections per worker (checked against in-process stand-in
+  workers, not spawned ones).
+
+``ServingClient`` asks ``/batch`` for raw float64 answers, so every
+``client.batch`` here runs the f64 path; the raw-bytes parity test covers
+the JSON answer too.
 """
 
 from __future__ import annotations
@@ -26,6 +34,7 @@ import sys
 import threading
 import time
 import urllib.request
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
@@ -41,7 +50,14 @@ from repro.serving import (
     generate_workload,
     run_load_test_processes,
 )
-from repro.serving.cluster import shard_of
+from repro.serving.cluster import (
+    Router,
+    WorkerHandle,
+    WorkerTable,
+    create_router_server,
+    shard_of,
+)
+from repro.serving.server import F64_MEDIA_TYPE, encode_f64
 from tests.serving.test_server import post_with_content_length
 
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length -> split-eligible
@@ -96,6 +112,12 @@ class TestShardOf:
         used = {shard_of(index, 4) for index in range(64)}
         assert used == set(range(4))
 
+    def test_index_arrays_shard_like_ints(self):
+        indices = [0, 1, 7, 4095, 2**31 + 5, 2**32 - 1]
+        for shards in (2, 3, 8):
+            array = shard_of(np.asarray(indices, dtype=np.uint64), shards)
+            assert array.tolist() == [shard_of(index, shards) for index in indices]
+
 
 class TestParity:
     def test_query(self, client, reference):
@@ -134,26 +156,39 @@ class TestParity:
             assert info.pop("compiled_bytes") > 0
         assert via_router == serial
 
-    def test_raw_response_bytes_identical(self, cluster, store):
+    @pytest.mark.parametrize("accept", [None, F64_MEDIA_TYPE], ids=["json", "f64"])
+    def test_raw_response_bytes_identical(self, cluster, client, store, reference, accept):
         service = QueryService.from_store(store, micro_batch=False)
         from repro.serving import create_server
 
         server = create_server(service)
         threading.Thread(target=server.serve_forever, daemon=True).start()
+        headers = {"Content-Type": "application/json"}
+        if accept is not None:
+            headers["Accept"] = accept
+
+        def raw(url, patterns):
+            request = urllib.request.Request(
+                f"{url}/batch",
+                data=json.dumps({"patterns": patterns}).encode("utf-8"),
+                headers=headers,
+            )
+            with urllib.request.urlopen(request, timeout=30) as response:
+                return response.headers["Content-Type"], response.read()
+
         try:
-            body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
-
-            def raw(url):
-                request = urllib.request.Request(
-                    f"{url}/batch",
-                    data=body,
-                    headers={"Content-Type": "application/json"},
-                )
-                with urllib.request.urlopen(request, timeout=30) as response:
-                    return response.read()
-
-            single = raw(f"http://127.0.0.1:{server.server_address[1]}")
-            assert raw(cluster.url) == single
+            single_url = f"http://127.0.0.1:{server.server_address[1]}"
+            # UNIFORM is split across the workers, MIXED passes through whole
+            for patterns, splits in ((UNIFORM, 1), (MIXED, 0)):
+                before = client.healthz()["split_batches"]
+                single = raw(single_url, patterns)
+                assert raw(cluster.url, patterns) == single
+                assert client.healthz()["split_batches"] - before == splits
+                if accept is None:
+                    assert single[0] == "application/json"
+                else:
+                    expected = np.asarray(reference.batch(patterns), "<f8").tobytes()
+                    assert single == (F64_MEDIA_TYPE, expected)
         finally:
             server.shutdown()
             server.server_close()
@@ -292,8 +327,9 @@ class TestHotReload:
     ):
         store = ReleaseStore(tmp_path / "store")
         store.save("demo", structure)
-        with Cluster(store, workers=2, split_min_patterns=8) as cluster:
-            client = ServingClient(cluster.url, timeout=60)
+        with Cluster(store, workers=2, split_min_patterns=8) as cluster, ServingClient(
+            cluster.url, timeout=60
+        ) as client:
             expected = client.batch(UNIFORM)
             stop = threading.Event()
             errors: list[str] = []
@@ -325,10 +361,188 @@ class TestHotReload:
             assert cluster.generation == 2
             assert client.healthz()["workers"]["generation"] == 2
 
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux"), reason="reads /proc/self/fd and /proc/net/tcp"
+    )
+    def test_reloads_leave_no_close_wait_socket_to_retired_workers(
+        self, structure, reference, tmp_path
+    ):
+        store = ReleaseStore(tmp_path / "store")
+        store.save("demo", structure)
+        retired: set[int] = set()
+        with Cluster(store, workers=2, split_min_patterns=8) as cluster, ServingClient(
+            cluster.url, timeout=60
+        ) as client:
+
+            def traffic() -> None:
+                # split batch (shard threads), passthrough batch (handler
+                # thread) and a query (router micro-batcher)
+                for patterns in (UNIFORM, MIXED):
+                    assert client.batch(patterns) == reference.batch(patterns)
+                assert client.query("ab") == reference.query("ab")
+
+            for _ in range(6):
+                traffic()
+                retired |= {worker.port for worker in cluster.workers()}
+                store.save("demo", structure)
+                assert cluster.reload()["reloaded"] is True
+            traffic()
+            assert cluster.generation == 7
+            assert retired.isdisjoint(worker.port for worker in cluster.workers())
+            leaked = [port for port in close_wait_peer_ports() if port in retired]
+            assert leaked == [], f"CLOSE_WAIT sockets to retired worker ports {leaked}"
+
     def test_reload_is_noop_when_versions_unchanged(self, cluster):
         summary = cluster.reload()
         assert summary["reloaded"] is False
         assert summary["generation"] == cluster.generation
+
+
+def close_wait_peer_ports() -> list[int]:
+    """Peer ports of this process's TCP sockets in CLOSE_WAIT (the peer
+    closed, this process has not)."""
+    inodes = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed since listdir
+            continue
+        if target.startswith("socket:["):
+            inodes.add(target[len("socket:["):-1])
+    ports = []
+    for table in ("/proc/net/tcp", "/proc/net/tcp6"):
+        try:
+            with open(table) as handle:
+                rows = handle.read().splitlines()[1:]
+        except FileNotFoundError:
+            continue
+        for row in rows:
+            fields = row.split()
+            # fields: sl local remote state ... inode (index 9); 08 = CLOSE_WAIT
+            if fields[3] == "08" and fields[9] in inodes:
+                ports.append(int(fields[2].rsplit(":", 1)[1], 16))
+    return ports
+
+
+class _BurstHandler(BaseHTTPRequestHandler):
+    """Stand-in worker ``/batch``: zeros as float64, answered only once every
+    request of the burst has arrived (``server.arrived``) and the test has
+    set ``server.release``."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        patterns = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.arrived.wait(timeout=10)
+        self.server.release.wait(timeout=10)
+        body = encode_f64(np.zeros(len(patterns["patterns"])))
+        self.send_response(200)
+        self.send_header("Content-Type", F64_MEDIA_TYPE)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *_args) -> None:
+        pass
+
+
+class _BurstWorker(ThreadingHTTPServer):
+    """An in-process stand-in worker that counts its open connections."""
+
+    daemon_threads = True
+
+    def __init__(self, arrived: threading.Barrier, release: threading.Event) -> None:
+        super().__init__(("127.0.0.1", 0), _BurstHandler)
+        self.arrived = arrived
+        self.release = release
+        self.lock = threading.Lock()
+        self.accepted = 0
+        self.open = 0
+
+    def process_request(self, request, client_address) -> None:
+        with self.lock:
+            self.accepted += 1
+            self.open += 1
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request) -> None:
+        super().shutdown_request(request)
+        with self.lock:
+            self.open -= 1
+
+
+class _Running:
+    pid = None
+
+    @staticmethod
+    def is_alive() -> bool:
+        return True
+
+
+class TestWorkerConnectionPool:
+    CLIENTS = 6
+    SPLIT_THREADS = 2  # the router keeps this many idle connections per worker
+
+    @pytest.mark.parametrize("retire", [False, True], ids=["kept", "retired"])
+    def test_a_burst_leaves_a_bounded_pool(self, retire):
+        """Six concurrent clients open six router->worker connections; once
+        they close, each worker keeps at most ``split_threads`` of them, and
+        a worker that left the table mid-burst keeps none."""
+        arrived = threading.Barrier(self.CLIENTS + 1)
+        release = threading.Event()
+        workers = [_BurstWorker(arrived, release) for _ in range(2)]
+        for worker in workers:
+            threading.Thread(target=worker.serve_forever, daemon=True).start()
+        handles = [
+            WorkerHandle(f"w{i}", 1, _Running(), None, worker.server_address[1])
+            for i, worker in enumerate(workers)
+        ]
+        table = WorkerTable()
+        table.swap(handles, 1, {"demo": 1})
+        router = Router(
+            table,
+            micro_batch=False,
+            split_threads=self.SPLIT_THREADS,
+            split_min_patterns=10**6,
+        )
+        server = create_router_server(router)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        url = f"http://127.0.0.1:{server.server_address[1]}"
+        results: list[list[float]] = []
+
+        def call() -> None:
+            with ServingClient(url, timeout=20) as client:
+                results.append(client.batch(["ab", "ba"]))
+
+        threads = [threading.Thread(target=call) for _ in range(self.CLIENTS)]
+        try:
+            for thread in threads:
+                thread.start()
+            arrived.wait(timeout=10)  # every request is inside a worker
+            if retire:
+                table.swap(handles[1:], 2, {"demo": 1})
+            release.set()
+            for thread in threads:
+                thread.join(timeout=20)
+            assert results == [[0.0, 0.0]] * self.CLIENTS
+            assert sum(worker.accepted for worker in workers) == self.CLIENTS
+            limits = [0 if retire else self.SPLIT_THREADS, self.SPLIT_THREADS]
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and any(
+                worker.open > limit for worker, limit in zip(workers, limits)
+            ):
+                time.sleep(0.02)
+            still_open = [worker.open for worker in workers]
+            assert all(n <= limit for n, limit in zip(still_open, limits)), still_open
+        finally:
+            release.set()
+            server.shutdown()
+            server.server_close()
+            router.close()
+            for worker in workers:
+                worker.shutdown()
+                worker.server_close()
 
 
 class TestShutdown:

@@ -21,6 +21,8 @@ from repro.serving import (
     ServingClientError,
     create_server,
 )
+from repro.serving.resilience import DEADLINE_HEADER
+from repro.serving.server import F64_MEDIA_TYPE
 from tests.serving.test_release_format import make_structure
 
 
@@ -320,6 +322,55 @@ class TestHTTPEndToEnd:
         assert excinfo.value.status == 0
 
 
+def encoding_release() -> tuple[CompiledTrie, list[str]]:
+    """A release whose counts are zeros, 3-decimal fractions (negatives
+    among them) and values above 1e6, with probes for every stored pattern,
+    misses and the empty pattern."""
+    rng = np.random.default_rng(13)
+    patterns = sorted(
+        {"".join(rng.choice(list("ab"), size=rng.integers(1, 9))) for _ in range(400)}
+    )
+    counts = {}
+    for index, pattern in enumerate(patterns):
+        if index % 3 == 0:
+            counts[pattern] = 0.0
+        elif index % 3 == 1:
+            counts[pattern] = round(float(rng.uniform(-50.0, 1000.0)), 3)
+        else:
+            counts[pattern] = round(float(rng.uniform(1e6, 5e7)), 3)
+    return CompiledTrie.from_structure(make_structure(counts)), patterns + ["zz", "", "abx"]
+
+
+@pytest.fixture(scope="module")
+def encoding_server():
+    compiled, probes = encoding_release()
+    service = QueryService({"demo": compiled}, micro_batch=False)
+    server = create_server(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield server.server_address[:2], probes
+    server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
+    service.close()
+
+
+F64_ACCEPT = {"Accept": F64_MEDIA_TYPE}
+
+
+def post_batch(address, body: bytes, headers: dict[str, str]) -> tuple[int, dict, bytes]:
+    """A raw ``POST /batch``: status, response headers and body."""
+    connection = http.client.HTTPConnection(*address, timeout=10)
+    try:
+        connection.request(
+            "POST", "/batch", body=body, headers={"Content-Type": "application/json", **headers}
+        )
+        response = connection.getresponse()
+        return response.status, dict(response.headers), response.read()
+    finally:
+        connection.close()
+
+
 class TestBatchEncoding:
     def test_batch_body_is_byte_identical_to_the_per_count_float_encoding(self):
         rng = np.random.default_rng(13)
@@ -363,6 +414,93 @@ class TestBatchEncoding:
             server.server_close()
             thread.join(timeout=5)
             service.close()
+
+    def test_f64_body_is_the_json_counts_as_little_endian_float64(self, encoding_server):
+        address, probes = encoding_server
+        body = json.dumps({"patterns": probes}).encode("utf-8")
+        status, headers, raw = post_batch(address, body, F64_ACCEPT)
+        assert status == 200
+        assert headers["Content-Type"] == F64_MEDIA_TYPE
+        _, json_headers, json_body = post_batch(address, body, {})
+        assert json_headers["Content-Type"] == "application/json"
+        assert raw == np.asarray(json.loads(json_body)["counts"], "<f8").tobytes()
+
+    def test_client_batch_is_bit_identical_to_the_json_counts(self, encoding_server):
+        (host, port), probes = encoding_server
+        _, _, json_body = post_batch(
+            (host, port), json.dumps({"patterns": probes}).encode("utf-8"), {}
+        )
+        with ServingClient(f"http://{host}:{port}") as client:
+            assert client.batch(probes) == json.loads(json_body)["counts"]
+
+    def test_both_formats_count_alike(self, encoding_server):
+        (host, port), probes = encoding_server
+        body = json.dumps({"patterns": probes}).encode("utf-8")
+
+        def batch_metrics(client):
+            snapshot = client.metrics_snapshot()
+            counts = {
+                name: next(
+                    entry["value"]
+                    for entry in snapshot[name]["series"]
+                    if entry["labels"].get("endpoint", "batch") == "batch"
+                )
+                for name in ("dpsc_requests_total", "dpsc_batch_patterns_total")
+            }
+            latency = snapshot["dpsc_request_seconds"]["series"]
+            counts["latency"] = next(
+                entry["value"]["count"]
+                for entry in latency
+                if entry["labels"]["endpoint"] == "batch"
+            )
+            return counts
+
+        with ServingClient(f"http://{host}:{port}") as client:
+            before = batch_metrics(client)
+            for headers in (F64_ACCEPT, {}):
+                assert post_batch((host, port), body, headers)[0] == 200
+            after = batch_metrics(client)
+        assert after == {
+            "dpsc_requests_total": before["dpsc_requests_total"] + 2,
+            "dpsc_batch_patterns_total": before["dpsc_batch_patterns_total"] + 2 * len(probes),
+            "latency": before["latency"] + 2,
+        }
+
+    def test_empty_batch_is_an_empty_body(self, encoding_server):
+        (host, port), _ = encoding_server
+        status, headers, raw = post_batch((host, port), b'{"patterns": []}', F64_ACCEPT)
+        assert (status, headers["Content-Type"], raw) == (200, F64_MEDIA_TYPE, b"")
+        with ServingClient(f"http://{host}:{port}") as client:
+            assert client.batch([]) == []
+
+    @pytest.mark.parametrize(
+        "body, extra, status, text",
+        [
+            (b'{"patterns": ["ab"], "release": "nope"}', {}, 404, "nope"),
+            (b'{"patterns": "ab"}', {}, 400, "list of strings"),
+            (b"{not json", {}, 400, "not valid JSON"),
+            (b'{"patterns": ["ab"]}', {DEADLINE_HEADER: "1.0"}, 504, "deadline"),
+        ],
+        ids=["unknown-release", "bad-patterns", "bad-json", "expired-deadline"],
+    )
+    def test_errors_stay_json(self, encoding_server, body, extra, status, text):
+        address, _ = encoding_server
+        got, headers, raw = post_batch(address, body, {**F64_ACCEPT, **extra})
+        assert got == status
+        assert headers["Content-Type"] == "application/json"
+        assert text in json.loads(raw)["error"]
+
+    def test_client_error_carries_the_server_text(self, encoding_server):
+        (host, port), _ = encoding_server
+        with ServingClient(f"http://{host}:{port}") as client:
+            with pytest.raises(ServingClientError) as excinfo:
+                client.batch(["ab"], release="nope")
+            assert excinfo.value.status == 404
+            assert "nope" in excinfo.value.payload["error"]
+            with pytest.raises(ServingClientError) as excinfo:
+                client.batch([7])
+            assert excinfo.value.status == 400
+            assert "list of strings" in excinfo.value.payload["error"]
 
 
 class TestFromStore:
