@@ -1,5 +1,5 @@
 """E20 — Query-serving throughput: per-node trie loops vs the compiled
-array trie (single, LRU-cached and vectorized batch query paths) on the
+array trie (single-pattern walk and vectorized batch query paths) on the
 genome and transit workloads.
 
 The serving layer's contract is twofold: *exact* post-processing parity
@@ -32,7 +32,5 @@ def test_e20_serving_throughput(benchmark, experiment_report):
             f"{row['workload']}: batch only "
             f"{row['batch_speedup']:.2f}x over the trie loop"
         )
-        # The LRU cache pays off on skewed traffic.
-        assert row["cache_hit_rate"] > 0.5
     # Batched serving reaches millions of queries per second.
     assert all(row["qps_compiled_batch"] > 1_000_000 for row in rows)

@@ -1,8 +1,8 @@
 """E27 — Sharded serving tier: throughput scaling over worker processes.
 
 The acceptance contract of the multi-process serving tier
-(:mod:`repro.serving.cluster`): uniform q-gram ``/batch`` traffic routed
-through the hash-sharding router must be **bit-identical** to the
+(:mod:`repro.serving.cluster`): uniform q-gram ``/batch`` traffic relayed
+whole to one worker by the router must be **bit-identical** to the
 single-process server — both float-for-float in every client and
 byte-for-byte on a raw response body — at every worker count; second-and-
 later workers must add ~0 private resident pages over the one mmap-shared

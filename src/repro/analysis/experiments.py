@@ -1366,7 +1366,7 @@ def run_serving_throughput(
     seed: int = 7,
 ) -> list[dict]:
     """E20 — query-serving throughput: per-node trie loops vs the compiled
-    array trie (single, LRU-cached and vectorized batch paths).
+    array trie (single-pattern walk and vectorized batch paths).
 
     Builds one released structure per workload (a low pruning threshold
     keeps it serving-sized), then replays a serving-style traffic mix:
@@ -1395,8 +1395,7 @@ def run_serving_throughput(
             .with_threshold(threshold)
             .build("heavy-path", rng=rng)
         )
-        compiled = CompiledTrie.from_structure(structure, cache_size=0)
-        cached = CompiledTrie.from_structure(structure, cache_size=8192)
+        compiled = CompiledTrie.from_structure(structure)
 
         patterns = structure.patterns()
         lengths = np.array([len(p) for p in patterns], dtype=float)
@@ -1424,14 +1423,12 @@ def run_serving_throughput(
 
         trie_seconds = best_seconds(lambda: [structure.query(q) for q in queries])
         single_seconds = best_seconds(lambda: [compiled.query(q) for q in queries])
-        cached_seconds = best_seconds(lambda: [cached.query(q) for q in queries])
         batch_seconds = best_seconds(lambda: compiled.batch_query(queries))
 
         expected = [structure.query(q) for q in queries]
         parity_ok = bool(
             np.allclose(compiled.batch_query(queries), expected)
             and all(compiled.query(q) == e for q, e in zip(queries, expected))
-            and all(cached.query(q) == e for q, e in zip(queries, expected))
         )
         rows.append(
             {
@@ -1444,11 +1441,8 @@ def run_serving_throughput(
                 "avg_query_len": float(np.mean([len(q) for q in queries])),
                 "qps_trie_loop": num_queries / trie_seconds,
                 "qps_compiled_single": num_queries / single_seconds,
-                "qps_compiled_cached": num_queries / cached_seconds,
                 "qps_compiled_batch": num_queries / batch_seconds,
                 "batch_speedup": trie_seconds / batch_seconds,
-                "cached_speedup": trie_seconds / cached_seconds,
-                "cache_hit_rate": cached.cache_info().hit_rate,
                 "parity_ok": parity_ok,
             }
         )
@@ -1474,10 +1468,10 @@ def run_concurrent_serving(
     ``/healthz``) from 1, 2, 4 and 8 barrier-started threads.  Every replay
     must be *bit-identical* to the serial replay and must advance the
     health counters by exactly the workload totals — the concurrency
-    contract of ``repro.serving`` (lock-protected caches over immutable
-    array snapshots).  Throughput per thread count is recorded; on
-    CPython the GIL bounds the scaling, so the headline is correctness
-    under contention, not linear speedup.
+    contract of ``repro.serving`` (immutable array snapshots whose lazily
+    built views are published once, under a lock).  Throughput per thread
+    count is recorded; on CPython the GIL bounds the scaling, so the
+    headline is correctness under contention, not linear speedup.
     """
     from repro.serving import (
         QueryService,
@@ -1683,7 +1677,6 @@ def _synthetic_release(target_nodes: int, *, seed: int = 0):
         vocab=vocab,
         metadata=metadata,
         report={"synthetic": True, "depth": depth, "alphabet": alphabet},
-        cache_size=0,
     )
 
 
@@ -1699,11 +1692,9 @@ from repro.serving import ReleaseStore
 
 store = ReleaseStore(store_root)
 if mode == "json":
-    compiled = store.load(name, version).compiled(cache_size=0)
+    compiled = store.load(name, version).compiled()
 else:
-    compiled = store.load_compiled(
-        name, version, mmap=(mode == "mmap"), cache_size=0
-    )
+    compiled = store.load_compiled(name, version, mmap=(mode == "mmap"))
 # Touch every node page so residency reflects real serving, not an
 # untouched lazy mapping.
 checksum = float(sum(float(array.sum()) for array in compiled.arrays().values()))
@@ -1895,18 +1886,16 @@ def run_release_format_benchmark(
                 return best_load, best_total
 
             json_load, json_total = first_batch_seconds(
-                lambda: store.load("e26", json_record.version).compiled(
-                    cache_size=0
-                )
+                lambda: store.load("e26", json_record.version).compiled()
             )
             binary_load, binary_total = first_batch_seconds(
                 lambda: store.load_compiled(
-                    "e26", binary_record.version, mmap=False, cache_size=0
+                    "e26", binary_record.version, mmap=False
                 )
             )
             mmap_load, mmap_total = first_batch_seconds(
                 lambda: store.load_compiled(
-                    "e26", binary_record.version, mmap=True, cache_size=0
+                    "e26", binary_record.version, mmap=True
                 )
             )
 
@@ -1933,9 +1922,9 @@ def run_release_format_benchmark(
                 and migrated[0].digest == digest
                 and not Path(json_record.path).exists()
                 and np.array_equal(
-                    store.load_compiled(
-                        "e26", json_record.version, cache_size=0
-                    ).batch_query(probes),
+                    store.load_compiled("e26", json_record.version).batch_query(
+                        probes
+                    ),
                     expected,
                 )
             )
@@ -2150,10 +2139,11 @@ def run_serving_scale(
     """E27 — the sharded serving tier against the single-process server.
 
     A synthetic release is published once into a scratch store; uniform
-    q-gram ``/batch`` traffic (every pattern the same length, the tier's
-    split-eligible case) is then driven over HTTP by spawned client
+    q-gram ``/batch`` traffic (every pattern the same length, the compiled
+    trie's uniform fast path) is then driven over HTTP by spawned client
     processes — first at the single-process server (the baseline row), then
-    at clusters of 1/2/4/... workers.  Each row records aggregate pattern
+    at clusters of 1/2/4/... workers, whose router forwards each batch
+    whole to one worker.  Each row records aggregate pattern
     throughput, the speedup over the baseline, and two correctness gates
     measured, not assumed:
 
@@ -2262,9 +2252,7 @@ def run_serving_scale(
             (count for count in worker_counts if count >= 2), default=None
         )
         for workers in worker_counts:
-            with Cluster(
-                store, workers=workers, split_min_patterns=min(512, batch_size)
-            ) as cluster:
+            with Cluster(store, workers=workers) as cluster:
                 bytes_identical = raw_batch(cluster.url) == single_reference
                 outcome = _drive_scale_clients(
                     cluster.url, body, expected, clients=clients, rounds=rounds

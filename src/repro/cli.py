@@ -59,6 +59,9 @@ from repro.workloads.transit import transit_trajectories
 
 __all__ = ["main", "EXPERIMENT_REGISTRY"]
 
+#: the cluster tier has no micro-batcher, so --no-batch would do nothing there.
+_SINGLE_ONLY = "applies to the single-process server only"
+
 
 def _registry() -> dict[str, tuple[str, Callable[[], list[dict]]]]:
     """Experiment id -> (title, runner with benchmark-sized defaults)."""
@@ -317,6 +320,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # additionally arm themselves from the inherited environment).
     if faults.arm_from_env():
         print("fault injection armed from DPSC_FAULTS", file=sys.stderr)
+    if args.workers > 1 and args.no_batch:
+        print(f"error: --no-batch {_SINGLE_ONLY}", file=sys.stderr)
+        return 2
     store = ReleaseStore(args.store)
     if args.workers > 1:
         from repro.serving import Cluster
@@ -327,7 +333,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             host=args.host,
             port=args.port,
-            micro_batch=not args.no_batch,
             mmap=not args.no_mmap,
         )
         try:
@@ -503,6 +508,9 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     if args.workers and not args.store:
         print("error: --workers needs --store (a cluster serves a store)", file=sys.stderr)
         return 2
+    if args.workers and args.no_batch:
+        print(f"error: --no-batch {_SINGLE_ONLY}", file=sys.stderr)
+        return 2
     service = None
     cluster = None
     if args.url:
@@ -514,10 +522,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
         store = ReleaseStore(args.store)
         try:
             cluster = Cluster(
-                store,
-                workers=args.workers,
-                micro_batch=not args.no_batch,
-                mmap=not args.no_mmap,
+                store, workers=args.workers, mmap=not args.no_mmap
             ).start()
         except ReproError as error:
             print(f"error: {error}", file=sys.stderr)
@@ -891,14 +896,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="serve through the sharded cluster tier: N pre-forked worker "
-        "processes mmap-sharing one release copy behind a hash-sharding "
-        "router on --port (1 = the single-process server)",
+        help="serve through the cluster tier: N pre-forked worker "
+        "processes mmap-sharing one release copy behind a router on --port "
+        "that relays each request to one worker (1 = the single-process "
+        "server)",
     )
     serve_parser.add_argument(
         "--no-batch",
         action="store_true",
-        help="disable micro-batching of concurrent single queries",
+        help=f"disable micro-batching of concurrent single queries ({_SINGLE_ONLY})",
     )
     serve_parser.add_argument(
         "--no-mmap",
@@ -1014,7 +1020,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench_parser.add_argument(
         "--no-batch",
         action="store_true",
-        help="disable micro-batching of concurrent single queries",
+        help=f"disable micro-batching of concurrent single queries ({_SINGLE_ONLY})",
     )
     bench_parser.add_argument(
         "--no-mmap",

@@ -540,6 +540,5 @@ def materialize_structure(
         vocab=vocab,
         metadata=metadata,
         report=report,
-        cache_size=0,
     )
     return linked, compiled

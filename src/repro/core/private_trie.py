@@ -132,8 +132,9 @@ class PrivateCountingTrie:
     #: identical digests regardless of how long they took or which pipeline
     #: produced them (``dpsc mine --profile`` prints this).
     profile: "BuildProfile | None" = field(default=None, repr=False, compare=False)
-    #: lazily compiled array view backing query_many (rebuilt if the trie's
-    #: node count changes; structures are immutable after construction).
+    #: the view :meth:`compiled` returns, compiled lazily (rebuilt if the
+    #: trie's node count changes; structures are immutable after
+    #: construction).
     _batch_view: "CompiledTrie | None" = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -174,21 +175,14 @@ class PrivateCountingTrie:
         adding or pruning nodes is detected automatically via the node
         count, but an in-place count edit is not observable cheaply.
         """
-        return self._batch_engine().batch_query(patterns)
+        return self.compiled().batch_query(patterns)
 
     def invalidate_cached_views(self) -> None:
-        """Drop the cached compiled view so the next :meth:`query_many`
-        recompiles.  Required after mutating ``noisy_count`` values in
-        place; structural changes (insert/prune) invalidate automatically."""
+        """Drop the cached compiled view so the next :meth:`compiled` or
+        :meth:`query_many` recompiles.  Required after mutating
+        ``noisy_count`` values in place; structural changes (insert/prune)
+        invalidate automatically."""
         self._batch_view = None
-
-    def _batch_engine(self) -> "CompiledTrie":
-        """The cached compiled view (compiled on first use)."""
-        view = self._batch_view
-        if view is None or view.num_nodes != self.trie.num_nodes:
-            view = self.compiled(cache_size=0)
-            self._batch_view = view
-        return view
 
     def __contains__(self, pattern: str) -> bool:
         node = self.trie.find(pattern)
@@ -309,25 +303,25 @@ class PrivateCountingTrie:
         """
         return payload_digest(self.to_json())
 
-    def compiled(self, *, cache_size: int = 4096):
+    def compiled(self) -> "CompiledTrie":
         """This structure flattened into a
         :class:`repro.serving.CompiledTrie` for high-throughput serving
         (pure post-processing, identical query answers).
 
-        When the structure was built by the array pipeline (or already
-        compiled once for :meth:`query_many`), the cached array view is
-        handed off zero-copy — a fresh cache wrapper around the same frozen
-        arrays — instead of re-flattening the object trie.  Code that
-        mutates stored counts in place must call
+        The compiled view is built once and cached: every call returns the
+        same immutable object (a structure built by the array pipeline
+        starts with it already in place, so nothing is re-flattened).  Code
+        that mutates stored counts in place must call
         :meth:`invalidate_cached_views` first, exactly as for
         :meth:`query_many`.
         """
         from repro.serving.compiled import CompiledTrie
 
         view = self._batch_view
-        if view is not None and view.num_nodes == self.trie.num_nodes:
-            return view.with_cache_size(cache_size)
-        return CompiledTrie.from_structure(self, cache_size=cache_size)
+        if view is None or view.num_nodes != self.trie.num_nodes:
+            view = CompiledTrie.from_structure(self)
+            self._batch_view = view
+        return view
 
     @classmethod
     def from_dict(cls, payload: dict) -> "PrivateCountingTrie":

@@ -7,7 +7,8 @@ PrivateCountingTrie` to serving millions of pattern queries:
 
 ``compiled``
     :class:`CompiledTrie` — the structure flattened into contiguous numpy
-    arrays with vectorized batch queries and an LRU result cache.
+    arrays; single and vectorized batch queries walk one dense transition
+    table.
 ``store``
     :class:`ReleaseStore` — versioned, digest-checked on-disk persistence of
     releases (save / load / list / pin / migrate) in either payload format.
@@ -40,8 +41,9 @@ PrivateCountingTrie` to serving millions of pattern queries:
     (``run_load_test_processes``) — checked bit-identical against a serial
     replay (``dpsc bench-load``, E23).
 ``cluster``
-    The sharded multi-process serving tier: a hash-sharding router on the
-    public port over N pre-forked workers mmap-sharing one release copy,
+    The multi-process serving tier: a router on the public port that relays
+    each request whole to one of N pre-forked workers mmap-sharing one
+    release copy,
     with crash respawn, atomic hot reload and tier-wide metrics
     aggregation (``dpsc serve --workers N``, E27).
 ``resilience``
@@ -53,7 +55,8 @@ PrivateCountingTrie` to serving millions of pattern queries:
     (:mod:`repro.faults`) by the chaos drill (E29; ``docs/RESILIENCE.md``).
 
 Everything above is safe under the concurrency it advertises: compiled
-tries are immutable snapshots with lock-protected caches, and the ledger
+tries are immutable snapshots whose lazy views are built once under a
+lock, and the ledger
 and store write their JSON state atomically under advisory file locks —
 see the "Concurrency & durability" section of ``docs/SERVING.md`` and
 ``dpsc serve`` / ``dpsc query`` / ``dpsc releases`` / ``dpsc bench-load``
@@ -62,7 +65,7 @@ for the command-line entry points.
 
 from repro.serving.binfmt import read_binary, write_binary
 from repro.serving.cluster import Cluster
-from repro.serving.compiled import CacheInfo, CompiledTrie
+from repro.serving.compiled import CompiledTrie
 from repro.serving.client import (
     DEFAULT_ENDPOINT_TIMEOUTS,
     ServingClient,
@@ -98,7 +101,6 @@ from repro.serving.store import ReleaseRecord, ReleaseStore
 
 __all__ = [
     "Cluster",
-    "CacheInfo",
     "CompiledTrie",
     "EpochRelease",
     "EpochScheduler",

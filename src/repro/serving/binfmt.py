@@ -251,7 +251,6 @@ def read_binary(
     *,
     mmap: bool = True,
     verify: bool | None = None,
-    cache_size: int = 4096,
     expected_digest: str | None = None,
 ):
     """Load a binary release as a :class:`CompiledTrie`.
@@ -368,5 +367,4 @@ def read_binary(
         vocab=vocab,
         metadata=metadata,
         report=report,
-        cache_size=cache_size,
     )

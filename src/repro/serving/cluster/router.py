@@ -1,37 +1,25 @@
-"""The public-port router of the sharded serving tier.
+"""The public-port router of the multi-process serving tier.
 
 One ``ThreadingHTTPServer`` that owns no release data at all: every count
-comes from a worker.  Three request paths, ordered by how much the router
-has to understand the bytes flowing through it:
+comes from a worker, and every request goes whole to one worker:
 
-* **passthrough** — ``/mine``, ``/releases`` and non-split ``/batch``
-  requests are forwarded as the original raw bytes (with the client's
-  ``Accept`` on ``/batch``) to one worker, and the worker's status,
-  ``Content-Type`` and body are relayed verbatim.  Workers run the exact
-  single-process handler code, so passthrough replies are bit-identical to
-  the single-process server by construction.
-* **split** — a uniform-length ``/batch`` of at least ``split_min_patterns``
-  patterns is sharded across the live workers by a *stable hash of the
-  pattern index* (:func:`shard_of` — deterministic across runs and
-  processes, unlike ``hash()`` under ``PYTHONHASHSEED``), the sub-batches
-  run concurrently, and the counts are scattered back into request order.
-  Sub-batches always ask workers for raw float64
-  (:data:`~repro.serving.server.F64_MEDIA_TYPE`) and the router answers in
-  the client's format, so it never writes or parses a float repr: a JSON
-  answer is byte-identical to the single-process one for the same request,
-  an f64 answer bit-identical.
-* **micro-batch** — concurrent single ``/query`` requests coalesce in a
-  router-side batcher (same eager-flush design as the in-process
-  :class:`~repro.serving.server.MicroBatcher`) and ride one worker
-  ``/batch`` call, answered in raw float64, instead of N worker
-  round-trips.
+* **passthrough** — ``/batch``, ``/mine`` and ``/releases`` requests are
+  forwarded as the original raw bytes (with the client's ``Accept`` on
+  ``/batch``), and the worker's status, ``Content-Type`` and body are
+  relayed verbatim.  Workers run the exact single-process handler code, so
+  passthrough replies — JSON or raw float64 — are bit-identical to the
+  single-process server by construction.  The router still parses a
+  ``/batch`` body, to validate it and count its patterns.
+* **query** — a ``/query`` is re-sent to the worker's ``/query`` as a small
+  JSON body, with the client's ``X-DPSC-Deadline``, and the count is read
+  from the worker's answer.
 
 Worker connections are keep-alive and pooled: a forward takes an idle
 connection to its worker or opens one, and hands it back afterwards.  The
-pool keeps at most ``split_threads`` idle connections per worker, each of
-which holds a worker handler thread, and none to workers that have left the
-table (hot reload, respawn): those would otherwise sit in ``CLOSE_WAIT`` for
-the router's lifetime.
+pool keeps at most :data:`MAX_IDLE_PER_WORKER` idle connections per worker,
+each of which holds a worker handler thread, and none to workers that have
+left the table (hot reload, respawn): those would otherwise sit in
+``CLOSE_WAIT`` for the router's lifetime.
 
 Failure policy: every endpoint is an idempotent read (queries are
 post-processing; the only server-side state is counters), so a connection
@@ -58,14 +46,11 @@ import json
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-import numpy as np
-
 from repro import faults
-from repro.obs import MetricsRegistry, log_buckets, merge_snapshots, render_snapshot
+from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
 from repro.serving.resilience import (
     DEADLINE_HEADER,
@@ -73,22 +58,18 @@ from repro.serving.resilience import (
     CircuitBreaker,
     Deadline,
 )
-from repro.serving.server import (
-    BAD_CONTENT_LENGTH,
-    F64_MEDIA_TYPE,
-    content_length,
-    decode_f64,
-    encode_f64,
-    names_f64,
-)
+from repro.serving.server import BAD_CONTENT_LENGTH, content_length
 
-__all__ = ["Router", "RouterHTTPError", "create_router_server", "shard_of"]
+__all__ = ["Router", "RouterHTTPError", "create_router_server"]
 
 #: one worker (or router) answer: status, body and ``Content-Type``.
 Answer = tuple[int, bytes, str]
 
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
-_FLUSH_SIZE_BUCKETS = log_buckets(1.0, 512.0, 2.0)
+#: idle keep-alive connections the router keeps per worker; each holds a
+#: worker handler thread, so a burst of concurrent forwards closes its
+#: surplus instead of pooling it.
+MAX_IDLE_PER_WORKER = 16
 #: connection-level failures worth retrying on another worker; an HTTP
 #: *error response* is not among them — that is the worker answering.
 _RETRYABLE = (OSError, http.client.HTTPException)
@@ -98,29 +79,12 @@ _RETRYABLE = (OSError, http.client.HTTPException)
 #: configured exception kind, they model a failed relay, not a bad request).
 _RELAY_RETRYABLE = (*_RETRYABLE, faults.FaultInjected, faults.FaultDropConnection)
 
-#: Knuth's multiplicative constant (2^32 / phi); see :func:`shard_of`.
-_HASH_MULTIPLIER = 2654435761
-
 #: chaos-drill injection site: fires before each router -> worker HTTP
 #: round-trip, so injected connection errors exercise the exact retry /
 #: circuit-breaker path a crashed worker would.
 _FP_RELAY = faults.failpoint(
     "router.relay", "Entry of every router -> worker HTTP round-trip."
 )
-
-
-def shard_of(index, shards: int):
-    """Stable shard for a pattern index (an ``int``, or a ``uint64`` array
-    of indices, shard by shard the same).
-
-    A multiplicative hash rather than ``index % shards`` so shard loads stay
-    balanced under any access pattern, and rather than ``hash()`` so the
-    assignment is identical across processes and runs (``PYTHONHASHSEED``
-    randomizes ``str`` hashes, and determinism here is part of the replay
-    story).  Only the low 32 bits of the product are kept, so ``uint64``
-    wraparound does not change them.
-    """
-    return ((index * _HASH_MULTIPLIER) & 0xFFFFFFFF) % shards
 
 
 def _error_message(body: bytes, status: int) -> str:
@@ -130,18 +94,6 @@ def _error_message(body: bytes, status: int) -> str:
     except (ValueError, UnicodeDecodeError, AttributeError):
         message = None
     return message if isinstance(message, str) else f"upstream error (HTTP {status})"
-
-
-def _worker_counts(answer: Answer, patterns: int) -> np.ndarray:
-    """The counts of a worker's 200 raw float64 ``/batch`` answer to
-    ``patterns`` patterns; a 502 when it is anything else."""
-    _, body, content_type = answer
-    if not names_f64(content_type):
-        raise RouterHTTPError(502, f"worker answered /batch without {F64_MEDIA_TYPE}")
-    try:
-        return decode_f64(body, patterns)
-    except ValueError as error:
-        raise RouterHTTPError(502, f"worker answered /batch with {error}") from None
 
 
 class RouterHTTPError(Exception):
@@ -161,146 +113,18 @@ class RouterHTTPError(Exception):
         self.retry_after = retry_after
 
 
-class _PendingRouted:
-    """One single-pattern query waiting for a router micro-batch flush."""
-
-    __slots__ = ("pattern", "release", "event", "result", "error")
-
-    def __init__(self, pattern: str, release: str | None) -> None:
-        self.pattern = pattern
-        self.release = release
-        self.event = threading.Event()
-        self.result: float = 0.0
-        self.error: Exception | None = None
-
-
-class RouterBatcher:
-    """Micro-batches straggler ``/query`` traffic into worker ``/batch`` calls.
-
-    The in-process :class:`~repro.serving.server.MicroBatcher` design with
-    the flush retargeted at the tier: eager flushing (a lone request pays no
-    artificial wait), coalescing under concurrency, grouped by release.  One
-    flush is one worker round-trip regardless of how many clients piled up.
-    """
-
-    def __init__(
-        self,
-        router: "Router",
-        *,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
-    ) -> None:
-        self._router = router
-        self._max_batch = max_batch
-        self._max_wait = max_wait
-        self._queue: list[_PendingRouted] = []
-        self._condition = threading.Condition()
-        self._closed = False
-        metrics = router.metrics
-        self._flushes = metrics.counter(
-            "dpsc_router_microbatch_flushes_total",
-            "Router micro-batch flushes executed.",
-        )
-        self._flushed_requests = metrics.counter(
-            "dpsc_router_microbatch_requests_total",
-            "Single queries answered through router micro-batch flushes.",
-        )
-        self._flush_size = metrics.histogram(
-            "dpsc_router_microbatch_flush_size",
-            "Requests coalesced per router micro-batch flush.",
-            buckets=_FLUSH_SIZE_BUCKETS,
-        )
-        self._worker = threading.Thread(
-            target=self._run, name="repro-router-microbatcher", daemon=True
-        )
-        self._worker.start()
-
-    @property
-    def batches_flushed(self) -> int:
-        return int(self._flushes.value)
-
-    @property
-    def requests_batched(self) -> int:
-        return int(self._flushed_requests.value)
-
-    def submit(self, pattern: str, release: str | None) -> float:
-        pending = _PendingRouted(pattern, release)
-        with self._condition:
-            if self._closed:
-                raise RouterHTTPError(503, "router is shutting down")
-            self._queue.append(pending)
-            self._condition.notify()
-        pending.event.wait()
-        if pending.error is not None:
-            raise pending.error
-        return pending.result
-
-    def close(self) -> None:
-        with self._condition:
-            self._closed = True
-            self._condition.notify_all()
-        self._worker.join(timeout=5.0)
-
-    def _run(self) -> None:
-        while True:
-            with self._condition:
-                while not self._queue and not self._closed:
-                    self._condition.wait(timeout=self._max_wait)
-                if self._closed and not self._queue:
-                    return
-                batch = self._queue[: self._max_batch]
-                del self._queue[: len(batch)]
-            if batch:
-                self._flush(batch)
-
-    def _flush(self, batch: list[_PendingRouted]) -> None:
-        self._flushes.inc()
-        self._flushed_requests.inc(len(batch))
-        self._flush_size.observe(float(len(batch)))
-        by_release: dict[str | None, list[_PendingRouted]] = {}
-        for pending in batch:
-            by_release.setdefault(pending.release, []).append(pending)
-        for release, group in by_release.items():
-            payload: dict = {"patterns": [pending.pattern for pending in group]}
-            if release is not None:
-                payload["release"] = release
-            try:
-                answer = self._router.forward_any(
-                    "POST",
-                    "/batch",
-                    json.dumps(payload).encode("utf-8"),
-                    headers={"Accept": F64_MEDIA_TYPE},
-                )
-                status, body, _ = answer
-                if status != 200:
-                    raise RouterHTTPError(status, _error_message(body, status))
-                counts = _worker_counts(answer, len(group)).tolist()
-                for pending, count in zip(group, counts):
-                    pending.result = count
-            except Exception as error:  # propagate to every waiter
-                for pending in group:
-                    pending.error = error
-            finally:
-                for pending in group:
-                    pending.event.set()
-
-
 class Router:
-    """Shards tier traffic over a :class:`WorkerTable`; owns no releases."""
+    """Relays tier traffic to the workers of a :class:`WorkerTable`; owns
+    no releases."""
 
     def __init__(
         self,
         table: WorkerTable,
         *,
-        micro_batch: bool = True,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
-        split_min_patterns: int = 512,
         worker_timeout: float = 60.0,
         retry_timeout: float = 15.0,
         retry_wait: float = 0.05,
         scrape_timeout: float = 5.0,
-        split_threads: int = 16,
         max_inflight: int | None = 256,
         shed_retry_after: float = 0.25,
         breaker_threshold: int = 5,
@@ -308,7 +132,6 @@ class Router:
         breaker_probes: int = 1,
     ) -> None:
         self.table = table
-        self.split_min_patterns = split_min_patterns
         self.worker_timeout = worker_timeout
         self.retry_timeout = retry_timeout
         self.retry_wait = retry_wait
@@ -342,14 +165,6 @@ class Router:
         self._batch_patterns = self.metrics.counter(
             "dpsc_router_batch_patterns_total",
             "Patterns accepted across all router /batch requests.",
-        )
-        self._split_batches = self.metrics.counter(
-            "dpsc_router_split_batches_total",
-            "Batches sharded across workers by pattern-index hash.",
-        )
-        self._split_subrequests = self.metrics.counter(
-            "dpsc_router_split_subrequests_total",
-            "Worker sub-requests issued by the batch splitter.",
         )
         self._retries = self.metrics.counter(
             "dpsc_router_retries_total",
@@ -407,17 +222,6 @@ class Router:
         #: one or opens one, so no two requests ever share a socket.
         self._idle: dict[int, list[http.client.HTTPConnection]] = {}
         self._idle_lock = threading.Lock()
-        #: idle connections kept per worker (each holds a worker handler
-        #: thread); a burst of more concurrent forwards closes its surplus.
-        self._idle_cap = split_threads
-        self._executor = ThreadPoolExecutor(
-            max_workers=split_threads, thread_name_prefix="repro-router-shard"
-        )
-        self._batcher = (
-            RouterBatcher(self, max_batch=max_batch, max_wait=max_wait)
-            if micro_batch
-            else None
-        )
 
     # ------------------------------------------------------------------
     # Forwarding
@@ -456,12 +260,13 @@ class Router:
 
     def _checkin(self, port: int, conn: http.client.HTTPConnection) -> None:
         """Pool ``conn`` after a complete exchange, or close it when its
-        worker has left the table or ``port`` already holds ``_idle_cap``
-        idle connections (the surplus of a burst of concurrent forwards)."""
+        worker has left the table or ``port`` already holds
+        :data:`MAX_IDLE_PER_WORKER` idle connections (the surplus of a burst
+        of concurrent forwards)."""
         if any(worker.port == port for worker in self.table.workers()):
             with self._idle_lock:
                 idle = self._idle.setdefault(port, [])
-                if len(idle) < self._idle_cap:
+                if len(idle) < MAX_IDLE_PER_WORKER:
                     idle.append(conn)
                     return
         conn.close()
@@ -572,7 +377,6 @@ class Router:
         path: str,
         body: bytes | None = None,
         *,
-        preferred: WorkerHandle | None = None,
         deadline: Deadline | None = None,
         headers: dict[str, str] | None = None,
     ) -> Answer:
@@ -593,7 +397,6 @@ class Router:
         retry_deadline = time.monotonic() + self.retry_timeout
         tried: set[int] = set()
         last_error: Answer | None = None
-        use_preferred = preferred is not None
         while True:
             if deadline is not None and deadline.expired():
                 self._deadline_exceeded.inc()
@@ -602,22 +405,16 @@ class Router:
                 )
             worker = None
             breaker = None
-            if use_preferred and preferred.is_alive():
-                candidate_breaker = self._breaker(preferred)
-                if candidate_breaker.try_acquire():
-                    worker, breaker = preferred, candidate_breaker
-            use_preferred = False
-            if worker is None:
-                workers = self.table.live()
-                pool = [w for w in workers if w.port not in tried] or workers
-                if pool:
-                    start = next(self._rr)
-                    for offset in range(len(pool)):
-                        candidate = pool[(start + offset) % len(pool)]
-                        candidate_breaker = self._breaker(candidate)
-                        if candidate_breaker.try_acquire():
-                            worker, breaker = candidate, candidate_breaker
-                            break
+            workers = self.table.live()
+            pool = [w for w in workers if w.port not in tried] or workers
+            if pool:
+                start = next(self._rr)
+                for offset in range(len(pool)):
+                    candidate = pool[(start + offset) % len(pool)]
+                    candidate_breaker = self._breaker(candidate)
+                    if candidate_breaker.try_acquire():
+                        worker, breaker = candidate, candidate_breaker
+                        break
             if worker is None:
                 # nothing live, or every live worker's breaker is open
                 if time.monotonic() >= retry_deadline:
@@ -665,11 +462,6 @@ class Router:
     ) -> float:
         self._requests["query"].inc()
         with self._latency["query"].time():
-            if self._batcher is not None:
-                # coalesced queries share a flush; the flush carries no
-                # single request's deadline (workers answer micro-batches
-                # in well under any sane per-request budget).
-                return self._batcher.submit(pattern, release)
             payload: dict = {"pattern": pattern}
             if release is not None:
                 payload["release"] = release
@@ -687,99 +479,22 @@ class Router:
     def route_batch(
         self,
         raw: bytes,
-        payload: dict,
         patterns: list[str],
-        release: str | None,
         deadline: Deadline | None = None,
         accept: str | None = None,
     ) -> Answer:
-        """Dispatch one validated ``/batch`` whose client sent ``Accept:
-        accept``: split when profitable, else forward the original bytes
-        untouched."""
+        """Forward one validated ``/batch`` (its original bytes, with the
+        client's ``Accept``) to one worker and relay the answer."""
         self._requests["batch"].inc()
         self._batch_patterns.inc(len(patterns))
         with self._latency["batch"].time():
-            live = self.table.live()
-            splittable = (
-                len(live) > 1
-                and len(patterns) >= self.split_min_patterns
-                # uniform q-gram traffic: one pattern length across the batch
-                and len({len(p) for p in patterns}) == 1
-                # unknown extra keys must survive verbatim -> passthrough
-                and set(payload) <= {"patterns", "release"}
+            return self.forward_any(
+                "POST",
+                "/batch",
+                raw,
+                deadline=deadline,
+                headers=self._worker_headers(deadline, accept),
             )
-            if not splittable:
-                return self.forward_any(
-                    "POST",
-                    "/batch",
-                    raw,
-                    deadline=deadline,
-                    headers=self._worker_headers(deadline, accept),
-                )
-            return self._split_batch(
-                live, patterns, release, deadline, names_f64(accept)
-            )
-
-    def _split_batch(
-        self,
-        live: list[WorkerHandle],
-        patterns: list[str],
-        release: str | None,
-        deadline: Deadline | None,
-        f64: bool,
-    ) -> Answer:
-        shards = len(live)
-        assignment = shard_of(np.arange(len(patterns), dtype=np.uint64), shards)
-        headers = self._worker_headers(deadline, F64_MEDIA_TYPE)
-        futures = []
-        for shard_index in range(shards):
-            members = np.flatnonzero(assignment == shard_index)
-            if not len(members):
-                continue
-            sub: dict = {"patterns": [patterns[index] for index in members.tolist()]}
-            if release is not None:
-                sub["release"] = release
-            futures.append(
-                (
-                    members,
-                    self._executor.submit(
-                        self.forward_any,
-                        "POST",
-                        "/batch",
-                        json.dumps(sub).encode("utf-8"),
-                        preferred=live[shard_index],
-                        deadline=deadline,
-                        headers=headers,
-                    ),
-                )
-            )
-        self._split_batches.inc()
-        self._split_subrequests.inc(len(futures))
-        counts = np.empty(len(patterns), dtype="<f8")
-        relay: Answer | None = None
-        # every future is joined, so no shard outlives the request; the
-        # first failure is relayed (an upstream error body verbatim)
-        for members, future in futures:
-            try:
-                answer = future.result()
-                if answer[0] != 200:
-                    relay = relay or answer
-                    continue
-                counts[members] = _worker_counts(answer, len(members))
-            except RouterHTTPError as error:
-                relay = relay or (
-                    error.status,
-                    json.dumps({"error": error.message}).encode("utf-8"),
-                    "application/json",
-                )
-        if relay is not None:
-            return relay
-        if f64:
-            return 200, encode_f64(counts), F64_MEDIA_TYPE
-        body = json.dumps(
-            {"release": release or self.default_release, "counts": counts.tolist()}
-        )
-        return 200, body.encode("utf-8"), "application/json"
 
     def route_mine(self, raw: bytes, deadline: Deadline | None = None) -> Answer:
         self._requests["mine"].inc()
@@ -800,7 +515,7 @@ class Router:
         with self._latency["healthz"].time():
             workers = self.table.workers()
             live = [worker for worker in workers if worker.is_alive()]
-            payload = {
+            return {
                 "status": "ok" if workers and len(live) == len(workers) else "degraded",
                 "role": "router",
                 "uptime_seconds": time.time() - self.started_at,
@@ -814,7 +529,6 @@ class Router:
                 "batches": int(self._requests["batch"].value),
                 "batch_patterns": int(self._batch_patterns.value),
                 "mines": int(self._requests["mine"].value),
-                "split_batches": int(self._split_batches.value),
                 "retries": int(self._retries.value),
                 "sheds": int(self._shed.value),
                 "deadline_exceeded": int(self._deadline_exceeded.value),
@@ -836,10 +550,6 @@ class Router:
                     ],
                 },
             }
-            if self._batcher is not None:
-                payload["micro_batches_flushed"] = self._batcher.batches_flushed
-                payload["micro_batched_requests"] = self._batcher.requests_batched
-            return payload
 
     def merged_snapshot(self) -> dict:
         """Router registry + every live worker's, merged tier-wide."""
@@ -860,10 +570,6 @@ class Router:
         return render_snapshot(self.merged_snapshot())
 
     def close(self) -> None:
-        if self._batcher is not None:
-            self._batcher.close()
-            self._batcher = None
-        self._executor.shutdown(wait=False)
         with self._idle_lock:
             idle, self._idle = self._idle, {}
         for connections in idle.values():
@@ -1030,12 +736,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 deadline = self._request_deadline()
                 with self.router.admission():
                     answer = self.router.route_batch(
-                        raw,
-                        payload,
-                        patterns,
-                        release,
-                        deadline,
-                        self.headers.get("Accept"),
+                        raw, patterns, deadline, self.headers.get("Accept")
                     )
                 self._respond_raw(answer)
             else:

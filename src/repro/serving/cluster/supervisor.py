@@ -26,11 +26,11 @@ racing the swap retry the same way.  Nothing is dropped, and no moment
 exists where a client can observe a mix of versions in one response.
 
 **Graceful shutdown.**  ``stop()`` drains outside-in: stop accepting at the
-router and close the public port, close the router's batcher, *then*
-drain the workers.  Router handler threads are daemon threads that no
-step joins, so idle keep-alive client connections never hold ``stop()``
-open; a relay still in flight may fail, and the client's retry covers
-it.  SIGTERM on
+router and close the public port, close the router's pooled worker
+connections, *then* drain the workers.  Router handler threads are daemon
+threads that no step joins, so idle keep-alive client connections never
+hold ``stop()`` open; a relay still in flight may fail, and the client's
+retry covers it.  SIGTERM on
 ``serve_forever`` triggers exactly this path via the same
 :func:`~repro.serving.server.install_graceful_shutdown` hook as the
 single-process server.
@@ -53,7 +53,8 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A sharded serving tier: router + N workers over one release store."""
+    """A multi-process serving tier: router + N workers over one release
+    store."""
 
     def __init__(
         self,
@@ -64,11 +65,6 @@ class Cluster:
         host: str = "127.0.0.1",
         port: int = 0,
         mmap: bool = True,
-        micro_batch: bool = True,
-        worker_micro_batch: bool = False,
-        max_batch: int = 256,
-        max_wait: float = 0.002,
-        split_min_patterns: int = 512,
         heartbeat_interval: float = 0.25,
         http_heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
@@ -97,16 +93,11 @@ class Cluster:
             self.store.root,
             host="127.0.0.1",
             mmap=mmap,
-            worker_micro_batch=worker_micro_batch,
             spawn_timeout=spawn_timeout,
         )
         self.table = WorkerTable()
         self.router = Router(
             self.table,
-            micro_batch=micro_batch,
-            max_batch=max_batch,
-            max_wait=max_wait,
-            split_min_patterns=split_min_patterns,
             retry_timeout=retry_timeout,
             max_inflight=max_inflight,
             shed_retry_after=shed_retry_after,

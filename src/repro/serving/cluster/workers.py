@@ -23,7 +23,7 @@ Process discipline (all of it load-bearing for the cluster tests):
   cleanup runs — the OS closes the pipe, the read raises ``EOFError`` and
   the worker ``os._exit``\\ s.  Routers crash; workers must not linger.
 * **graceful drain** — a ``"stop"`` control message (or SIGTERM directly
-  to the worker) stops accepting and flushes the micro-batcher before the
+  to the worker) stops accepting and closes the service before the
   process exits, the same drain order as the single-process path.
   Handler threads are daemon threads and are not joined: a request in
   flight when the worker exits fails at the router, which retries it on a
@@ -65,7 +65,7 @@ def _watch_control(conn, server) -> None:
             os._exit(3)
         if message == "stop":
             # shutdown() blocks until serve_forever exits; the main thread
-            # then finishes the drain (flush micro-batches, exit).
+            # then finishes the drain (close the service, exit).
             server.shutdown()
             return
 
@@ -74,8 +74,8 @@ def worker_main(config: dict, conn) -> None:
     """Entry point of one spawned worker process.
 
     ``config`` is a plain picklable dict: ``store_root``, ``versions``
-    (name -> pinned version), ``mmap``, ``micro_batch``, ``host``,
-    ``cache_size``.  ``conn`` is the child end of the control pipe.
+    (name -> pinned version), ``mmap``, ``host``.  ``conn`` is the child
+    end of the control pipe.
     """
     # Imports happen in the child (spawn re-imports the world anyway); kept
     # inside the function so importing this module stays cheap.
@@ -93,7 +93,7 @@ def worker_main(config: dict, conn) -> None:
             store,
             versions={name: int(v) for name, v in config["versions"].items()},
             mmap=bool(config.get("mmap", True)),
-            micro_batch=bool(config.get("micro_batch", False)),
+            micro_batch=False,
         )
         server = create_server(service, config.get("host", "127.0.0.1"), 0)
     except Exception as error:  # noqa: BLE001 - reported to the supervisor
@@ -114,7 +114,7 @@ def worker_main(config: dict, conn) -> None:
     finally:
         restore()
         server.server_close()  # daemon handler threads are not joined
-        service.close()  # flushes queued micro-batches
+        service.close()
         try:
             conn.send(("stopped",))
         except (OSError, ValueError):
@@ -206,15 +206,11 @@ class WorkerPool:
         *,
         host: str = "127.0.0.1",
         mmap: bool = True,
-        worker_micro_batch: bool = False,
-        cache_size: int = 4096,
         spawn_timeout: float = 60.0,
     ) -> None:
         self.store_root = str(store_root)
         self.host = host
         self.mmap = mmap
-        self.worker_micro_batch = worker_micro_batch
-        self.cache_size = cache_size
         self.spawn_timeout = spawn_timeout
         self._sequence = 0
         self._lock = threading.Lock()
@@ -230,9 +226,7 @@ class WorkerPool:
             "store_root": self.store_root,
             "versions": {name: int(v) for name, v in versions.items()},
             "mmap": self.mmap,
-            "micro_batch": self.worker_micro_batch,
             "host": self.host,
-            "cache_size": self.cache_size,
         }
 
     def spawn_worker(

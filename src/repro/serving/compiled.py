@@ -13,35 +13,34 @@ handful of contiguous numpy arrays without touching privacy at all:
   array that lets a *batch* of patterns advance one character per step with a
   single vectorized ``searchsorted``.
 
-Single queries walk the arrays in ``O(|P| log sigma)``; batches of ``m``
-patterns run in ``O(max|P|)`` vectorized rounds over all ``m`` patterns at
-once, which is where the serving throughput comes from (see
-``benchmarks/bench_serving.py``).  A small LRU cache short-circuits repeated
-single-pattern queries, as real query traffic is heavily skewed.
+Every query is one root-to-node walk of the dense, pre-scaled transition
+table built from these arrays: a single pattern steps through it one
+character at a time in ``O(|P|)``, and a batch of ``m`` patterns runs in
+``O(max|P|)`` vectorized rounds over all ``m`` patterns at once, which is
+where the serving throughput comes from (see ``benchmarks/bench_serving.py``).
+Past :attr:`CompiledTrie.DENSE_TRANSITION_LIMIT` there is no table, and both
+walks binary-search ``edge_keys`` instead.
 
 Thread safety
 -------------
 A compiled trie is served concurrently by ``ThreadingHTTPServer`` handler
 threads, so it guarantees an *immutable snapshot*: every shared numpy array
 is marked read-only after construction (:meth:`CompiledTrie.assert_immutable`
-verifies this), query paths only allocate thread-local scratch, and the
-mutable members — the LRU result cache, the uniform-batch gather-index
-cache and the lazily built query-acceleration views — are each guarded by
-their own lock.  Any number of threads may call ``query`` / ``batch_query``
-/ ``mine`` concurrently and observe exactly the serial results, with exact
-hit/miss counters (``tests/serving/test_concurrency.py`` is the stress
-suite).
+verifies this) and query paths only allocate thread-local scratch.  The one
+piece of mutable state is the set of lazily built walk views, built once
+under a lock and published read-only.  Any number of threads may call
+``query`` / ``batch_query`` / ``mine`` concurrently and observe exactly the
+serial results (``tests/serving/test_concurrency.py`` races the first calls
+on a freshly loaded release).
 
 Lazy views and mmap zero-copy loads
 -----------------------------------
 Construction keeps only the nine canonical arrays plus O(alphabet) tables:
 the dense transition table and the NaN-folded count gathers are built on
-the *first batch query*, and the plain-list mirrors the single-query walk
-prefers are built on the *first single query* (both under a lock, published
-read-only).  That makes ``__init__`` O(header) over the node count — which
-is what lets :mod:`repro.serving.binfmt` construct a compiled trie straight
-over ``mmap``-ed, page-cache-shared buffers of a binary release without
-faulting in a single node page at load time.
+the *first query* of either kind.  That makes ``__init__`` O(header) over
+the node count — which is what lets :mod:`repro.serving.binfmt` construct a
+compiled trie straight over ``mmap``-ed, page-cache-shared buffers of a
+binary release without faulting in a single node page at load time.
 """
 
 from __future__ import annotations
@@ -49,8 +48,6 @@ from __future__ import annotations
 import math
 import threading
 from bisect import bisect_left
-from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -63,7 +60,7 @@ from repro.core.private_trie import (
     release_payload,
 )
 
-__all__ = ["CompiledTrie", "CacheInfo"]
+__all__ = ["CompiledTrie"]
 
 
 #: "not built yet" marker for lazily constructed views (``None`` is a valid
@@ -74,38 +71,23 @@ _UNSET = object()
 class _LazyViews:
     """Query-acceleration structures derived from the canonical arrays.
 
-    Built on first use so that loading an mmap'd release stays O(header):
-    ``tables`` (the dense transition table + NaN-folded count gathers) on
-    the first batch query, ``lists`` (the plain-list mirrors the stdlib
-    ``bisect`` walk prefers) on the first single query.  Shared between
-    :meth:`CompiledTrie.with_cache_size` twins — the views are pure
-    functions of the shared frozen arrays, so building them once serves
-    every twin.
+    Built on the first query so that loading an mmap'd release stays
+    O(header): the dense transition table, the NaN-folded count gathers
+    and ``walk``, memoryviews of those arrays for the single-pattern walk
+    (indexing a memoryview yields a plain Python scalar, several times
+    cheaper than a numpy scalar).
     """
 
-    __slots__ = ("lock", "transitions", "counts_ext", "counts_zero", "lists")
+    __slots__ = ("lock", "transitions", "counts_ext", "counts_zero", "walk")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.transitions: object = _UNSET
         self.counts_ext: np.ndarray | None = None
         self.counts_zero: np.ndarray | None = None
-        self.lists: tuple | None = None
-
-
-@dataclass(frozen=True)
-class CacheInfo:
-    """Hit/miss statistics of a :class:`CompiledTrie`'s LRU result cache."""
-
-    hits: int
-    misses: int
-    size: int
-    max_size: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
+        #: ``(transitions, counts_zero, counts_ext)`` as memoryviews; the
+        #: first is ``None`` when there is no dense table.
+        self.walk: tuple | None = None
 
 
 class CompiledTrie:
@@ -135,7 +117,6 @@ class CompiledTrie:
         vocab: dict[str, int],
         metadata: StructureMetadata,
         report: dict | None = None,
-        cache_size: int = 4096,
     ) -> None:
         self._counts = counts
         self._depths = depths
@@ -165,27 +146,13 @@ class CompiledTrie:
         self._code_table = table
         self._dead = int(counts.size)
         # Everything derived from the node/edge arrays — the dense
-        # transition table, the NaN-folded count gathers, the plain-list
-        # mirrors — is built lazily on first use (see _LazyViews), so
-        # construction never touches a node page: an mmap'd release loads
-        # in O(header) and N processes share one page-cache copy.
+        # transition table and the NaN-folded count gathers — is built
+        # lazily on first use (see _LazyViews), so construction never
+        # touches a node page: an mmap'd release loads in O(header) and N
+        # processes share one page-cache copy.
         self._lazy = _LazyViews()
-        # (batch size, pattern length) -> code gather index; serving traffic
-        # repeats batch shapes, so the uniform path's index arithmetic is
-        # computed once per shape.  Guarded by _uniform_lock: concurrent
-        # /batch handler threads share this dict.
-        self._uniform_cache: dict[tuple[int, int], np.ndarray] = {}
-        self._uniform_lock = threading.Lock()
         self.metadata = metadata
         self.report = dict(report or {})
-        # The LRU cache (an OrderedDict whose move_to_end/popitem are not
-        # atomic under concurrent callers) and its exact hit/miss counters
-        # share one lock; the count lookup itself runs outside it.
-        self._cache: OrderedDict[str, float] = OrderedDict()
-        self._cache_max = max(0, int(cache_size))
-        self._cache_hits = 0
-        self._cache_misses = 0
-        self._cache_lock = threading.Lock()
         # Immutable-snapshot guarantee: all shared arrays are frozen so a
         # rogue writer faults loudly instead of racing readers.
         for array in self._shared_arrays():
@@ -195,9 +162,7 @@ class CompiledTrie:
     # Construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_structure(
-        cls, structure: PrivateCountingTrie, *, cache_size: int = 4096
-    ) -> "CompiledTrie":
+    def from_structure(cls, structure: PrivateCountingTrie) -> "CompiledTrie":
         """Flatten ``structure`` into contiguous arrays (BFS node order)."""
         root = structure.trie.root
         order = [root]
@@ -257,30 +222,7 @@ class CompiledTrie:
             vocab=vocab,
             metadata=structure.metadata,
             report=structure.report,
-            cache_size=cache_size,
         )
-
-    def with_cache_size(self, cache_size: int) -> "CompiledTrie":
-        """A zero-copy twin of this compiled trie with a fresh LRU cache.
-
-        Every shared (frozen, read-only) array — counts, CSR edges, the code
-        and transition tables — is reused as-is; only the mutable state (the
-        LRU cache, its counters and locks, the uniform gather-index cache)
-        is created fresh.  This is how the array construction pipeline hands
-        its already-array-shaped build to
-        :meth:`repro.core.private_trie.PrivateCountingTrie.compiled` without
-        re-flattening anything.
-        """
-        twin = object.__new__(CompiledTrie)
-        twin.__dict__.update(self.__dict__)
-        twin._uniform_cache = {}
-        twin._uniform_lock = threading.Lock()
-        twin._cache = OrderedDict()
-        twin._cache_max = max(0, int(cache_size))
-        twin._cache_hits = 0
-        twin._cache_misses = 0
-        twin._cache_lock = threading.Lock()
-        return twin
 
     # ------------------------------------------------------------------
     # Lazily built query-acceleration views
@@ -293,10 +235,10 @@ class CompiledTrie:
         ``transitions`` is the dense, pre-scaled transition table (``None``
         when ``(nodes + 1) * vocab`` exceeds :attr:`DENSE_TRANSITION_LIMIT`
         — read at build time, so tests may monkeypatch it before the first
-        batch); ``counts_ext`` appends a NaN sentinel so the dead state
+        query); ``counts_ext`` appends a NaN sentinel so the dead state
         gathers to "no count"; ``counts_zero`` is the same array with NaN
-        already folded to 0 for the uniform fast path.  Double-checked under
-        the views lock; every view is frozen before publication.
+        already folded to 0.  Double-checked under the views lock; every
+        view is frozen before publication.
         """
         lazy = self._lazy
         if lazy.transitions is not _UNSET:
@@ -320,31 +262,15 @@ class CompiledTrie:
                 transitions.setflags(write=False)
             lazy.counts_ext = counts_ext
             lazy.counts_zero = counts_zero
+            lazy.walk = (
+                None if transitions is None else memoryview(transitions),
+                memoryview(counts_zero),
+                memoryview(counts_ext),
+            )
             # Published last: the sentinel flipping is what tells lock-free
-            # readers the other two views are already in place.
+            # readers the other views are already in place.
             lazy.transitions = transitions
             return transitions, counts_ext, counts_zero
-
-    def _single_lists(self) -> tuple[list, list, list, list, list]:
-        """Plain-list mirrors ``(edge_keys, edge_targets, child_start,
-        child_end, counts)`` for the stdlib-``bisect`` single-query walk,
-        built on the first single query (list indexing beats per-call numpy
-        overhead by an order of magnitude)."""
-        lazy = self._lazy
-        lists = lazy.lists
-        if lists is None:
-            with lazy.lock:
-                lists = lazy.lists
-                if lists is None:
-                    lists = (
-                        self._edge_keys.tolist(),
-                        self._edge_targets.tolist(),
-                        self._child_start.tolist(),
-                        self._child_end.tolist(),
-                        self._counts.tolist(),
-                    )
-                    lazy.lists = lists
-        return lists
 
     @property
     def _transitions(self) -> np.ndarray | None:
@@ -356,58 +282,56 @@ class CompiledTrie:
     # ------------------------------------------------------------------
     # Single-pattern queries
     # ------------------------------------------------------------------
-    def lookup_node(self, pattern: str) -> int:
-        """Index of the node spelling ``pattern``, or ``-1`` when absent."""
-        node = 0
+    def _node(self, pattern: str) -> int:
+        """Index of the node spelling ``pattern``; the dead state (one past
+        the last node, which stores no count) when it is absent."""
+        walk = self._lazy.walk
+        if walk is None:
+            self._batch_tables()
+            walk = self._lazy.walk
+        table = walk[0]
+        if table is None:
+            return self._node_sparse(pattern)
+        vocab = self._vocab
+        state = 0
+        for char in pattern:
+            # Unknown characters (and NUL) get code 0, whose column is dead
+            # like the whole dead row, so no step needs a branch.
+            state = table[state + vocab.get(char, 0)]
+        return state // self._vocab_size
+
+    def _node_sparse(self, pattern: str) -> int:
+        """:meth:`_node` without a dense table: a binary search of each
+        node's slice of ``edge_keys``."""
+        keys = self._edge_keys
         vocab = self._vocab
         vocab_size = self._vocab_size
-        keys, targets, child_start, child_end, _ = self._single_lists()
+        node = 0
         for char in pattern:
             code = vocab.get(char)
             if code is None:
-                return -1
+                return self._dead
             key = node * vocab_size + code
-            position = bisect_left(keys, key, child_start[node], child_end[node])
-            if position >= child_end[node] or keys[position] != key:
-                return -1
-            node = targets[position]
+            end = int(self._child_end[node])
+            position = bisect_left(keys, key, int(self._child_start[node]), end)
+            if position >= end or keys[position] != key:
+                return self._dead
+            node = int(self._edge_targets[position])
         return node
 
+    def lookup_node(self, pattern: str) -> int:
+        """Index of the node spelling ``pattern``, or ``-1`` when absent."""
+        node = self._node(pattern)
+        return -1 if node == self._dead else node
+
     def query(self, pattern: str) -> float:
-        """Noisy count of ``pattern`` (0 when absent), LRU-cached.
-
-        Safe for any number of concurrent callers: the OrderedDict LRU is
-        only touched under ``_cache_lock`` (``move_to_end``/``popitem`` are
-        read-modify-write sequences that corrupt the dict when interleaved),
-        while the array walk itself runs outside the lock.  Hit/miss
-        counters are exact, not best-effort.
-        """
-        if self._cache_max:
-            with self._cache_lock:
-                cached = self._cache.get(pattern)
-                if cached is not None:
-                    self._cache_hits += 1
-                    self._cache.move_to_end(pattern)
-                    return cached
-                self._cache_misses += 1
-        result = self._query_uncached(pattern)
-        if self._cache_max:
-            with self._cache_lock:
-                self._cache[pattern] = result
-                while len(self._cache) > self._cache_max:
-                    self._cache.popitem(last=False)
-        return result
-
-    def _query_uncached(self, pattern: str) -> float:
-        node = self.lookup_node(pattern)
-        if node < 0:
-            return 0.0
-        count = self._single_lists()[4][node]
-        return 0.0 if math.isnan(count) else count
+        """Noisy count of ``pattern`` (0 when absent)."""
+        node = self._node(pattern)
+        return self._lazy.walk[1][node]
 
     def __contains__(self, pattern: str) -> bool:
-        node = self.lookup_node(pattern)
-        return node >= 0 and not math.isnan(self._single_lists()[4][node])
+        node = self._node(pattern)
+        return not math.isnan(self._lazy.walk[2][node])
 
     # ------------------------------------------------------------------
     # Batch queries (vectorized)
@@ -458,22 +382,8 @@ class CompiledTrie:
                     and bool(at_separators.all())
                     and int(np.count_nonzero(is_separator)) == m - 1
                 ):
-                    with self._uniform_lock:
-                        gather_index = self._uniform_cache.get((m, length))
-                    if gather_index is None:
-                        gather_index = (
-                            np.arange(m) * (length + 1)
-                            + np.arange(length)[:, None]
-                        )
-                        # Frozen before publication: once in the dict the
-                        # index is shared by every handler thread.
-                        gather_index.setflags(write=False)
-                        with self._uniform_lock:
-                            if len(self._uniform_cache) >= 16:
-                                self._uniform_cache.clear()
-                            self._uniform_cache[(m, length)] = gather_index
                     return self._batch_query_uniform(
-                        flat_codes, gather_index, length, m, transitions, counts_zero
+                        flat_codes, length, m, transitions, counts_zero
                     )
         separators = np.flatnonzero(is_separator)
         if separators.size == m - 1:
@@ -521,7 +431,6 @@ class CompiledTrie:
     def _batch_query_uniform(
         self,
         flat_codes: np.ndarray,
-        gather_index: np.ndarray,
         length: int,
         m: int,
         transitions: np.ndarray,
@@ -532,11 +441,16 @@ class CompiledTrie:
         its per-length bookkeeping.
 
         Pattern ``i`` starts at flat offset ``i * (length + 1)`` (one NUL
-        separator apart); ``gather_index`` materializes the code matrix in
-        one gather, in ``(length, m)`` layout so each round reads one
+        separator apart), so padding the flat codes by one slot makes them
+        an ``(m, length + 1)`` matrix; its first ``length`` columns,
+        transposed and copied to ``(length, m)``, let each round read one
         contiguous row.  The two round kernels reuse preallocated buffers.
         """
-        codes = flat_codes.take(gather_index)
+        codes = (
+            np.append(flat_codes, np.int32(0))
+            .reshape(m, length + 1)[:, :length]
+            .T.copy()
+        )
         nodes = np.zeros(m, dtype=np.int32)
         scratch = np.empty(m, dtype=np.int32)
         for step in range(length):
@@ -646,12 +560,10 @@ class CompiledTrie:
         return store.save(name, self)
 
     @classmethod
-    def from_payload(cls, payload: dict, *, cache_size: int = 4096) -> "CompiledTrie":
+    def from_payload(cls, payload: dict) -> "CompiledTrie":
         """Compile a structure straight from a :meth:`to_payload` /
         ``PrivateCountingTrie.to_dict`` payload."""
-        return cls.from_structure(
-            PrivateCountingTrie.from_dict(payload), cache_size=cache_size
-        )
+        return cls.from_structure(PrivateCountingTrie.from_dict(payload))
 
     # ------------------------------------------------------------------
     # Statistics
@@ -705,38 +617,15 @@ class CompiledTrie:
         return tuple(arrays)
 
     def assert_immutable(self) -> None:
-        """Raise :class:`AssertionError` unless every shared array (and
-        every published uniform gather index) is read-only — the snapshot
-        guarantee concurrent query paths rely on.  Raised explicitly (not
-        via ``assert``) so the check survives ``python -O``."""
+        """Raise :class:`AssertionError` unless every shared array is
+        read-only — the snapshot guarantee concurrent query paths rely on.
+        Raised explicitly (not via ``assert``) so the check survives
+        ``python -O``."""
         for array in self._shared_arrays():
             if array.flags.writeable:
                 raise AssertionError("shared compiled array is writable")
-        with self._uniform_lock:
-            cached = list(self._uniform_cache.values())
-        for index in cached:
-            if index.flags.writeable:
-                raise AssertionError("published gather index is writable")
 
     @property
     def nbytes(self) -> int:
         """Total array storage of the compiled form."""
-        total = sum(array.nbytes for array in self._shared_arrays())
-        with self._uniform_lock:
-            total += sum(index.nbytes for index in self._uniform_cache.values())
-        return int(total)
-
-    def cache_info(self) -> CacheInfo:
-        with self._cache_lock:
-            return CacheInfo(
-                hits=self._cache_hits,
-                misses=self._cache_misses,
-                size=len(self._cache),
-                max_size=self._cache_max,
-            )
-
-    def cache_clear(self) -> None:
-        with self._cache_lock:
-            self._cache.clear()
-            self._cache_hits = 0
-            self._cache_misses = 0
+        return int(sum(array.nbytes for array in self._shared_arrays()))

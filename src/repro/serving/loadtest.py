@@ -10,9 +10,10 @@ checks three properties:
 
 1. **bit-identical results** — every concurrent answer equals the serial
    replay's, float-for-float (queries are deterministic post-processing,
-   so any divergence is a concurrency bug, e.g. the pre-fix unlocked LRU);
-2. **no errors** — no operation may raise (a corrupted ``OrderedDict``
-   typically surfaces as ``KeyError``/``RuntimeError`` under load);
+   so any divergence is a concurrency bug, e.g. a lazy view read before it
+   was fully built);
+2. **no errors** — no operation may raise (shared state corrupted by a
+   race typically surfaces as ``KeyError``/``RuntimeError`` under load);
 3. **consistent counters** — the service's ``/healthz`` counters advance by
    exactly the workload's operation totals (exact, not best-effort).
 
@@ -141,7 +142,7 @@ def generate_workload(
 
     Patterns are drawn from each release's stored patterns (the traffic
     analysts actually send), their prefixes/extensions, and misses, so both
-    the LRU cache and the dead-state paths get exercised.  The same
+    the stored-count and the dead-state paths get exercised.  The same
     ``(service releases, num_operations, seed, mix)`` always produce the
     same workload — the determinism the bit-identical check rests on.
     """
@@ -418,7 +419,7 @@ def run_load_test_processes(
 
     The multi-process twin of :func:`run_load_test` for HTTP targets: a
     single client process is itself GIL-bound, so it cannot saturate the
-    sharded serving tier — here each client is a real OS process with its
+    multi-process serving tier — here each client is a real OS process with its
     own interpreter, released simultaneously by a shared event.  Process
     ``p`` executes operations ``p, p + P, p + 2*P, ...`` (the same
     deterministic round-robin rule as the threaded harness), every answer

@@ -5,7 +5,7 @@ server can answer arbitrary traffic — any number of clients, any patterns,
 any mining thresholds — with zero privacy accounting.  The implementation is
 stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 
-* ``GET  /healthz``          liveness, uptime, request counters, cache stats
+* ``GET  /healthz``          liveness, uptime, request and micro-batch counters
 * ``GET  /metrics``          Prometheus text exposition (``?format=json`` for
   the raw registry snapshot) — see docs/OBSERVABILITY.md
 * ``GET  /releases``         the served releases and their public metadata
@@ -17,7 +17,7 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 
 Every operational number lives in the service's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
-histograms, micro-batch flush sizes, per-release cache statistics);
+histograms, micro-batch flush sizes);
 ``/healthz`` and ``/metrics`` are two views of that one registry.
 
 Two serving tricks carry the throughput story (benchmarked in
@@ -97,8 +97,8 @@ class MicroBatcher:
     batch of up to ``max_batch`` on the next iteration — batching emerges
     from concurrency instead of from a fixed wait.  ``max_wait`` only
     bounds how long the idle worker sleeps between condition checks.
-    Singleton flushes take the LRU-cached single-query path, so hot
-    patterns under sequential traffic still hit the cache.
+    Singleton flushes take the single-pattern walk, so sequential traffic
+    skips the batch path's per-call setup.
     """
 
     def __init__(
@@ -181,8 +181,7 @@ class MicroBatcher:
         for release, group in by_release.items():
             try:
                 if len(group) == 1:
-                    # The cached array walk: sequential hot patterns keep
-                    # benefiting from the LRU even with batching enabled.
+                    # The single-pattern walk: no batch setup for one.
                     group[0].result = float(
                         self._service.release(release).query(group[0].pattern)
                     )
@@ -268,15 +267,6 @@ class QueryService:
         self.metrics.gauge(
             "dpsc_uptime_seconds", "Seconds since the service started."
         ).set_function(lambda: time.time() - self.started_at)
-        for name, compiled in sorted(self._releases.items()):
-            for field_name in ("hits", "misses", "size"):
-                self.metrics.gauge(
-                    "dpsc_compiled_cache_" + field_name,
-                    f"CompiledTrie single-query LRU cache {field_name}.",
-                    {"release": name},
-                ).set_function(
-                    lambda c=compiled, f=field_name: getattr(c.cache_info(), f)
-                )
         self._batcher = (
             MicroBatcher(self, max_batch=max_batch, max_wait=max_wait)
             if micro_batch
@@ -390,10 +380,6 @@ class QueryService:
     def health(self) -> dict:
         self._requests["healthz"].inc()
         with self._latency["healthz"].time():
-            cache = {
-                name: compiled.cache_info().__dict__
-                for name, compiled in self._releases.items()
-            }
             # Each counter is individually exact (per-metric locks); the
             # payload is no longer one atomic cross-counter snapshot, which
             # is fine for the consumers we have — the load test checks the
@@ -408,7 +394,6 @@ class QueryService:
                 "batches": self.num_batches,
                 "batch_patterns": self.num_batch_patterns,
                 "mines": self.num_mines,
-                "cache": cache,
             }
             if self._batcher is not None:
                 payload["micro_batches_flushed"] = self._batcher.batches_flushed

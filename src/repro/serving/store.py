@@ -159,7 +159,7 @@ class ReleaseStore:
             compiled = (
                 structure
                 if hasattr(structure, "arrays")
-                else structure.compiled(cache_size=0)
+                else structure.compiled()
             )
             digest = structure.content_digest()
             payload = None
@@ -271,7 +271,7 @@ class ReleaseStore:
                     binary_path = json_path.with_suffix(binfmt.BINARY_SUFFIX)
                     binfmt.write_binary(
                         binary_path,
-                        structure.compiled(cache_size=0),
+                        structure.compiled(),
                         content_digest=record.digest,
                     )
                     # Digest equality is *proved* before the JSON payload
@@ -345,7 +345,6 @@ class ReleaseStore:
         *,
         mmap: bool = True,
         verify: bool | None = None,
-        cache_size: int = 4096,
     ) -> "CompiledTrie":
         """The serving-path load: a :class:`CompiledTrie` of the stored
         version, zero-copy over mapped buffers when the payload is binary.
@@ -367,10 +366,9 @@ class ReleaseStore:
                 record.path,
                 mmap=mmap,
                 verify=verify,
-                cache_size=cache_size,
                 expected_digest=record.digest,
             )
-        return self.load(name, resolved).compiled(cache_size=cache_size)
+        return self.load(name, resolved).compiled()
 
     def resolve_version(self, name: str, version: int | None = None) -> int:
         """The version ``load(name, version)`` would read."""

@@ -6,7 +6,7 @@ inside the tier-1 matrix.  The properties under test are the tier's
 acceptance contract:
 
 * every endpoint answers **bit-identically** to the single-process server,
-  including sharded-and-reassembled uniform batches;
+  and a batch of any size goes whole to exactly one worker;
 * the router's ``/healthz`` counters advance by exactly the traffic sent,
   and its merged ``/metrics`` passes the exposition validator with gauges
   per-worker-labelled (never summed);
@@ -15,9 +15,10 @@ acceptance contract:
 * killing the router process leaves **no orphan workers**;
 * hot reload swaps worker generations without dropping a request, and the
   router keeps no connection to a retired worker;
-* a burst of concurrent forwards leaves at most ``split_threads`` idle
-  router connections per worker (checked against in-process stand-in
-  workers, not spawned ones).
+* a ``/query`` reaches its worker carrying the client's
+  ``X-DPSC-Deadline``, and a burst of concurrent forwards leaves at most
+  ``MAX_IDLE_PER_WORKER`` idle router connections per worker (both checked
+  against in-process stand-in workers, not spawned ones).
 
 ``ServingClient`` asks ``/batch`` for raw float64 answers, so every
 ``client.batch`` here runs the f64 path; the raw-bytes parity test covers
@@ -26,6 +27,7 @@ the JSON answer too.
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -55,13 +57,13 @@ from repro.serving.cluster import (
     WorkerHandle,
     WorkerTable,
     create_router_server,
-    shard_of,
 )
+from repro.serving.resilience import DEADLINE_HEADER, Deadline
 from repro.serving.server import F64_MEDIA_TYPE, encode_f64
 from tests.serving.test_server import post_with_content_length
 
-UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length -> split-eligible
-MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths -> passthrough
+UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length: the uniform path
+MIXED = ["ab", "aba", "b", "abab", "", "zz"]  # mixed lengths
 
 
 @pytest.fixture(scope="module")
@@ -92,7 +94,7 @@ def reference(store):
 
 @pytest.fixture(scope="module")
 def cluster(store):
-    with Cluster(store, workers=2, split_min_patterns=8) as cluster:
+    with Cluster(store, workers=2) as cluster:
         yield cluster
 
 
@@ -102,21 +104,17 @@ def client(cluster):
         yield client
 
 
-class TestShardOf:
-    def test_stable_and_in_range(self):
-        assignment = [shard_of(index, 4) for index in range(64)]
-        assert assignment == [shard_of(index, 4) for index in range(64)]
-        assert set(assignment) <= set(range(4))
-
-    def test_spreads_over_shards(self):
-        used = {shard_of(index, 4) for index in range(64)}
-        assert used == set(range(4))
-
-    def test_index_arrays_shard_like_ints(self):
-        indices = [0, 1, 7, 4095, 2**31 + 5, 2**32 - 1]
-        for shards in (2, 3, 8):
-            array = shard_of(np.asarray(indices, dtype=np.uint64), shards)
-            assert array.tolist() == [shard_of(index, shards) for index in indices]
+def worker_batch_counters(cluster) -> tuple[int, int]:
+    """``batches`` and ``batch_patterns`` summed over the workers' own
+    ``/healthz`` (the router's count only what reached the router)."""
+    batches = patterns = 0
+    for worker in cluster.workers():
+        url = f"http://127.0.0.1:{worker.port}/healthz"
+        with urllib.request.urlopen(url, timeout=10) as response:
+            health = json.loads(response.read())
+        batches += health["batches"]
+        patterns += health["batch_patterns"]
+    return batches, patterns
 
 
 class TestParity:
@@ -124,18 +122,16 @@ class TestParity:
         for pattern in ("ab", "ba", "zz", "", "abab"):
             assert client.query(pattern) == reference.query(pattern)
 
-    def test_split_batch_bit_identical(self, client, reference, cluster):
-        before = client.healthz()["split_batches"]
-        assert client.batch(UNIFORM) == reference.batch(UNIFORM)
-        assert client.healthz()["split_batches"] > before  # split path engaged
+    def test_batch_goes_whole_to_one_worker(self, client, reference, cluster):
+        for patterns in ((UNIFORM * 205)[:4096], MIXED):
+            before = worker_batch_counters(cluster)
+            assert client.batch(patterns) == reference.batch(patterns)
+            after = worker_batch_counters(cluster)
+            assert after[0] - before[0] == 1  # batches
+            assert after[1] - before[1] == len(patterns)  # batch_patterns
 
     def test_passthrough_batch_bit_identical(self, client, reference):
         assert client.batch(MIXED) == reference.batch(MIXED)
-
-    def test_small_batch_not_split(self, client, reference):
-        before = client.healthz()["split_batches"]
-        assert client.batch(["ab", "ba"]) == reference.batch(["ab", "ba"])
-        assert client.healthz()["split_batches"] == before
 
     def test_mine(self, client, reference):
         assert client.mine(1.0) == reference.mine(1.0)
@@ -150,8 +146,8 @@ class TestParity:
     def test_releases(self, client, reference):
         via_router = client.releases()
         serial = reference.releases_info()
-        # compiled_bytes counts the result cache too, so it tracks each
-        # process's traffic history — compare everything else exactly.
+        # compiled_bytes counts the lazily built views too, so it tracks
+        # each process's traffic history — compare everything else exactly.
         for info in via_router + serial:
             assert info.pop("compiled_bytes") > 0
         assert via_router == serial
@@ -178,12 +174,9 @@ class TestParity:
 
         try:
             single_url = f"http://127.0.0.1:{server.server_address[1]}"
-            # UNIFORM is split across the workers, MIXED passes through whole
-            for patterns, splits in ((UNIFORM, 1), (MIXED, 0)):
-                before = client.healthz()["split_batches"]
+            for patterns in (UNIFORM, MIXED):
                 single = raw(single_url, patterns)
                 assert raw(cluster.url, patterns) == single
-                assert client.healthz()["split_batches"] - before == splits
                 if accept is None:
                     assert single[0] == "application/json"
                 else:
@@ -234,9 +227,7 @@ class TestHealthAndMetrics:
 class TestWorkerCrash:
     def test_kill9_mid_batch_is_invisible_and_respawned(self, store, reference):
         expected = reference.batch(UNIFORM)
-        with Cluster(
-            store, workers=2, split_min_patterns=8, heartbeat_interval=0.1
-        ) as cluster:
+        with Cluster(store, workers=2, heartbeat_interval=0.1) as cluster:
             client = ServingClient(cluster.url, timeout=60)
             mismatches: list[int] = []
             errors: list[str] = []
@@ -327,7 +318,7 @@ class TestHotReload:
     ):
         store = ReleaseStore(tmp_path / "store")
         store.save("demo", structure)
-        with Cluster(store, workers=2, split_min_patterns=8) as cluster, ServingClient(
+        with Cluster(store, workers=2) as cluster, ServingClient(
             cluster.url, timeout=60
         ) as client:
             expected = client.batch(UNIFORM)
@@ -370,13 +361,11 @@ class TestHotReload:
         store = ReleaseStore(tmp_path / "store")
         store.save("demo", structure)
         retired: set[int] = set()
-        with Cluster(store, workers=2, split_min_patterns=8) as cluster, ServingClient(
+        with Cluster(store, workers=2) as cluster, ServingClient(
             cluster.url, timeout=60
         ) as client:
 
             def traffic() -> None:
-                # split batch (shard threads), passthrough batch (handler
-                # thread) and a query (router micro-batcher)
                 for patterns in (UNIFORM, MIXED):
                     assert client.batch(patterns) == reference.batch(patterns)
                 assert client.query("ab") == reference.query("ab")
@@ -422,6 +411,62 @@ def close_wait_peer_ports() -> list[int]:
             if fields[3] == "08" and fields[9] in inodes:
                 ports.append(int(fields[2].rsplit(":", 1)[1], 16))
     return ports
+
+
+class _QueryHandler(BaseHTTPRequestHandler):
+    """Stand-in worker ``/query``: records the deadline header it received
+    and answers a fixed count."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.deadlines.append(self.headers.get(DEADLINE_HEADER))
+        body = json.dumps({"release": "demo", "count": 1.5}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *_args) -> None:
+        pass
+
+
+def test_router_query_carries_the_client_deadline_to_the_worker():
+    worker = ThreadingHTTPServer(("127.0.0.1", 0), _QueryHandler)
+    worker.daemon_threads = True
+    worker.deadlines = []
+    threading.Thread(target=worker.serve_forever, daemon=True).start()
+    table = WorkerTable()
+    table.swap(
+        [WorkerHandle("w0", 1, _Running(), None, worker.server_address[1])],
+        1,
+        {"demo": 1},
+    )
+    router = Router(table)
+    server = create_router_server(router)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    deadline = Deadline.after(30.0).header_value()
+    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
+    try:
+        conn.request(
+            "POST",
+            "/query",
+            body=json.dumps({"pattern": "ab"}).encode("utf-8"),
+            headers={"Content-Type": "application/json", DEADLINE_HEADER: deadline},
+        )
+        response = conn.getresponse()
+        assert response.status == 200
+        assert json.loads(response.read())["count"] == 1.5
+        assert worker.deadlines == [deadline]
+    finally:
+        conn.close()
+        server.shutdown()
+        server.server_close()
+        router.close()
+        worker.shutdown()
+        worker.server_close()
 
 
 class _BurstHandler(BaseHTTPRequestHandler):
@@ -482,13 +527,16 @@ class _Running:
 
 class TestWorkerConnectionPool:
     CLIENTS = 6
-    SPLIT_THREADS = 2  # the router keeps this many idle connections per worker
+    IDLE_CAP = 2  # the router keeps this many idle connections per worker
 
     @pytest.mark.parametrize("retire", [False, True], ids=["kept", "retired"])
-    def test_a_burst_leaves_a_bounded_pool(self, retire):
+    def test_a_burst_leaves_a_bounded_pool(self, retire, monkeypatch):
         """Six concurrent clients open six router->worker connections; once
-        they close, each worker keeps at most ``split_threads`` of them, and
-        a worker that left the table mid-burst keeps none."""
+        they close, each worker keeps at most ``MAX_IDLE_PER_WORKER`` of
+        them, and a worker that left the table mid-burst keeps none."""
+        monkeypatch.setattr(
+            "repro.serving.cluster.router.MAX_IDLE_PER_WORKER", self.IDLE_CAP
+        )
         arrived = threading.Barrier(self.CLIENTS + 1)
         release = threading.Event()
         workers = [_BurstWorker(arrived, release) for _ in range(2)]
@@ -500,12 +548,7 @@ class TestWorkerConnectionPool:
         ]
         table = WorkerTable()
         table.swap(handles, 1, {"demo": 1})
-        router = Router(
-            table,
-            micro_batch=False,
-            split_threads=self.SPLIT_THREADS,
-            split_min_patterns=10**6,
-        )
+        router = Router(table)
         server = create_router_server(router)
         threading.Thread(target=server.serve_forever, daemon=True).start()
         url = f"http://127.0.0.1:{server.server_address[1]}"
@@ -527,7 +570,7 @@ class TestWorkerConnectionPool:
                 thread.join(timeout=20)
             assert results == [[0.0, 0.0]] * self.CLIENTS
             assert sum(worker.accepted for worker in workers) == self.CLIENTS
-            limits = [0 if retire else self.SPLIT_THREADS, self.SPLIT_THREADS]
+            limits = [0 if retire else self.IDLE_CAP, self.IDLE_CAP]
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline and any(
                 worker.open > limit for worker, limit in zip(workers, limits)

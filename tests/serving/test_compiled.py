@@ -1,9 +1,9 @@
-"""Parity and cache tests for the compiled array-backed trie.
+"""Parity tests for the compiled array-backed trie.
 
 The load-bearing property is *exact post-processing parity*: a compiled
 release answers byte-identical counts to the in-memory
 :class:`PrivateCountingTrie` for every pattern, through every query path
-(single, cached, batch, mine).
+(single walk, batch, mine), with and without the dense transition table.
 """
 
 from __future__ import annotations
@@ -84,6 +84,60 @@ class TestSingleQueryParity:
         assert compiled.query("anything") == 0.0
         assert compiled.num_nodes == 1
         assert compiled.num_stored_patterns == 0
+
+
+class TestSingleWalk:
+    """``query`` and ``in`` walk the dense table, or binary-search
+    ``edge_keys`` past :attr:`CompiledTrie.DENSE_TRANSITION_LIMIT`; both
+    walks must answer exactly what the in-memory structure answers."""
+
+    @staticmethod
+    def probes(structure: PrivateCountingTrie) -> list[str]:
+        longest = max(structure.patterns(), key=len)
+        return probe_patterns(structure) + [
+            "\x00",
+            "a\x00",
+            "\U0001F600",
+            "a\U0001F600",
+            "?",
+            longest + longest,
+        ]
+
+    @pytest.fixture(params=["dense", "sparse"])
+    def compiled(self, built_structure, monkeypatch, request):
+        if request.param == "sparse":
+            monkeypatch.setattr(CompiledTrie, "DENSE_TRANSITION_LIMIT", 0)
+        trie = CompiledTrie.from_structure(built_structure)
+        assert (trie._transitions is None) == (request.param == "sparse")
+        return trie
+
+    def test_query_and_membership_match_the_structure(
+        self, compiled, built_structure
+    ):
+        for pattern in self.probes(built_structure):
+            assert compiled.query(pattern) == built_structure.query(pattern)
+            assert (pattern in compiled) == (pattern in built_structure)
+
+    def test_both_walks_agree(self, compiled, built_structure):
+        dense = CompiledTrie.from_structure(built_structure)
+        dense.DENSE_TRANSITION_LIMIT = 1 << 25
+        assert dense._transitions is not None
+        for pattern in self.probes(built_structure):
+            assert compiled.query(pattern) == dense.query(pattern)
+            assert (pattern in compiled) == (pattern in dense)
+            assert compiled.lookup_node(pattern) == dense.lookup_node(pattern)
+
+    def test_lookup_node_spells_the_pattern(self, compiled, built_structure):
+        for pattern in self.probes(built_structure):
+            node = compiled.lookup_node(pattern)
+            if node < 0:
+                assert built_structure.trie.find(pattern) is None
+            else:
+                assert compiled.pattern_of(node) == pattern
+
+    def test_answers_are_python_floats(self, compiled, built_structure):
+        for pattern in ("", "zz", built_structure.patterns()[0]):
+            assert type(compiled.query(pattern)) is float
 
 
 class TestBatchQueryParity:
@@ -216,45 +270,6 @@ class TestMiningParity:
         assert dict(compiled.items()) == dict(built_structure.items())
 
 
-class TestLRUCache:
-    def test_hits_and_misses(self):
-        compiled = CompiledTrie.from_structure(make_structure({"ab": 4.0}))
-        assert compiled.query("ab") == 4.0
-        assert compiled.query("ab") == 4.0
-        info = compiled.cache_info()
-        assert info.hits == 1
-        assert info.misses == 1
-        assert info.size == 1
-        assert 0 < info.hit_rate < 1
-
-    def test_eviction_respects_max_size(self):
-        compiled = CompiledTrie.from_structure(
-            make_structure({"a": 1.0, "b": 2.0, "c": 3.0}), cache_size=2
-        )
-        for pattern in ("a", "b", "c"):
-            compiled.query(pattern)
-        assert compiled.cache_info().size == 2
-        # "a" was evicted (least recently used); re-querying is a miss but
-        # still answers correctly.
-        assert compiled.query("a") == 1.0
-
-    def test_cache_disabled(self):
-        compiled = CompiledTrie.from_structure(
-            make_structure({"a": 1.0}), cache_size=0
-        )
-        compiled.query("a")
-        compiled.query("a")
-        info = compiled.cache_info()
-        assert info.hits == 0 and info.misses == 0 and info.size == 0
-
-    def test_cache_clear(self):
-        compiled = CompiledTrie.from_structure(make_structure({"a": 1.0}))
-        compiled.query("a")
-        compiled.cache_clear()
-        info = compiled.cache_info()
-        assert info.hits == 0 and info.misses == 0 and info.size == 0
-
-
 class TestStatistics:
     def test_counts_and_sizes(self, built_structure):
         compiled = CompiledTrie.from_structure(built_structure)
@@ -265,6 +280,5 @@ class TestStatistics:
         assert compiled.nbytes > 0
 
     def test_compiled_via_structure_hook(self, built_structure):
-        compiled = built_structure.compiled(cache_size=16)
-        assert compiled.cache_info().max_size == 16
+        compiled = built_structure.compiled()
         assert compiled.query("ab") == built_structure.query("ab")

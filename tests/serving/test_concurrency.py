@@ -4,13 +4,10 @@ stack.
 These tests are the falsifiers for the guarantees documented in the
 "Concurrency & durability" section of ``docs/SERVING.md``:
 
-* the compiled trie's LRU and uniform-batch caches survive barrier-started
-  thread storms with exact counters and bit-identical answers (the
-  ``TestLRUCacheUnderContention`` stress is a deterministic reproducer of
-  the pre-fix race: with the cache locks removed, ``OrderedDict.get`` →
-  ``move_to_end`` interleaves with another thread's ``popitem`` and raises
-  ``KeyError`` within a few thousand iterations under a tight GIL switch
-  interval);
+* the compiled trie's only mutable state, its lazily built walk views,
+  survives barrier-started first calls on a just-mmap'd release: under a
+  tight GIL switch interval every thread answers exactly the serial
+  counts and all of them see one transition table;
 * a mixed /query /batch /mine /healthz storm is bit-identical to a serial
   replay with consistent health counters (the acceptance criterion:
   >= 8 threads x >= 2k operations);
@@ -44,6 +41,7 @@ from repro.serving import (
     CompiledTrie,
     QueryService,
     ReleaseStore,
+    binfmt,
     generate_workload,
     run_load_test,
 )
@@ -94,83 +92,52 @@ def _run_threads(workers) -> list[str]:
     return errors
 
 
-class TestLRUCacheUnderContention:
-    def test_hot_pattern_vs_churn_storm(self, structure, tight_gil):
-        """Pre-fix reproducer: 4 threads hammer one hot pattern (hits that
-        ``move_to_end``) while 5 churn threads evict it (``popitem``), on a
-        size-1 cache.  Unsynchronized, ``move_to_end`` raises ``KeyError``
-        within a few thousand iterations; the fixed cache must answer every
-        query correctly with zero errors."""
-        compiled = CompiledTrie.from_structure(structure, cache_size=1)
-        stored = sorted(pattern for pattern, _ in structure.items())
-        hot, churn = stored[0], stored[1:5]
-        expected_hot = structure.query(hot)
-        expected_churn = [structure.query(p) for p in churn]
-        iterations = 30_000
-
-        def hot_worker():
-            for _ in range(iterations):
-                assert compiled.query(hot) == expected_hot
-
-        def churn_worker(offset: int):
-            def run():
-                for i in range(iterations):
-                    pattern = (offset + i) % len(churn)
-                    assert compiled.query(churn[pattern]) == expected_churn[pattern]
-
-            return run
-
-        errors = _run_threads(
-            [hot_worker] * 4 + [churn_worker(offset) for offset in range(5)]
-        )
-        assert errors == []
-        info = compiled.cache_info()
-        # Exact, not best-effort: every query was either a hit or a miss.
-        assert info.hits + info.misses == 9 * iterations
-        assert info.size <= info.max_size == 1
-
-    def test_counters_exact_across_threads(self, structure, tight_gil):
-        compiled = CompiledTrie.from_structure(structure, cache_size=64)
-        stored = sorted(pattern for pattern, _ in structure.items())
-        per_thread = 5_000
-
-        def worker(offset: int):
-            def run():
-                for i in range(per_thread):
-                    compiled.query(stored[(offset + i) % len(stored)])
-
-            return run
-
-        errors = _run_threads([worker(offset) for offset in range(8)])
-        assert errors == []
-        info = compiled.cache_info()
-        assert info.hits + info.misses == 8 * per_thread
-
-    def test_uniform_batch_cache_storm(self, structure, tight_gil):
-        """Concurrent uniform-shape batches share (and clear) the gather
-        index cache; every batch must stay bit-identical."""
-        compiled = CompiledTrie.from_structure(structure, cache_size=0)
+class TestCompiledSnapshot:
+    def test_first_calls_on_a_fresh_mmap_build_one_table(
+        self, structure, tmp_path, tight_gil
+    ):
+        """Eight barrier-started threads make the first calls on a
+        just-mmap'd release, half ``query`` and half ``batch_query``, so
+        they race to build the lazy views.  Every answer must equal the
+        serial one, and the table each thread sees right after its first
+        call must be the same object (two builds that race past the views
+        lock would publish two)."""
+        path = tmp_path / "v0001.dpsb"
+        binfmt.write_binary(path, structure.compiled())
         stored = sorted(pattern for pattern, _ in structure.items())
         width = max(len(p) for p in stored)
-        uniform = [p for p in stored if len(p) == width] or [stored[-1]]
-        # 20 distinct (m, length) shapes: more than the 16-entry cache, so
-        # threads also race the clear() path.
-        batches = [
-            ([uniform[0]] * (2 + m), compiled.batch_query([uniform[0]] * (2 + m)).tolist())
-            for m in range(20)
+        probes = stored + ["", "zz", "\x00", "a\U0001F600", stored[-1] * 3]
+        uniform = [p for p in stored if len(p) == width] * 3
+        serial = binfmt.read_binary(path, mmap=True)
+        expected_single = [serial.query(p) for p in probes]
+        expected_batches = [
+            serial.batch_query(probes).tolist(),
+            serial.batch_query(uniform).tolist(),
         ]
+        assert expected_single == [structure.query(p) for p in probes]
 
-        def worker(offset: int):
-            def run():
-                for i in range(400):
-                    patterns, expected = batches[(offset + i) % len(batches)]
-                    assert compiled.batch_query(patterns).tolist() == expected
+        for _ in range(10):
+            compiled = binfmt.read_binary(path, mmap=True)
+            assert compiled._lazy.walk is None
+            seen: list[object] = []
 
-            return run
+            def querier():
+                got = [compiled.query(probes[0])]
+                seen.append(compiled._lazy.walk[0].obj)
+                got += [compiled.query(p) for p in probes[1:]]
+                assert got == expected_single
 
-        errors = _run_threads([worker(offset) for offset in range(8)])
-        assert errors == []
-        compiled.assert_immutable()
+            def batcher():
+                got = [compiled.batch_query(probes).tolist()]
+                seen.append(compiled._transitions)
+                got.append(compiled.batch_query(uniform).tolist())
+                assert got == expected_batches
+
+            errors = _run_threads([querier] * 4 + [batcher] * 4)
+            assert errors == []
+            assert len(seen) == 8
+            assert all(table is seen[0] for table in seen)
+            compiled.assert_immutable()
 
     def test_compiled_arrays_are_immutable_snapshots(self, structure):
         compiled = CompiledTrie.from_structure(structure)

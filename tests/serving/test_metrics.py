@@ -71,19 +71,6 @@ class TestServiceMetrics:
         assert histogram.count == 3
         assert histogram.percentile(50.0) > 0
 
-    def test_cache_gauges_track_compiled_trie(self, service):
-        service.query("ab")
-        service.query("ab")
-        hits = service.metrics.get(
-            "dpsc_compiled_cache_hits", {"release": "demo"}
-        )
-        misses = service.metrics.get(
-            "dpsc_compiled_cache_misses", {"release": "demo"}
-        )
-        info = service.release("demo").cache_info()
-        assert hits.value == info.hits
-        assert misses.value == info.misses
-
     def test_microbatcher_metrics(self, structure):
         service = QueryService({"demo": structure}, micro_batch=True)
         try:

@@ -77,7 +77,7 @@ class TestRoundTripProperty:
         structure = make_structure(counts)
         digest = structure.content_digest()
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled(cache_size=0))
+        binfmt.write_binary(path, structure.compiled())
 
         probes = probe_patterns(counts)
         expected = structure.query_many(probes)
@@ -118,7 +118,7 @@ class TestCorruptionRejection:
     def blob(self, tmp_path) -> tuple[Path, PrivateCountingTrie]:
         structure = make_structure({"ab": 4.0, "abc": 2.0, "b": 1.0})
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled(cache_size=0))
+        binfmt.write_binary(path, structure.compiled())
         return path, structure
 
     def test_truncated_blob_rejected(self, blob):
@@ -244,7 +244,7 @@ class TestMmapParity:
     def test_mmap_assert_immutable(self, tmp_path):
         structure = make_structure({"ab": 4.0, "abc": 2.0})
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled(cache_size=0))
+        binfmt.write_binary(path, structure.compiled())
         mapped = binfmt.read_binary(path, mmap=True)
         mapped.assert_immutable()  # fresh: no lazy views built yet
         mapped.query("ab")
@@ -257,15 +257,27 @@ class TestMmapParity:
 
     def test_mmap_load_is_lazy(self, tmp_path):
         """An mmap load must not materialize the derived views eagerly —
-        that laziness is what makes cold start O(header)."""
-        structure = make_structure({"ab": 4.0, "abc": 2.0})
+        that laziness is what makes cold start O(header).  The first single
+        query builds the dense table the batch path uses, and no per-node
+        Python list."""
+        structure = make_structure(
+            {"ab": 4.0, "abc": 2.0, "ba": 1.0, "bca": 3.0, "cab": 5.0}
+        )
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled(cache_size=0))
+        binfmt.write_binary(path, structure.compiled())
         mapped = binfmt.read_binary(path, mmap=True)
         lazy = mapped._lazy
-        assert lazy.lists is None and lazy.counts_ext is None
+        assert lazy.walk is None and lazy.counts_ext is None
         assert mapped.query("ab") == 4.0
-        assert lazy.lists is not None
+        assert isinstance(lazy.transitions, np.ndarray)
+        views = (lazy.transitions, lazy.counts_zero, lazy.counts_ext)
+        assert all(view.obj is array for view, array in zip(lazy.walk, views))
+        per_node_lists = [
+            name
+            for name, value in vars(mapped).items()
+            if isinstance(value, list) and len(value) >= mapped.num_nodes
+        ]
+        assert per_node_lists == []
 
 
 class TestStoreFormatDetails:

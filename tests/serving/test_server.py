@@ -135,15 +135,20 @@ class TestMicroBatcher:
         finally:
             service.close()
 
-    def test_sequential_queries_hit_the_lru_cache(self, structures):
-        # Singleton flushes take the cached single-query path, so hot
-        # patterns benefit from the LRU even with micro-batching enabled.
+    def test_sequential_queries_take_the_single_walk(self, structures, monkeypatch):
+        # A lone request flushes alone, and a singleton flush answers
+        # through CompiledTrie.query, never the batch path.
         service = QueryService(structures, micro_batch=True)
         try:
-            expected = structures["first"].query("ab")
-            for _ in range(5):
-                assert service.query("ab") == expected
-            assert service.release("first").cache_info().hits > 0
+            compiled = service.release("first")
+
+            def no_batch(patterns):
+                raise AssertionError("a singleton flush took the batch path")
+
+            monkeypatch.setattr(compiled, "batch_query", no_batch)
+            for pattern in ("ab", "zz", "abab", "ab", ""):
+                assert service.query(pattern) == structures["first"].query(pattern)
+            assert service.health()["micro_batches_flushed"] == 5
         finally:
             service.close()
 
