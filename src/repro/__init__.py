@@ -24,8 +24,7 @@ Quickstart (the unified API; see docs/API.md and README.md)::
 Every structure kind builds through the same ``Dataset`` façade, satisfies
 the ``PrivateCounter`` protocol, and plugs into the serving stack
 (``counter.release(store)``); new kinds register via
-``register_structure_kind`` without touching core.  The per-theorem
-``build_*`` functions still work as deprecation shims.
+``register_structure_kind`` without touching core.
 
 Subpackages
 -----------
@@ -77,12 +76,7 @@ from repro.core import (
     PrivateCountingTrie,
     StringDatabase,
     build_private_counting_structure,
-    build_qgram_structure,
     build_simple_trie_baseline,
-    build_theorem1_structure,
-    build_theorem2_structure,
-    build_theorem3_qgram_structure,
-    build_theorem4_qgram_structure,
     check_mining_guarantee,
     mine_frequent_qgrams,
     mine_frequent_substrings,
@@ -124,12 +118,7 @@ __all__ = [
     "PrivateCountingTrie",
     "StringDatabase",
     "build_private_counting_structure",
-    "build_qgram_structure",
     "build_simple_trie_baseline",
-    "build_theorem1_structure",
-    "build_theorem2_structure",
-    "build_theorem3_qgram_structure",
-    "build_theorem4_qgram_structure",
     "check_mining_guarantee",
     "mine_frequent_qgrams",
     "mine_frequent_substrings",

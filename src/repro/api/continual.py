@@ -23,6 +23,13 @@ Why this is cheap and sound:
   under replay with the same seed (each interval build inherits the
   bit-identical array/object backend guarantees of the plain ``heavy-path``
   kind).
+
+The advertised error is the sum of the cover intervals'
+``absent_pattern_bound``: a pattern pruned from an interval contributes 0
+there, although its true count in that interval can reach that bound, and
+a stored one errs by at most its interval's ``error_bound``, which is never
+larger.  It holds with probability ``1 - sum(beta_i)`` (a union bound over
+the cover), which the release advertises as its ``beta``.
 """
 
 from __future__ import annotations
@@ -121,7 +128,9 @@ def build_continual_structure(
     pattern pruned from an interval contributes zero), so it releases
     through the same stores, servers and clusters as any single-shot
     structure.  Its metadata records the *cumulative* tree-schedule budget
-    ``levels_used(epoch) * params.budget``, not the single-interval budget.
+    ``levels_used(epoch) * params.budget``, not the single-interval budget,
+    and the sound cover-wide ``error_bound`` and ``beta`` of the module
+    docstring.
     """
     if epoch is None:
         epoch = stream.num_epochs
@@ -139,7 +148,8 @@ def build_continual_structure(
     )
     combined: dict[str, float] = {}
     root_count: float | None = None
-    error_bound = 0.0
+    absent_bound = 0.0
+    beta = 0.0
     threshold = 0.0
     interval_digests: dict[str, str] = {}
     for (lo, hi), structure in structures:
@@ -148,7 +158,10 @@ def build_continual_structure(
         root = structure.trie.root.noisy_count
         if root is not None:
             root_count = (root_count or 0.0) + float(root)
-        error_bound += structure.metadata.error_bound
+        # the larger of the interval's stored-pattern error bound and the
+        # bound on the true count of a pattern it pruned
+        absent_bound += structure.mining_alpha(0.0)
+        beta += structure.metadata.beta
         threshold = max(threshold, structure.metadata.threshold)
         interval_digests[f"{lo}:{hi}"] = structure.content_digest()
     template = structures[0][1].metadata
@@ -156,14 +169,14 @@ def build_continual_structure(
     metadata = StructureMetadata(
         epsilon=levels * params.budget.epsilon,
         delta=levels * params.budget.delta,
-        beta=template.beta,
+        beta=beta,
         delta_cap=template.delta_cap,
         max_length=template.max_length,
         num_documents=sum(
             s.metadata.num_documents for _, s in structures
         ),
         alphabet_size=template.alphabet_size,
-        error_bound=error_bound,
+        error_bound=absent_bound,
         threshold=threshold,
         qgram_length=template.qgram_length,
         construction=(
@@ -184,6 +197,7 @@ def build_continual_structure(
         "levels_used": levels,
         "epoch_epsilon": params.budget.epsilon,
         "epoch_delta": params.budget.delta,
+        "absent_pattern_bound": absent_bound,
         "interval_digests": interval_digests,
     }
     return PrivateCountingTrie(trie=trie, metadata=metadata, report=report)

@@ -6,11 +6,7 @@ from repro.core.candidate_growth import (
     onestep_candidate_alpha,
 )
 from repro.core.candidate_set import CandidateSet, build_candidate_set, candidate_alpha
-from repro.core.construction import (
-    build_private_counting_structure,
-    build_theorem1_structure,
-    build_theorem2_structure,
-)
+from repro.core.construction import build_private_counting_structure
 from repro.core.counts import count_delta, document_count, exact_count_table, substring_count
 from repro.core.database import StringDatabase
 from repro.core.lower_bounds import (
@@ -32,9 +28,6 @@ from repro.core.mining import (
 from repro.core.params import DOCUMENT_COUNT, SUBSTRING_COUNT, ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 from repro.core.qgram_structure import (
-    build_qgram_structure,
-    build_theorem3_qgram_structure,
-    build_theorem4_qgram_structure,
     qgram_counting_structure,
     theorem3_qgram_structure,
     theorem4_qgram_structure,
@@ -49,8 +42,6 @@ __all__ = [
     "build_candidate_set",
     "candidate_alpha",
     "build_private_counting_structure",
-    "build_theorem1_structure",
-    "build_theorem2_structure",
     "count_delta",
     "document_count",
     "exact_count_table",
@@ -73,9 +64,6 @@ __all__ = [
     "ConstructionParams",
     "PrivateCountingTrie",
     "StructureMetadata",
-    "build_qgram_structure",
-    "build_theorem3_qgram_structure",
-    "build_theorem4_qgram_structure",
     "qgram_counting_structure",
     "theorem3_qgram_structure",
     "theorem4_qgram_structure",

@@ -45,7 +45,6 @@ from repro.counting import AUTO_BACKEND
 from repro.dp.composition import PrivacyAccountant, PrivacyBudget
 from repro.dp.mechanisms import CountingMechanism, per_level_mechanism
 from repro.exceptions import ConstructionAborted
-from repro._deprecation import warn_deprecated
 
 __all__ = ["CandidateSet", "build_candidate_set", "candidate_alpha"]
 
@@ -156,13 +155,7 @@ def _prune_by_noisy_count(
     return kept, kept_counts
 
 
-#: sentinel distinguishing "lce not passed" from an explicit None.
-_LCE_UNSET = object()
-
-
-def suffix_prefix_overlaps(
-    strings: Sequence[str], overlap: int, lce: object = _LCE_UNSET
-) -> list[tuple[int, int]]:
+def suffix_prefix_overlaps(strings: Sequence[str], overlap: int) -> list[tuple[int, int]]:
     """All ordered pairs ``(i, j)`` such that the length-``overlap`` suffix of
     ``strings[i]`` equals the length-``overlap`` prefix of ``strings[j]``.
 
@@ -172,16 +165,7 @@ def suffix_prefix_overlaps(
     instead of the ``O(k^2)`` all-pairs probe loop, with one bulk encode of
     the collection instead of a per-string ``np.fromiter``.  Pairs come out
     in the double loop's order (``i``-major, ``j`` ascending).
-
-    ``lce`` is deprecated and ignored: bucketing on the exact keys already
-    decides equality, so no extension queries remain.  Passing it (even as
-    ``None``) emits a once-per-process :class:`DeprecationWarning`.
     """
-    if lce is not _LCE_UNSET:
-        warn_deprecated(
-            "the lce parameter of suffix_prefix_overlaps",
-            "suffix_prefix_overlaps(strings, overlap)",
-        )
     n = len(strings)
     if n == 0:
         return []

@@ -18,7 +18,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
-from repro._deprecation import warn_deprecated
 from repro.dp.composition import PrivacyBudget
 from repro.strings.trie import Trie, TrieNode
 
@@ -138,16 +137,6 @@ class PrivateCountingTrie:
     _batch_view: "CompiledTrie | None" = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def timings(self) -> dict:
-        """Deprecated flat view of :attr:`profile` — the pre-``repro.obs``
-        ``{"build_backend", "total_seconds", "stages"}`` dict (empty when
-        the build ran with telemetry disabled)."""
-        warn_deprecated("PrivateCountingTrie.timings", "PrivateCountingTrie.profile")
-        if self.profile is None:
-            return {}
-        return self.profile.legacy_timings()
 
     # ------------------------------------------------------------------
     # Queries (post-processing; no privacy cost)

@@ -28,7 +28,7 @@ Exceptions unwind cleanly: a span whose block raises is finalized with
 restored, and the exception propagates.
 
 :class:`BuildProfile` wraps a finished construction root span and derives
-the legacy ``PrivateCountingTrie.timings`` dict (the deprecation shim), a
+its total and per-stage durations, a
 rendered text tree (``dpsc mine --profile``) and the Chrome trace export.
 """
 
@@ -179,14 +179,11 @@ def trace(name: str, **attrs):
 
 
 class BuildProfile:
-    """A finished construction trace plus the derived legacy views."""
+    """A finished construction trace plus the views derived from it."""
 
     def __init__(self, root: Span) -> None:
         self.root = root
 
-    # ------------------------------------------------------------------
-    # Legacy view (the PrivateCountingTrie.timings deprecation shim)
-    # ------------------------------------------------------------------
     @property
     def total_seconds(self) -> float:
         return self.root.wall_seconds
@@ -197,19 +194,11 @@ class BuildProfile:
 
     def stages(self) -> dict[str, float]:
         """Top-level stage durations, aggregated by name in first-seen
-        order — the shape of the old ``timings["stages"]`` dict."""
+        order."""
         result: dict[str, float] = {}
         for child in self.root.children:
             result[child.name] = result.get(child.name, 0.0) + child.wall_seconds
         return result
-
-    def legacy_timings(self) -> dict:
-        """The exact dict ``PrivateCountingTrie.timings`` used to hold."""
-        return {
-            "build_backend": self.build_backend,
-            "total_seconds": self.total_seconds,
-            "stages": self.stages(),
-        }
 
     # ------------------------------------------------------------------
     # Rendering

@@ -8,9 +8,10 @@ mmap'd ``.dpsb`` release (~one resident copy regardless of worker count).
 * :mod:`repro.serving.cluster.workers` — spawn-safe worker processes,
   readiness handshake, orphan prevention, the pool and the router's
   worker table;
-* :mod:`repro.serving.cluster.router` — whole-request relay to one worker
-  (raw passthrough for ``/batch`` and ``/mine``), retry-on-crash,
-  tier-wide ``/metrics`` and ``/healthz``;
+* :mod:`repro.serving.cluster.router` — relays every request but
+  ``/healthz``, ``/metrics`` and ``/admin/reload`` to one worker as
+  received and writes back the worker's status, ``Content-Type`` and body
+  unchanged; retry-on-crash, tier-wide ``/metrics`` and ``/healthz``;
 * :mod:`repro.serving.cluster.supervisor` — :class:`Cluster`: lifecycle,
   heartbeat monitoring, crash respawn, atomic hot reload, graceful drain.
 

@@ -1,18 +1,16 @@
 """The public-port router of the multi-process serving tier.
 
 One ``ThreadingHTTPServer`` that owns no release data at all: every count
-comes from a worker, and every request goes whole to one worker:
-
-* **passthrough** — ``/batch``, ``/mine`` and ``/releases`` requests are
-  forwarded as the original raw bytes (with the client's ``Accept`` on
-  ``/batch``), and the worker's status, ``Content-Type`` and body are
-  relayed verbatim.  Workers run the exact single-process handler code, so
-  passthrough replies — JSON or raw float64 — are bit-identical to the
-  single-process server by construction.  The router still parses a
-  ``/batch`` body, to validate it and count its patterns.
-* **query** — a ``/query`` is re-sent to the worker's ``/query`` as a small
-  JSON body, with the client's ``X-DPSC-Deadline``, and the count is read
-  from the worker's answer.
+comes from a worker, and the router decides only which worker answers.  It
+relays every request except ``GET /healthz``, ``GET /metrics`` and
+``POST /admin/reload`` to one worker as received — method, path with query
+string, body, and only the ``Content-Type``, ``Accept`` and
+``X-DPSC-Deadline`` headers — and writes back the worker's status,
+``Content-Type`` and body unchanged.  Workers run the exact single-process
+handler code, so every relayed answer, JSON or raw float64, success or
+error, is the single-process answer by construction.  Nothing on the relay
+path parses a body: a ``/batch`` counts its patterns from the worker's
+``X-DPSC-Patterns`` answer header.
 
 Worker connections are keep-alive and pooled: a forward takes an idle
 connection to its worker or opens one, and hands it back afterwards.  The
@@ -33,8 +31,9 @@ names (so tier-wide merges never double-count worker ``dpsc_*`` series) and
 ``/metrics`` scrapes every live worker's JSON snapshot, merging via
 :func:`repro.obs.merge_snapshots` — counters sum, histograms bucket-merge,
 gauges stay per-worker.  ``/healthz`` reports router-edge traffic counters
-under the same keys as the single-process server, which keeps the load
-test's exact counter-delta checks meaningful for the whole tier.
+under the same keys as the single-process server — a relayed ``/query``,
+``/batch`` or ``/mine`` counts once its worker answered 200 — which keeps
+the load test's exact counter-delta checks meaningful for the whole tier.
 """
 
 from __future__ import annotations
@@ -46,8 +45,9 @@ import json
 import socket
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from urllib.parse import parse_qs, urlparse
+from http.server import ThreadingHTTPServer
+from typing import Mapping
+from urllib.parse import quote
 
 from repro import faults
 from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot
@@ -58,14 +58,21 @@ from repro.serving.resilience import (
     CircuitBreaker,
     Deadline,
 )
-from repro.serving.server import BAD_CONTENT_LENGTH, content_length
+from repro.serving.server import PATTERNS_HEADER, JSONHandler
 
 __all__ = ["Router", "RouterHTTPError", "create_router_server"]
 
-#: one worker (or router) answer: status, body and ``Content-Type``.
-Answer = tuple[int, bytes, str]
+#: one worker answer: status, body and response headers.
+Answer = tuple[int, bytes, http.client.HTTPMessage]
 
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
+#: the relayed endpoints whose 200 answers the router-edge counters count.
+_COUNTED = ("query", "batch", "mine")
+#: the only request headers a relay forwards.
+RELAYED_HEADERS = ("Content-Type", "Accept", DEADLINE_HEADER)
+#: request-target characters ``http.client`` sends as they are; a relay
+#: percent-escapes any other byte of the client's target.
+_TARGET_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 #: idle keep-alive connections the router keeps per worker; each holds a
 #: worker handler thread, so a burst of concurrent forwards closes its
 #: surplus instead of pooling it.
@@ -85,15 +92,6 @@ _RELAY_RETRYABLE = (*_RETRYABLE, faults.FaultInjected, faults.FaultDropConnectio
 _FP_RELAY = faults.failpoint(
     "router.relay", "Entry of every router -> worker HTTP round-trip."
 )
-
-
-def _error_message(body: bytes, status: int) -> str:
-    """The worker's JSON error text, or a fallback for unparseable bodies."""
-    try:
-        message = json.loads(body.decode("utf-8")).get("error")
-    except (ValueError, UnicodeDecodeError, AttributeError):
-        message = None
-    return message if isinstance(message, str) else f"upstream error (HTTP {status})"
 
 
 class RouterHTTPError(Exception):
@@ -288,8 +286,7 @@ class Router:
         back to the pool only after a complete exchange, so concurrent
         forwards never contend on a socket.  Unpooled mode is for scrapes,
         which want a short timeout instead of the batch-sized one.
-        ``headers`` rides on top of the defaults (deadline propagation and
-        ``Accept`` use it).
+        ``headers`` go out on top of the ones ``http.client`` adds itself.
         """
         _FP_RELAY.hit()
         if pooled:
@@ -299,12 +296,7 @@ class Router:
                 worker.port, timeout or self.scrape_timeout
             )
         try:
-            send_headers = (
-                {"Content-Type": "application/json"} if body is not None else {}
-            )
-            if headers:
-                send_headers.update(headers)
-            conn.request(method, path, body=body, headers=send_headers)
+            conn.request(method, path, body=body, headers=headers or {})
             response = conn.getresponse()
             data = response.read()
         except BaseException:
@@ -314,7 +306,7 @@ class Router:
             self._checkin(worker.port, conn)
         else:
             conn.close()
-        return response.status, data, response.getheader("Content-Type", "application/json")
+        return response.status, data, response.msg
 
     def _breaker(self, worker: WorkerHandle) -> CircuitBreaker:
         """The circuit breaker guarding one worker (keyed by port, so a
@@ -361,15 +353,6 @@ class Router:
             yield
         finally:
             gate.leave()
-
-    @staticmethod
-    def _worker_headers(
-        deadline: Deadline | None, accept: str | None = None
-    ) -> dict[str, str]:
-        headers = {} if deadline is None else {DEADLINE_HEADER: deadline.header_value()}
-        if accept is not None:
-            headers["Accept"] = accept
-        return headers
 
     def forward_any(
         self,
@@ -454,61 +437,35 @@ class Router:
             breaker.record_success()
             return answer
 
-    # ------------------------------------------------------------------
-    # Endpoint logic (the handler below is a thin shim over these)
-    # ------------------------------------------------------------------
-    def route_query(
-        self, pattern: str, release: str | None, deadline: Deadline | None = None
-    ) -> float:
-        self._requests["query"].inc()
-        with self._latency["query"].time():
-            payload: dict = {"pattern": pattern}
-            if release is not None:
-                payload["release"] = release
-            status, body, _ = self.forward_any(
-                "POST",
-                "/query",
-                json.dumps(payload).encode("utf-8"),
-                deadline=deadline,
-                headers=self._worker_headers(deadline),
-            )
-            if status != 200:
-                raise RouterHTTPError(status, _error_message(body, status))
-            return float(json.loads(body.decode("utf-8"))["count"])
+    def relay(
+        self, method: str, target: str, body: bytes | None, headers: Mapping[str, str]
+    ) -> tuple[int, bytes, str]:
+        """One client request, forwarded as received through
+        :meth:`forward_any`: its status, body and ``Content-Type``.
 
-    def route_batch(
-        self,
-        raw: bytes,
-        patterns: list[str],
-        deadline: Deadline | None = None,
-        accept: str | None = None,
-    ) -> Answer:
-        """Forward one validated ``/batch`` (its original bytes, with the
-        client's ``Accept``) to one worker and relay the answer."""
-        self._requests["batch"].inc()
-        self._batch_patterns.inc(len(patterns))
-        with self._latency["batch"].time():
-            return self.forward_any(
-                "POST",
-                "/batch",
-                raw,
-                deadline=deadline,
-                headers=self._worker_headers(deadline, accept),
+        Only :data:`RELAYED_HEADERS` go along.  A ``/query``, ``/batch`` or
+        ``/mine`` counts at the router edge once its worker answered 200.
+        """
+        if not (target.isascii() and target.isprintable()):
+            # http.client refuses control and non-ASCII bytes in a target
+            target = quote(target.encode("latin-1"), safe=_TARGET_SAFE)
+        forwarded = {name: headers[name] for name in RELAYED_HEADERS if name in headers}
+        started = time.perf_counter()
+        with self.admission():
+            status, data, reply = self.forward_any(
+                method,
+                target,
+                body,
+                deadline=Deadline.from_header(headers.get(DEADLINE_HEADER)),
+                headers=forwarded,
             )
-
-    def route_mine(self, raw: bytes, deadline: Deadline | None = None) -> Answer:
-        self._requests["mine"].inc()
-        with self._latency["mine"].time():
-            return self.forward_any(
-                "POST",
-                "/mine",
-                raw,
-                deadline=deadline,
-                headers=self._worker_headers(deadline),
-            )
-
-    def route_releases(self) -> Answer:
-        return self.forward_any("GET", "/releases")
+        endpoint = target.partition("?")[0][1:]
+        if status == 200 and endpoint in _COUNTED:
+            self._requests[endpoint].inc()
+            self._latency[endpoint].observe(time.perf_counter() - started)
+            if endpoint == "batch":
+                self._batch_patterns.inc(int(reply.get(PATTERNS_HEADER, 0)))
+        return status, data, reply.get("Content-Type", "application/json")
 
     def health(self) -> dict:
         self._requests["healthz"].inc()
@@ -577,172 +534,46 @@ class Router:
                 conn.close()
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
-    """Thin JSON shim over :class:`Router` — endpoint surface and error
-    texts mirror the single-process handler so clients cannot tell the
-    tiers apart (the parity tests assert this)."""
+class _RouterHandler(JSONHandler):
+    """Answers ``GET /healthz``, ``GET /metrics`` and ``POST /admin/reload``
+    itself and relays everything else through :meth:`Router.relay`."""
 
-    protocol_version = "HTTP/1.1"
     server_version = "repro-dpsc-router"
-    #: same rationale as the worker handler: keep-alive + Nagle + delayed
-    #: ACK turns two-write responses into ~40ms stalls.
-    disable_nagle_algorithm = True
 
     @property
     def router(self) -> Router:
         return self.server.router  # type: ignore[attr-defined]
 
-    def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
-
-    # ------------------------------------------------------------------
-    def _respond(self, payload: dict, status: int = 200) -> None:
-        self._respond_raw((status, json.dumps(payload).encode("utf-8"), "application/json"))
-
-    def _respond_raw(self, answer: Answer) -> None:
-        status, body, content_type = answer
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _error(
-        self,
-        message: str,
-        status: int,
-        retry_after: float | None = None,
-        *,
-        close: bool = False,
-    ) -> None:
-        body = json.dumps({"error": message}).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        if close:  # also ends this handler's keep-alive loop
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _request_deadline(self):
-        """The request's :class:`Deadline` (or ``None``); raises 504 when it
-        already expired — no point routing work nobody is waiting for."""
-        deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
-        if deadline is not None and deadline.expired():
-            self.router._deadline_exceeded.inc()
-            raise RouterHTTPError(
-                504, "request deadline expired before routing began"
-            )
-        return deadline
-
-    # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        parsed = urlparse(self.path)
-        try:
-            if parsed.path == "/healthz":
-                self._respond(self.router.health())
-            elif parsed.path == "/metrics":
-                query = parse_qs(parsed.query)
-                if query.get("format", [""])[0] == "json":
-                    self._respond(self.router.merged_snapshot())
-                else:
-                    body = self.router.render_metrics().encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-            elif parsed.path == "/releases":
-                self._respond_raw(self.router.route_releases())
-            elif parsed.path == "/query":
-                deadline = self._request_deadline()
-                query = parse_qs(parsed.query)
-                pattern = query.get("pattern", [""])[0]
-                release = query.get("release", [None])[0]
-                with self.router.admission():
-                    count = self.router.route_query(pattern, release, deadline)
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.router.default_release,
-                        "count": count,
-                    }
-                )
-            else:
-                self._error(f"unknown path {parsed.path!r}", 404)
-        except RouterHTTPError as error:
-            self._error(error.message, error.status, error.retry_after)
-        except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
-            self._error(f"internal error: {error}", 500)
+        self._handle(None)
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        length = content_length(self.headers)
-        if length is None:
-            self._error(BAD_CONTENT_LENGTH, 400, close=True)
-            return
-        raw = self.rfile.read(length) if length else b""
+        body = self._read_body()
+        if body is not None:
+            self._handle(body)
+
+    def _handle(self, body: bytes | None) -> None:
+        path, _, query = self.path.partition("?")
+        router = self.router
         try:
-            if self.path == "/mine":
-                # Validation happens at the worker (identical handler code),
-                # so error bodies relay verbatim without a router-side parse.
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    answer = self.router.route_mine(raw, deadline)
-                self._respond_raw(answer)
-                return
-            if self.path == "/admin/reload":
-                reload_fn = self.router.reload_fn
-                if reload_fn is None:
+            if body is None and path == "/healthz":
+                self._respond(router.health())
+            elif body is None and path == "/metrics":
+                self._metrics(query, router.merged_snapshot, router.render_metrics)
+            elif body is not None and path == "/admin/reload":
+                if router.reload_fn is None:
                     self._error("reload is not available", 503)
                 else:
-                    self._respond(reload_fn())
-                return
-            try:
-                payload = json.loads(raw.decode("utf-8")) if raw else {}
-            except (ValueError, UnicodeDecodeError):
-                self._error("request body is not valid JSON", 400)
-                return
-            if not isinstance(payload, dict):
-                self._error("request body must be a JSON object", 400)
-                return
-            release = payload.get("release")
-            if self.path == "/query":
-                pattern = payload.get("pattern")
-                if not isinstance(pattern, str):
-                    self._error("'pattern' must be a string", 400)
-                    return
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    count = self.router.route_query(pattern, release, deadline)
-                self._respond(
-                    {
-                        "pattern": pattern,
-                        "release": release or self.router.default_release,
-                        "count": count,
-                    }
-                )
-            elif self.path == "/batch":
-                patterns = payload.get("patterns")
-                if not isinstance(patterns, list) or not all(
-                    isinstance(p, str) for p in patterns
-                ):
-                    self._error("'patterns' must be a list of strings", 400)
-                    return
-                deadline = self._request_deadline()
-                with self.router.admission():
-                    answer = self.router.route_batch(
-                        raw, patterns, deadline, self.headers.get("Accept")
-                    )
-                self._respond_raw(answer)
+                    self._respond(router.reload_fn())
             else:
-                self._error(f"unknown path {self.path!r}", 404)
+                self._send(*router.relay(self.command, self.path, body, self.headers))
         except RouterHTTPError as error:
-            self._error(error.message, error.status, error.retry_after)
+            retry = error.retry_after
+            self._error(
+                error.message,
+                error.status,
+                None if retry is None else {"Retry-After": f"{retry:g}"},
+            )
         except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
             self._error(f"internal error: {error}", 500)
 

@@ -15,6 +15,13 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
   little-endian float64 instead of JSON (errors are always JSON)
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
 
+A 200 ``/batch`` answer, in either format, carries its pattern count in
+the :data:`PATTERNS_HEADER` response header, which the tier's router
+counts without parsing a body.  :class:`JSONHandler` holds what this
+server's handler and the router's share: keep-alive with Nagle off, JSON
+answers and errors, ``/metrics`` as text or JSON, and the 400 answer to an
+unusable ``Content-Length``.
+
 Every operational number lives in the service's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
 histograms, micro-batch flush sizes);
@@ -442,23 +449,19 @@ class QueryService:
         return cls(releases, **kwargs)
 
 
-def content_length(headers) -> int | None:
-    """A request's body length (0 without ``Content-Length``), or ``None``
-    when the header is not a non-negative decimal integer: such a body
-    cannot be delimited (``rfile.read(-1)`` blocks until the peer hangs
-    up), so handlers answer 400 and close the connection."""
-    value = headers.get("Content-Length", "0").strip()
-    return int(value) if value.isascii() and value.isdigit() else None
-
-
-#: the 400 answer to an unusable ``Content-Length`` (router and server).
-BAD_CONTENT_LENGTH = "Content-Length must be a non-negative integer"
-
 #: the ``/batch`` answer format a request asks for by naming it in
 #: ``Accept``: the counts as little-endian float64 in request order, 8 bytes
 #: per pattern.  Bit-identical to the JSON counts by construction, with no
-#: float repr to write or parse.  The router and the client speak it too.
+#: float repr to write or parse.  The client asks for it; the router relays it.
 F64_MEDIA_TYPE = "application/x-dpsc-f64"
+
+#: the response header of a 200 ``/batch`` answer that carries its pattern
+#: count, in either answer format, so the router counts patterns without
+#: parsing a body.
+PATTERNS_HEADER = "X-DPSC-Patterns"
+
+#: the 400 answer to an unusable ``Content-Length`` (router and server).
+BAD_CONTENT_LENGTH = "Content-Length must be a non-negative integer"
 
 
 def names_f64(value: str | None) -> bool:
@@ -493,42 +496,80 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Thin JSON shim over the server's :class:`QueryService`."""
+class JSONHandler(BaseHTTPRequestHandler):
+    """What the worker and router handlers share: HTTP/1.1 keep-alive,
+    quiet logs unless the server is verbose, JSON answers and errors,
+    ``/metrics`` as text or JSON, and the ``Content-Length`` 400."""
 
     protocol_version = "HTTP/1.1"
-    server_version = "repro-dpsc"
     #: headers and body go out as separate writes; on a keep-alive
     #: connection Nagle holds the second until the peer's delayed ACK
     #: (~40ms), which would dwarf every sub-ms query.
     disable_nagle_algorithm = True
 
-    @property
-    def service(self) -> QueryService:
-        return self.server.service  # type: ignore[attr-defined]
-
     def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
         if getattr(self.server, "verbose", False):  # pragma: no cover
             super().log_message(format, *args)
 
-    # ------------------------------------------------------------------
-    def _respond(self, payload: dict, status: int = 200, *, close: bool = False) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self._send(status, body, "application/json", close=close)
-
     def _send(
-        self, status: int, body: bytes, content_type: str, *, close: bool = False
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        headers: Mapping[str, str] | None = None,
     ) -> None:
+        """One answer; ``headers`` adds e.g. ``Retry-After`` or
+        ``Connection: close`` (which also ends the keep-alive loop)."""
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        if close:  # also ends this handler's keep-alive loop
-            self.send_header("Connection", "close")
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
 
-    def _error(self, message: str, status: int, *, close: bool = False) -> None:
-        self._respond({"error": message}, status=status, close=close)
+    def _respond(
+        self, payload: dict, status: int = 200, headers: Mapping[str, str] | None = None
+    ) -> None:
+        self._send(status, json.dumps(payload).encode("utf-8"), "application/json", headers)
+
+    def _error(
+        self, message: str, status: int, headers: Mapping[str, str] | None = None
+    ) -> None:
+        self._respond({"error": message}, status, headers)
+
+    def _metrics(
+        self, query: str, snapshot: Callable[[], dict], render: Callable[[], str]
+    ) -> None:
+        """``/metrics``: ``render()`` as Prometheus text, or ``snapshot()``
+        as JSON when the query string asks for ``format=json``."""
+        if parse_qs(query).get("format", [""])[0] == "json":
+            self._respond(snapshot())
+        else:
+            body = render().encode("utf-8")
+            self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
+
+    def _read_body(self) -> bytes | None:
+        """The request body, or ``None`` once a ``Content-Length`` that is
+        not a non-negative decimal integer has been answered with 400: such
+        a body cannot be delimited (``rfile.read(-1)`` blocks until the peer
+        hangs up), so the answer also closes the connection."""
+        value = self.headers.get("Content-Length", "0").strip()
+        if not (value.isascii() and value.isdigit()):
+            self._error(BAD_CONTENT_LENGTH, 400, {"Connection": "close"})
+            return None
+        length = int(value)
+        return self.rfile.read(length) if length else b""
+
+
+class _Handler(JSONHandler):
+    """Thin JSON shim over the server's :class:`QueryService`."""
+
+    server_version = "repro-dpsc"
+
+    @property
+    def service(self) -> QueryService:
+        return self.server.service  # type: ignore[attr-defined]
 
     def _refuse_or_inject(self) -> bool:
         """Deadline refusal + the ``worker.handle`` failpoint; ``True`` when
@@ -565,18 +606,10 @@ class _Handler(BaseHTTPRequestHandler):
             elif parsed.path == "/metrics":
                 # Scrape traffic is not request traffic: /metrics reads the
                 # registry without touching the request counters.
-                query = parse_qs(parsed.query)
-                if query.get("format", [""])[0] == "json":
-                    self._respond(self.service.metrics.snapshot())
-                else:
-                    body = render_prometheus(self.service.metrics).encode("utf-8")
-                    self.send_response(200)
-                    self.send_header(
-                        "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-                    )
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
+                metrics = self.service.metrics
+                self._metrics(
+                    parsed.query, metrics.snapshot, lambda: render_prometheus(metrics)
+                )
             elif parsed.path == "/releases":
                 self._respond({"releases": self.service.releases_info()})
             elif parsed.path == "/query":
@@ -602,12 +635,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(f"internal error: {error}", 500)
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        length = content_length(self.headers)
-        if length is None:
-            self._error(BAD_CONTENT_LENGTH, 400, close=True)
+        body = self._read_body()
+        if body is None:
             return
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8")) if length else {}
+            payload = json.loads(body.decode("utf-8")) if body else {}
         except (ValueError, UnicodeDecodeError):
             self._error("request body is not valid JSON", 400)
             return
@@ -640,14 +672,16 @@ class _Handler(BaseHTTPRequestHandler):
                     self._error("'patterns' must be a list of strings", 400)
                     return
                 counts = self.service.batch_counts(patterns, release)
+                counted = {PATTERNS_HEADER: str(len(patterns))}
                 if names_f64(self.headers.get("Accept")):
-                    self._send(200, encode_f64(counts), F64_MEDIA_TYPE)
+                    self._send(200, encode_f64(counts), F64_MEDIA_TYPE, counted)
                 else:
                     self._respond(
                         {
                             "release": release or self.service.default_release,
                             "counts": counts.tolist(),
-                        }
+                        },
+                        headers=counted,
                     )
             elif self.path == "/mine":
                 threshold = payload.get("threshold")

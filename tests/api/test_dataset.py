@@ -9,6 +9,7 @@ import pytest
 from repro.api import Dataset
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
+from repro.core.qgram_structure import theorem3_qgram_structure, theorem4_qgram_structure
 from repro.dp.composition import PrivacyBudget
 from repro.exceptions import BudgetExceededError, PrivacyParameterError
 from repro.serving import BudgetLedger
@@ -71,6 +72,27 @@ class TestFluentConfiguration:
         )
         # The report carries wall-clock timings, so compare the released
         # values: stored counts and public metadata.
+        assert fluent.to_payload()["counts"] == direct.to_payload()["counts"]
+        assert fluent.metadata == direct.metadata
+
+    @pytest.mark.parametrize(
+        "kind, construct",
+        [("qgram-t3", theorem3_qgram_structure), ("qgram-t4", theorem4_qgram_structure)],
+    )
+    def test_qgram_kinds_match_their_constructions(self, example_db, kind, construct):
+        params = (
+            ConstructionParams.pure(2.0, beta=0.1, noiseless=True, threshold=1.0)
+            if kind == "qgram-t3"
+            else ConstructionParams.approximate(
+                2.0, 1e-6, beta=0.1, noiseless=True, threshold=1.0
+            )
+        )
+        direct = construct(example_db, 2, params, rng=np.random.default_rng(0))
+        fluent = (
+            Dataset.from_database(example_db)
+            .with_params(params)
+            .build(kind, rng=np.random.default_rng(0), q=2)
+        )
         assert fluent.to_payload()["counts"] == direct.to_payload()["counts"]
         assert fluent.metadata == direct.metadata
 

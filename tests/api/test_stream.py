@@ -10,6 +10,9 @@ the stream into the registry contract without special-casing callers.
 
 from __future__ import annotations
 
+import itertools
+
+import numpy as np
 import pytest
 
 from repro.api import CorpusStream, Dataset, build_continual_structure, default_registry
@@ -129,6 +132,43 @@ class TestContinualKind:
         assert structure.report["cover"] == [[0, 2], [2, 3]]
         assert structure.report["levels_used"] == 2
         assert set(structure.report["interval_digests"]) == {"0:2", "2:3"}
+
+
+class TestContinualBound:
+    """The combined release's advertised bound holds against exact counts:
+    Document Count over {A, C}, 8 epochs of 200 random length-4 documents,
+    every pattern up to length 4, stored or absent."""
+
+    PATTERNS = ["".join(p) for n in range(1, 5) for p in itertools.product("AC", repeat=n)]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_error_within_the_advertised_bound(self, seed):
+        params = ConstructionParams.pure(8.0, beta=0.05).for_document_count()
+        rng = np.random.default_rng(seed)
+        stream = CorpusStream(name="bound")
+        documents: list[str] = []
+        cache = {}
+        releases = []
+        for epoch in range(1, 9):
+            batch = ["".join(row) for row in rng.choice(["A", "C"], size=(200, 4))]
+            stream.append_epoch(batch)
+            documents += batch
+            release = build_continual_structure(
+                stream, params, epoch=epoch, seed=seed, cache=cache
+            )
+            exact = {p: sum(p in document for document in documents) for p in self.PATTERNS}
+            releases.append((epoch, release, exact))
+        for epoch, release, exact in releases:
+            bound = release.metadata.error_bound
+            for pattern, count in release.items():
+                assert abs(count - exact[pattern]) <= bound, (epoch, pattern)
+        for epoch, release, exact in releases:
+            absent = release.report["absent_pattern_bound"]
+            assert absent == release.metadata.error_bound
+            for pattern in self.PATTERNS:
+                assert abs(release.query(pattern) - exact[pattern]) <= absent, (epoch, pattern)
+            cover = release.report["cover"]
+            assert release.metadata.beta == pytest.approx(0.05 * len(cover))
 
 
 class TestDatasetFromStream:

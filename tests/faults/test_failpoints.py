@@ -266,6 +266,51 @@ class TestServingSites:
         binfmt.read_binary(path, mmap=False)
 
 
+def _load_bench_chaos():
+    """``benchmarks/bench_chaos.py``, whose ``OVERHEAD_GATE`` E29 enforces."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[2] / "benchmarks" / "bench_chaos.py"
+    spec = importlib.util.spec_from_file_location("bench_chaos", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_e29_overhead_gate_fails_on_a_ten_percent_handler_delay():
+    """The E29 overhead gate is not vacuous: a ``worker.handle`` delay of
+    10% of the ``/batch`` round trip on the armed arm fails it."""
+    import itertools
+    import threading
+
+    from repro.analysis import experiments
+    from repro.serving import QueryService, create_server
+    from tests.serving.test_release_format import make_structure
+
+    bench = _load_bench_chaos()
+    patterns = ["".join(p) for p in itertools.product("abcd", repeat=4)]
+    structure = make_structure({pattern: 1.0 for pattern in patterns[:64]})
+    service = QueryService({"e29": structure}, micro_batch=False)
+    server = create_server(service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    port = server.server_address[1]
+    body = json.dumps({"patterns": patterns[:128]}).encode("utf-8")
+    try:
+        round_trip_ms = experiments.failpoint_overhead(port, body, [], repeats=20)[
+            "disarmed_ms"
+        ]
+        delay = {"site": "worker.handle", "action": "delay", "delay_ms": 0.1 * round_trip_ms}
+        row = experiments.failpoint_overhead(port, body, [delay], repeats=20)
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+    assert len(row["block_ratios"]) >= 8
+    failures = bench._check_rows([{"mode": "disarmed-overhead", **row}], smoke=True)
+    assert any(failure.startswith("overhead:") for failure in failures), row
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 2**31),

@@ -1,5 +1,5 @@
 """Tracing span tests: nesting, exception unwinding, thread isolation, and
-the BuildProfile views (legacy timings dict, text render, Chrome trace)."""
+the BuildProfile views (backend, total, stages, text render, Chrome trace)."""
 
 from __future__ import annotations
 
@@ -153,12 +153,10 @@ class TestBuildProfile:
         )
         assert stages["noise"] == pytest.approx(noise_total)
 
-    def test_legacy_timings_shape(self):
+    def test_backend_and_total_views(self):
         profile = self._profile()
-        timings = profile.legacy_timings()
-        assert set(timings) == {"build_backend", "total_seconds", "stages"}
-        assert timings["build_backend"] == "array"
-        assert timings["total_seconds"] == profile.total_seconds
+        assert profile.build_backend == "array"
+        assert profile.total_seconds == profile.root.wall_seconds
 
     def test_render_mentions_every_span(self):
         text = self._profile().render()

@@ -7,9 +7,15 @@ acceptance contract:
 
 * every endpoint answers **bit-identically** to the single-process server,
   and a batch of any size goes whole to exactly one worker;
-* the router's ``/healthz`` counters advance by exactly the traffic sent,
-  and its merged ``/metrics`` passes the exposition validator with gauges
-  per-worker-labelled (never summed);
+* every answer the tier gets only from a worker — malformed bodies,
+  unknown releases and paths, ``GET /query`` — has the single-process
+  status, ``Content-Type`` and body;
+* a request-target byte ``http.client`` cannot send is escaped by the
+  relay, not retried as a connection failure;
+* the router's ``/healthz`` counters advance by exactly the traffic sent
+  (``/batch`` patterns from the worker's ``X-DPSC-Patterns``, in both
+  answer formats), and its merged ``/metrics`` passes the exposition
+  validator with gauges per-worker-labelled (never summed);
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
   live sibling and the supervisor respawns the dead one;
 * killing the router process leaves **no orphan workers**;
@@ -31,6 +37,7 @@ import http.client
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import threading
@@ -96,6 +103,33 @@ def reference(store):
 def cluster(store):
     with Cluster(store, workers=2) as cluster:
         yield cluster
+
+
+@pytest.fixture(scope="module")
+def single_url(store):
+    """A single-process server over the same store, for answer parity."""
+    from repro.serving import create_server
+
+    service = QueryService.from_store(store, micro_batch=False)
+    server = create_server(service)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    service.close()
+
+
+def exchange(url: str, method: str, path: str, body: bytes | None = None):
+    """One raw request: the answer's status, ``Content-Type`` and body."""
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=30)
+    try:
+        headers = {} if body is None else {"Content-Type": "application/json"}
+        conn.request(method, path, body=body, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.getheader("Content-Type"), response.read()
+    finally:
+        conn.close()
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +222,58 @@ class TestParity:
             service.close()
 
 
+#: requests whose answers the tier gets only from a worker: (method, path,
+#: body, the single-process status).
+WORKER_ANSWERS = {
+    "body-not-json": ("POST", "/query", b"{not json", 400),
+    "body-not-an-object": ("POST", "/batch", b"[1, 2]", 400),
+    "pattern-not-a-string": ("POST", "/query", b'{"pattern": 7}', 400),
+    "patterns-not-a-list": ("POST", "/batch", b'{"patterns": "ab"}', 400),
+    "patterns-not-strings": ("POST", "/batch", b'{"patterns": ["ab", 1]}', 400),
+    "threshold-not-a-number": ("POST", "/mine", b'{"threshold": "high"}', 400),
+    "query-unknown-release": (
+        "POST", "/query", b'{"pattern": "ab", "release": "nope"}', 404,
+    ),
+    "batch-unknown-release": (
+        "POST", "/batch", b'{"patterns": ["ab"], "release": "nope"}', 404,
+    ),
+    "get-unknown-path": ("GET", "/nope", None, 404),
+    "post-unknown-path": ("POST", "/nope", b"{}", 404),
+    "get-query": ("GET", "/query?pattern=ab", None, 200),
+    "get-query-unknown-release": ("GET", "/query?pattern=ab&release=nope", None, 404),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WORKER_ANSWERS))
+def test_relayed_answers_match_the_single_process(cluster, single_url, case):
+    method, path, body, status = WORKER_ANSWERS[case]
+    single = exchange(single_url, method, path, body)
+    assert single[0] == status
+    assert exchange(cluster.url, method, path, body) == single
+
+
+def raw_get(url: str, target: bytes) -> tuple[bytes, bytes]:
+    """A ``GET`` whose request target is sent as the raw bytes ``target``
+    (``http.client`` refuses control bytes): status line and body."""
+    host, port = url.split("//", 1)[1].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(b"GET " + target + b" HTTP/1.1\r\nConnection: close\r\n\r\n")
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    head, _, body = response.partition(b"\r\n\r\n")
+    return head.split(b"\r\n", 1)[0], body
+
+
+def test_a_control_byte_in_the_target_is_relayed_not_retried(client, cluster, single_url):
+    """The relay escapes a target byte ``http.client`` cannot send instead
+    of failing the forward as a connection error on every worker."""
+    target = b"/query?pattern=a\x01b"
+    retries = client.healthz()["retries"]
+    assert raw_get(cluster.url, target) == raw_get(single_url, target)
+    assert client.healthz()["retries"] == retries
+
+
 class TestHealthAndMetrics:
     def test_healthz_shape(self, client, cluster):
         health = client.healthz()
@@ -203,11 +289,16 @@ class TestHealthAndMetrics:
         for pattern in ("ab", "ba", "bb"):
             client.query(pattern)
         client.batch(MIXED)
+        body = json.dumps({"patterns": UNIFORM}).encode("utf-8")
+        status, content_type, _ = exchange(client.base_url, "POST", "/batch", body)
+        assert (status, content_type) == (200, "application/json")
         client.mine(1.0)
         after = client.healthz()
         assert after["queries"] - before["queries"] == 3
-        assert after["batches"] - before["batches"] == 1
-        assert after["batch_patterns"] - before["batch_patterns"] == len(MIXED)
+        assert after["batches"] - before["batches"] == 2
+        assert after["batch_patterns"] - before["batch_patterns"] == len(MIXED) + len(
+            UNIFORM
+        )
         assert after["mines"] - before["mines"] == 1
 
     def test_merged_metrics_validate(self, client):

@@ -18,13 +18,13 @@ from repro import (
     PrivateCountingTrie,
     StringDatabase,
     build_private_counting_structure,
-    build_qgram_structure,
     build_simple_trie_baseline,
     check_mining_guarantee,
     mine_frequent_substrings,
 )
 from repro.analysis.metrics import max_error_over_all_substrings
 from repro.core.candidate_set import build_candidate_set
+from repro.core.qgram_structure import qgram_counting_structure
 from repro.workloads import genome_with_motifs, transit_trajectories
 
 
@@ -92,7 +92,7 @@ class TestEndToEndApproximate:
 
     def test_qgram_structure_end_to_end(self, genome_db):
         params = ConstructionParams.approximate(epsilon=20.0, delta=1e-6, beta=0.1)
-        structure = build_qgram_structure(
+        structure = qgram_counting_structure(
             genome_db, 2, params, rng=np.random.default_rng(5)
         )
         assert structure.metadata.qgram_length == 2

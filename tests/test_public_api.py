@@ -67,10 +67,10 @@ class TestSubpackages:
         from repro import core
 
         for builder in (
-            "build_theorem1_structure",
-            "build_theorem2_structure",
-            "build_theorem3_qgram_structure",
-            "build_theorem4_qgram_structure",
+            "build_private_counting_structure",
+            "qgram_counting_structure",
+            "theorem3_qgram_structure",
+            "theorem4_qgram_structure",
         ):
             assert builder in core.__all__
 
