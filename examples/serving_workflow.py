@@ -119,7 +119,7 @@ def analyst(client: ServingClient, genome_release) -> None:
         for _ in range(5000)
     ]
     counts = client.batch(batch, release="genome")
-    assert counts == genome_release.compiled().batch_query(batch).tolist(), (
+    assert counts == genome_release.batch_query(batch).tolist(), (
         "served batch counts differ from the in-memory release"
     )
     positive = sum(1 for c in counts if c > 0)
@@ -128,8 +128,8 @@ def analyst(client: ServingClient, genome_release) -> None:
     frequent = client.mine(60.0, release="genome", min_length=3)
     print(f"  mining at tau = 60: {[p for p, _ in frequent[:5]]}")
 
-    # The q-gram release serves fixed-length traffic through the compiled
-    # trie's uniform-length batch path.
+    # The q-gram release serves fixed-length traffic through the counter's
+    # uniform-length batch path.
     counts = client.batch(["ACGT", "GGCC", "TTTT"], release="genome-4grams")
     print(f"  genome-4grams batch: {[round(c, 1) for c in counts]}")
 

@@ -53,9 +53,10 @@ Subpackages
 ``repro.analysis``
     Error metrics, experiment runners, plain-text reporting.
 ``repro.serving``
-    Production query serving: compiled array-backed tries with vectorized
-    batch queries, a versioned release store, a cross-release privacy-budget
-    ledger, and a threaded JSON query server with client (see
+    Production query serving: a versioned release store, a cross-release
+    privacy-budget ledger, and a threaded JSON query server with client,
+    all over the one array counter every kind builds
+    (``PrivateCountingTrie``, exported there as ``CompiledTrie``; see
     ``docs/SERVING.md``).
 """
 

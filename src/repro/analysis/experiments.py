@@ -1275,7 +1275,7 @@ def run_query_many_benchmark(
     ``q = 12`` grams, Theorem 3 a cheaper ``q = 6``), then replays a
     serving-style pattern mix through both query paths: ``hit_fraction``
     stored patterns, the rest random document windows — fixed-length
-    windows for the q-gram kinds, whose traffic rides the compiled trie's
+    windows for the q-gram kinds, whose traffic rides the counter's
     uniform-length batch path.  Batched answers must be bit-for-bit equal
     to the loop; the acceptance headline
     (``benchmarks/bench_query_many.py``) is a >= 5x speedup at >= 512
@@ -1331,7 +1331,7 @@ def run_query_many_benchmark(
     rows = []
     for kind, counter in counters.items():
         pool = pattern_pool(counter)
-        counter.query_many(pool[:1])  # warm the compiled batch view
+        counter.query_many(pool[:1])  # build the lazy batch tables
         for batch in batch_sizes:
             patterns = pool[:batch]
             loop_counts = np.array([counter.query(p) for p in patterns])
@@ -1366,20 +1366,21 @@ def run_serving_throughput(
     timing_reps: int = 5,
     seed: int = 7,
 ) -> list[dict]:
-    """E20 — query-serving throughput: per-node trie loops vs the compiled
-    array trie (single-pattern walk and vectorized batch paths).
+    """E20 — query-serving throughput: a per-pattern ``query`` loop vs the
+    vectorized ``batch_query`` of the same array trie.
 
     Builds one released structure per workload (a low pruning threshold
     keeps it serving-sized), then replays a serving-style traffic mix:
     ``hit_fraction`` of the queries are published patterns (sampled with
     probability proportional to length — analysts ask about the longer,
     more informative motifs), the rest are random document substrings.
-    Every path must answer *identical* counts (post-processing parity);
+    Both paths must answer *identical* counts (post-processing parity);
     throughput is the best of ``timing_reps`` runs, which is robust to
-    scheduler noise.
+    scheduler noise.  The per-pattern loop (``qps_trie_loop``) is the
+    counter's single-pattern walk of the dense table — the one served
+    ``/query`` runs — and ``batch_speedup`` is the batch path's gain over
+    that walk.
     """
-    from repro.serving import CompiledTrie
-
     ells = {"genome": 12, "transit": 16}
     rows = []
     for workload in workloads:
@@ -1396,7 +1397,6 @@ def run_serving_throughput(
             .with_threshold(threshold)
             .build("heavy-path", rng=rng)
         )
-        compiled = CompiledTrie.from_structure(structure)
 
         patterns = structure.patterns()
         lengths = np.array([len(p) for p in patterns], dtype=float)
@@ -1423,25 +1423,20 @@ def run_serving_throughput(
             )
 
         trie_seconds = best_seconds(lambda: [structure.query(q) for q in queries])
-        single_seconds = best_seconds(lambda: [compiled.query(q) for q in queries])
-        batch_seconds = best_seconds(lambda: compiled.batch_query(queries))
+        batch_seconds = best_seconds(lambda: structure.batch_query(queries))
 
         expected = [structure.query(q) for q in queries]
-        parity_ok = bool(
-            np.allclose(compiled.batch_query(queries), expected)
-            and all(compiled.query(q) == e for q, e in zip(queries, expected))
-        )
+        parity_ok = bool(np.array_equal(structure.batch_query(queries), expected))
         rows.append(
             {
                 "workload": workload,
                 "n": n,
                 "ell": ell,
-                "num_nodes": compiled.num_nodes,
-                "stored_patterns": compiled.num_stored_patterns,
+                "num_nodes": structure.num_nodes,
+                "stored_patterns": structure.num_stored_patterns,
                 "num_queries": num_queries,
                 "avg_query_len": float(np.mean([len(q) for q in queries])),
                 "qps_trie_loop": num_queries / trie_seconds,
-                "qps_compiled_single": num_queries / single_seconds,
                 "qps_compiled_batch": num_queries / batch_seconds,
                 "batch_speedup": trie_seconds / batch_seconds,
                 "parity_ok": parity_ok,
@@ -1606,7 +1601,7 @@ def run_construction_benchmark(
 
 
 def _synthetic_release(target_nodes: int, *, seed: int = 0):
-    """A serving-sized :class:`CompiledTrie` built directly as arrays.
+    """A serving-sized counter built directly as arrays.
 
     A *complete* trie of depth 4 over an alphabet of ``a ≈ target^(1/4)``
     symbols, every node storing a noisy-looking count.  In BFS order the
@@ -1617,8 +1612,7 @@ def _synthetic_release(target_nodes: int, *, seed: int = 0):
     cold-start at sizes the laptop-scale builder would take minutes to
     produce.
     """
-    from repro.core.private_trie import StructureMetadata
-    from repro.serving.compiled import CompiledTrie
+    from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 
     depth = 4
     alphabet = max(2, round(target_nodes ** (1.0 / depth)))
@@ -1665,7 +1659,7 @@ def _synthetic_release(target_nodes: int, *, seed: int = 0):
         threshold=0.0,
         construction="synthetic-complete-trie",
     )
-    return CompiledTrie(
+    return PrivateCountingTrie(
         counts=counts,
         depths=depths,
         parents=parents,
@@ -1693,7 +1687,7 @@ from repro.serving import ReleaseStore
 
 store = ReleaseStore(store_root)
 if mode == "json":
-    compiled = store.load(name, version).compiled()
+    compiled = store.load(name, version)
 else:
     compiled = store.load_compiled(name, version, mmap=(mode == "mmap"))
 # Touch every node page so residency reflects real serving, not an
@@ -1832,8 +1826,8 @@ def run_release_format_benchmark(
     For each target node count a synthetic complete trie is released twice
     into a scratch store — once per format — and three cold starts are
     timed, each as *time to first batch* (load + one ``batch_query``, the
-    moment a server can actually answer): parsing the JSON payload into an
-    object trie and compiling it, reading the binary payload fully, and
+    moment a server can actually answer): parsing the JSON payload and
+    rebuilding the arrays from it, reading the binary payload fully, and
     mapping the binary payload (O(header) until the batch faults pages in).
     The rows also carry the tentpole's correctness contract: the canonical
     content digest is equal across formats and directions, ``query_many``
@@ -1887,7 +1881,7 @@ def run_release_format_benchmark(
                 return best_load, best_total
 
             json_load, json_total = first_batch_seconds(
-                lambda: store.load("e26", json_record.version).compiled()
+                lambda: store.load("e26", json_record.version)
             )
             binary_load, binary_total = first_batch_seconds(
                 lambda: store.load_compiled(
@@ -1902,9 +1896,9 @@ def run_release_format_benchmark(
 
             # Digest equality in both directions: the records agree with
             # the in-memory digest, the binary header agrees with the
-            # index, and (at smoke scale, where the object walk is cheap)
-            # a binary payload reconstructed as an object trie re-digests
-            # to the same value.
+            # index, and (at smoke scale, where re-deriving the digest is
+            # cheap) a fully read binary payload re-digests to the same
+            # value.
             digests_equal = (
                 json_record.digest == digest and binary_record.digest == digest
             )
@@ -2140,8 +2134,8 @@ def run_serving_scale(
     """E27 — the sharded serving tier against the single-process server.
 
     A synthetic release is published once into a scratch store; uniform
-    q-gram ``/batch`` traffic (every pattern the same length, the compiled
-    trie's uniform fast path) is then driven over HTTP by spawned client
+    q-gram ``/batch`` traffic (every pattern the same length, the counter's
+    uniform fast path) is then driven over HTTP by spawned client
     processes — first at the single-process server (the baseline row), then
     at clusters of 1/2/4/... workers, whose router forwards each batch
     whole to one worker.  Each row records aggregate pattern

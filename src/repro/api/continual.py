@@ -43,7 +43,6 @@ from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 from repro.dp.composition import ContinualAccountant
 from repro.exceptions import ReproError
-from repro.strings.trie import Trie
 
 __all__ = ["build_continual_structure", "continual_interval_structures"]
 
@@ -147,7 +146,6 @@ def build_continual_structure(
         **kwargs,
     )
     combined: dict[str, float] = {}
-    root_count: float | None = None
     absent_bound = 0.0
     beta = 0.0
     threshold = 0.0
@@ -155,9 +153,8 @@ def build_continual_structure(
     for (lo, hi), structure in structures:
         for pattern, count in structure.items():
             combined[pattern] = combined.get(pattern, 0.0) + count
-        root = structure.trie.root.noisy_count
-        if root is not None:
-            root_count = (root_count or 0.0) + float(root)
+        if "" in structure:  # the root count answers the empty pattern
+            combined[""] = combined.get("", 0.0) + structure.query("")
         # the larger of the interval's stored-pattern error bound and the
         # bound on the true count of a pattern it pruned
         absent_bound += structure.mining_alpha(0.0)
@@ -185,12 +182,6 @@ def build_continual_structure(
         ),
         count_backend=template.count_backend,
     )
-    trie = Trie()
-    for pattern in sorted(combined):
-        node = trie.insert(pattern)
-        node.noisy_count = combined[pattern]
-    if root_count is not None:
-        trie.root.noisy_count = root_count
     report = {
         "epoch": epoch,
         "cover": [[lo, hi] for (lo, hi), _ in structures],
@@ -200,7 +191,7 @@ def build_continual_structure(
         "absent_pattern_bound": absent_bound,
         "interval_digests": interval_digests,
     }
-    return PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    return PrivateCountingTrie.from_counts(combined, metadata, report)
 
 
 def _build_heavy_path_continual(

@@ -10,7 +10,7 @@ structure — current or future — uniformly:
     One pattern's noisy count (0.0 when absent).  Post-processing.
 ``query_many(patterns)``
     The whole batch vectorized, bit-for-bit equal to the per-pattern loop
-    but backed by numpy / the compiled-trie machinery.
+    but advanced through the trie arrays one character per numpy round.
 ``mine(threshold, ...)``
     alpha-approximate frequent-pattern mining (Definition 2), any number of
     times at any thresholds, with no further privacy cost.
@@ -21,9 +21,10 @@ structure — current or future — uniformly:
     The JSON-serializable release form every kind round-trips through (the
     exact schema :class:`~repro.serving.ReleaseStore` persists).
 
-Both :class:`~repro.core.private_trie.PrivateCountingTrie` (the construction
-output, shared by all four kinds) and
-:class:`~repro.serving.compiled.CompiledTrie` (the serving form) satisfy the
+One class implements it today: :class:`~repro.core.private_trie.
+PrivateCountingTrie`, the output of every registered kind and the form the
+server answers from (:class:`repro.serving.CompiledTrie` is the same class
+object).  A plug-in kind may return any other class that satisfies the
 protocol; ``isinstance(obj, PrivateCounter)`` checks it at runtime.
 """
 

@@ -140,7 +140,7 @@ def _registry() -> dict[str, tuple[str, Callable[[], list[dict]]]]:
             lambda: experiments.run_candidate_growth_ablation([8, 16, 32]),
         ),
         "E20": (
-            "Query-serving throughput (compiled trie vs per-node loops)",
+            "Query-serving throughput (batch vs per-pattern query loop)",
             lambda: experiments.run_serving_throughput(),
         ),
         "E21": (

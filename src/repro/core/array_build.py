@@ -19,10 +19,11 @@ construction run as a handful of flat-array passes:
   ``node.string()`` parent walks.
 * **Suffix/prefix joins** (:func:`match_overlap_pairs`) — the hash-bucketed
   replacement for the O(k^2) LCE double loop of the completion step.
-* **Materialization** (:func:`materialize_structure`) — the only step that
-  leaves numpy: the pruned arrays become the final linked ``Trie`` plus a
-  ready-to-serve :class:`~repro.serving.compiled.CompiledTrie` view sharing
-  the same layout.
+* **Counter assembly** (:func:`counter_columns`) — the pruned arrays become
+  the columns of the released :class:`~repro.core.private_trie.
+  PrivateCountingTrie` directly, with no object graph in between; every
+  other producer reaches the same layout through
+  :meth:`~repro.core.private_trie.PrivateCountingTrie.from_counts`.
 
 Everything here is exact bookkeeping — no randomness, no privacy logic; the
 mechanisms are applied by the callers in :mod:`repro.core.candidate_set` and
@@ -44,6 +45,7 @@ __all__ = [
     "ArrayTrie",
     "SortJoinCounter",
     "build_array_trie",
+    "counter_columns",
     "decode_rows",
     "dedup_rows",
     "lexsort_rows",
@@ -75,7 +77,7 @@ def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     matrix = np.full((k, max_len), PAD, dtype=np.int32)
     if k and max_len:
         codes = np.frombuffer(
-            "".join(strings).encode("utf-32-le"), dtype=np.uint32
+            "".join(strings).encode("utf-32-le", "surrogatepass"), dtype=np.uint32
         ).astype(np.int32)
         mask = np.arange(max_len)[None, :] < lengths[:, None]
         matrix[mask] = codes
@@ -461,84 +463,39 @@ def annotate_counts_array(
 
 
 # ----------------------------------------------------------------------
-# Materialization: pruned arrays -> linked trie + compiled serving view
+# Counter assembly: pruned arrays -> the counter's canonical columns
 # ----------------------------------------------------------------------
-def materialize_structure(
-    trie: ArrayTrie,
-    counts: np.ndarray,
-    noisy: np.ndarray,
-    keep: np.ndarray,
-    metadata,
-    report: dict,
-):
-    """Turn the pruned array build into the final linked ``Trie`` and a
-    ready-to-serve compiled view sharing the array shape.
+def counter_columns(trie: ArrayTrie, noisy: np.ndarray, keep: np.ndarray) -> dict:
+    """The constructor columns of the :class:`~repro.core.private_trie.
+    PrivateCountingTrie` storing the ``keep`` nodes of ``trie`` with counts
+    ``noisy`` (``NaN`` for a node that stores none).
 
-    Returns ``(linked_trie, compiled_view)``.  The linked trie is the only
-    object-graph allocation of the array pipeline (one node per *surviving*
-    pattern); the compiled view is assembled directly from the survivor
-    arrays — the zero-copy handoff behind
-    :meth:`repro.core.private_trie.PrivateCountingTrie.compiled`.
+    ``keep`` must be ancestor-closed.  Survivors keep the depth-major id
+    order with ascending sibling labels, so parents precede children and
+    edge keys come out globally sorted, the layout the counter's batch walk
+    requires.  Labels are coded in code point order.
     """
-    from repro.serving.compiled import CompiledTrie
-    from repro.strings.trie import Trie, TrieNode
-
     survivors = np.flatnonzero(keep)
     new_id = np.cumsum(keep) - 1
     non_root = survivors[1:]
     parent_ids = new_id[trie.parents[non_root]]
-    labels = decode_rows(trie.char_codes[non_root].reshape(-1, 1).astype(np.int32))
-
-    linked = Trie()
-    linked.root.count = float(counts[0])
-    linked.root.noisy_count = float(noisy[0])
-    nodes: list[TrieNode] = [linked.root]
-    node_counts = counts[non_root].tolist()
-    node_noisy = noisy[non_root].tolist()
-    for position, parent_index in enumerate(parent_ids.tolist()):
-        parent = nodes[parent_index]
-        node = TrieNode(labels[position], parent)
-        parent.children[labels[position]] = node
-        node.count = node_counts[position]
-        node.noisy_count = node_noisy[position]
-        nodes.append(node)
-    linked._num_nodes = len(nodes)
-
-    # Compiled view straight from the survivor arrays: depth-major ids with
-    # ascending sibling labels keep edge keys globally sorted, which is the
-    # layout CompiledTrie.batch_query requires.
-    vocab_chars = sorted(set(labels))
-    vocab = {char: code + 1 for code, char in enumerate(vocab_chars)}
+    points, label_codes = np.unique(trie.char_codes[non_root], return_inverse=True)
+    vocab = {chr(point): code + 1 for code, point in enumerate(points.tolist())}
     vocab_size = len(vocab) + 1
     num_survivors = int(survivors.size)
     parent_codes = np.zeros(num_survivors, dtype=np.int64)
-    edge_keys = np.zeros(num_survivors - 1, dtype=np.int64)
-    if num_survivors > 1:
-        label_codes = np.fromiter(
-            (vocab[label] for label in labels), dtype=np.int64, count=len(labels)
-        )
-        parent_codes[1:] = label_codes
-        edge_keys = parent_ids * vocab_size + label_codes
-    edge_targets = np.arange(1, num_survivors, dtype=np.int64)
-    edge_parents = parent_ids if num_survivors > 1 else np.zeros(0, dtype=np.int64)
-    compiled_child_start = np.searchsorted(
-        edge_parents, np.arange(num_survivors), side="left"
-    )
-    compiled_child_end = np.searchsorted(
-        edge_parents, np.arange(num_survivors), side="right"
-    )
-    compiled = CompiledTrie(
-        counts=noisy[survivors].astype(np.float64),
-        depths=trie.depths[survivors].astype(np.int64),
-        parents=np.concatenate(([-1], parent_ids)).astype(np.int64),
-        parent_codes=parent_codes,
-        child_start=compiled_child_start.astype(np.int64),
-        child_end=compiled_child_end.astype(np.int64),
-        edge_keys=edge_keys,
-        edge_labels=edge_keys % vocab_size if edge_keys.size else edge_keys.copy(),
-        edge_targets=edge_targets,
-        vocab=vocab,
-        metadata=metadata,
-        report=report,
-    )
-    return linked, compiled
+    parent_codes[1:] = label_codes.reshape(-1) + 1
+    edge_keys = parent_ids * vocab_size + parent_codes[1:]
+    nodes = np.arange(num_survivors)
+    return {
+        "counts": noisy[survivors].astype(np.float64),
+        "depths": trie.depths[survivors].astype(np.int64),
+        "parents": np.concatenate(([-1], parent_ids)).astype(np.int64),
+        "parent_codes": parent_codes,
+        "child_start": np.searchsorted(parent_ids, nodes, side="left").astype(np.int64),
+        "child_end": np.searchsorted(parent_ids, nodes, side="right").astype(np.int64),
+        "edge_keys": edge_keys,
+        "edge_labels": parent_codes[1:].copy(),
+        "edge_targets": np.arange(1, num_survivors, dtype=np.int64),
+        "vocab": vocab,
+    }

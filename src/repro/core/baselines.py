@@ -31,7 +31,6 @@ from repro.dp.mechanisms import (
     LaplaceMechanism,
     NoiselessMechanism,
 )
-from repro.strings.trie import Trie
 
 __all__ = ["build_simple_trie_baseline", "ExactCountingOracle"]
 
@@ -94,25 +93,24 @@ def build_simple_trie_baseline(
     threshold = params.threshold if params.threshold is not None else 2.0 * alpha
 
     index = database.index
-    trie = Trie()
-    trie.root.count = float(index.count("", delta_cap))
-    trie.root.noisy_count = trie.root.count
+    # The released counts by pattern; the empty pattern's is the root count.
+    counts = {"": float(index.count("", delta_cap))}
     with obs.trace("construction", build_backend="object") as trace_root:
         with obs.span("expand") as sp:
-            # Frontier of (node, SA interval) pairs to expand, breadth-first.
-            frontier: deque = deque([(trie.root, (0, len(index.suffix_array)))])
+            # Frontier of (pattern, SA interval) pairs to expand, breadth-first.
+            frontier: deque = deque([("", (0, len(index.suffix_array)))])
             expanded = 0
             truncated = False
             while frontier:
-                node, (lo, hi) = frontier.popleft()
-                if node.depth >= depth_limit:
+                prefix, (lo, hi) = frontier.popleft()
+                if len(prefix) >= depth_limit:
                     continue
                 for symbol in database.alphabet:
                     if expanded >= max_nodes:
                         truncated = True
                         break
                     child_lo, child_hi = index.extend_interval(
-                        lo, hi, node.depth, symbol
+                        lo, hi, len(prefix), symbol
                     )
                     exact = float(
                         index.count_of_interval(child_lo, child_hi, delta_cap)
@@ -125,12 +123,11 @@ def build_simple_trie_baseline(
                             rng=rng,
                         )[0]
                     )
-                    child = trie.insert(node.string() + symbol)
-                    child.count = exact
-                    child.noisy_count = noisy
+                    pattern = prefix + symbol
+                    counts[pattern] = noisy
                     expanded += 1
                     if noisy >= threshold:
-                        frontier.append((child, (child_lo, child_hi)))
+                        frontier.append((pattern, (child_lo, child_hi)))
                 if truncated:
                     break
             if sp is not None:
@@ -153,7 +150,7 @@ def build_simple_trie_baseline(
         "truncated": truncated,
         "l1_sensitivity": l1_sensitivity,
     }
-    structure = PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    structure = PrivateCountingTrie.from_counts(counts, metadata, report)
     if trace_root is not None:
         structure.profile = obs.BuildProfile(trace_root)
     return structure

@@ -47,8 +47,8 @@ from repro.core.array_build import (
     PAD,
     annotate_counts_array,
     build_array_trie,
+    counter_columns,
     lexsort_rows,
-    materialize_structure,
     pack_strings,
 )
 from repro.core.candidate_set import CandidateSet, build_candidate_set
@@ -407,7 +407,11 @@ def _finish_structure_object(
         sums_error=sums_error,
         prune_threshold=prune_threshold,
     )
-    return PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    with obs.span("materialize"):
+        structure = PrivateCountingTrie.from_counts(
+            _noisy_counts(trie), metadata, report
+        )
+    return structure
 
 
 def _finish_structure_array(
@@ -539,11 +543,9 @@ def _finish_structure_array(
         prune_threshold=prune_threshold,
     )
     with obs.span("materialize"):
-        linked, compiled_view = materialize_structure(
-            trie, counts, noisy, keep, metadata, report
+        structure = PrivateCountingTrie(
+            **counter_columns(trie, noisy, keep), metadata=metadata, report=report
         )
-    structure = PrivateCountingTrie(trie=linked, metadata=metadata, report=report)
-    structure._batch_view = compiled_view
     return structure
 
 
@@ -576,6 +578,19 @@ def _candidate_matrix(candidate_set: CandidateSet) -> tuple[np.ndarray, np.ndarr
         cursor += rows
     order = lexsort_rows(matrix)
     return matrix[order], lengths[order]
+
+
+def _noisy_counts(trie: Trie) -> dict[str, float]:
+    """Every node's noisy count keyed by the string it spells (the root's
+    under the empty pattern) — the released part of the candidate trie."""
+    counts: dict[str, float] = {}
+    stack: list[tuple[TrieNode, str]] = [(trie.root, "")]
+    while stack:
+        node, prefix = stack.pop()
+        counts[prefix] = node.noisy_count
+        for char, child in node.children.items():
+            stack.append((child, prefix + char))
+    return counts
 
 
 def _prune(trie: Trie, threshold: float) -> None:

@@ -1,29 +1,76 @@
-"""The output data structure: a trie of noisy counts.
+"""The output data structure: an array trie of noisy counts.
 
-Both main constructions (Theorems 1 and 2) and the q-gram constructions
-(Theorems 3 and 4) output a :class:`PrivateCountingTrie`: a pruned trie whose
-nodes store differentially private counts for the strings they spell.  Since
-the *construction* satisfies differential privacy, the structure can be
-queried (and mined, and serialized) arbitrarily often without any further
-privacy loss — every operation here is post-processing.
+Both main constructions (Theorems 1 and 2), the q-gram constructions
+(Theorems 3 and 4), the baseline and the continual combine all output a
+:class:`PrivateCountingTrie`: a pruned trie whose nodes store differentially
+private counts for the strings they spell.  Since the *construction*
+satisfies differential privacy, the structure can be queried, mined,
+serialized and served arbitrarily often without any further privacy loss —
+every operation here is post-processing.  The structure holds only the
+released noisy counts: the exact counts a construction randomized never
+reach it.
+
+The trie is a handful of contiguous numpy arrays:
+
+* ``counts[v]`` — the stored noisy count of node ``v`` (``NaN`` when the node
+  stores no count, e.g. an inner node of a q-gram structure);
+* ``child_start[v]:child_end[v]`` — the slice of ``edge_labels`` /
+  ``edge_targets`` holding ``v``'s outgoing edges, sorted by label code;
+* ``edge_keys[e] = source * |Sigma'| + label_code`` — a globally sorted key
+  array that lets a *batch* of patterns advance one character per step with a
+  single vectorized ``searchsorted``.
+
+Every constructor emits parents before children, which lets :meth:`items`
+spell each node from its parent's string.  Every query is one root-to-node
+walk of the dense, pre-scaled transition table built from these arrays: a
+single pattern steps through it one character at a time in ``O(|P|)``, and a
+batch of ``m`` patterns runs in ``O(max|P|)`` vectorized rounds over all
+``m`` patterns at once, which is where the serving throughput comes from
+(see ``benchmarks/bench_serving.py``).  Past
+:attr:`PrivateCountingTrie.DENSE_TRANSITION_LIMIT` there is no table, and
+both walks binary-search ``edge_keys`` instead.  The serving stack knows the
+class as :class:`repro.serving.CompiledTrie`; it is the same class object.
+
+Thread safety
+-------------
+A counter is served concurrently by ``ThreadingHTTPServer`` handler
+threads, so it guarantees an *immutable snapshot*: every shared numpy array
+is marked read-only after construction (:meth:`PrivateCountingTrie.
+assert_immutable` verifies this) and query paths only allocate thread-local
+scratch.  The one piece of mutable state is the set of lazily built walk
+views, built once under a lock and published read-only.  Any number of
+threads may call ``query`` / ``batch_query`` / ``mine`` concurrently and
+observe exactly the serial results (``tests/serving/test_concurrency.py``
+races the first calls on a freshly loaded release).
+
+Lazy views and mmap zero-copy loads
+-----------------------------------
+Construction keeps only the nine canonical arrays plus O(alphabet) tables:
+the dense transition table and the NaN-folded count gathers are built on
+the *first query* of either kind.  That makes ``__init__`` O(header) over
+the node count — which is what lets :mod:`repro.serving.binfmt` construct a
+counter straight over ``mmap``-ed, page-cache-shared buffers of a binary
+release without faulting in a single node page at load time.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+import threading
+from bisect import bisect_left
+from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.core.array_build import build_array_trie, counter_columns, pack_strings
 from repro.dp.composition import PrivacyBudget
-from repro.strings.trie import Trie, TrieNode
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs import BuildProfile
-    from repro.serving.compiled import CompiledTrie
 
 __all__ = ["PrivateCountingTrie", "StructureMetadata", "payload_metadata"]
 
@@ -31,51 +78,14 @@ __all__ = ["PrivateCountingTrie", "StructureMetadata", "payload_metadata"]
 def payload_metadata(metadata: "StructureMetadata") -> dict:
     """``metadata`` as stored in release payloads.
 
-    Single source of the payload's metadata rules for every counter form
-    (in-memory and compiled): structures predating the engine layer
-    serialized without a ``count_backend`` key, so an empty default is
-    omitted to keep their digests stable.
+    Structures predating the engine layer serialized without a
+    ``count_backend`` key, so an empty default is omitted to keep their
+    digests stable.
     """
     payload = dict(metadata.__dict__)
     if not payload.get("count_backend"):
         payload.pop("count_backend", None)
     return payload
-
-
-def release_payload(
-    counts: dict,
-    root_count: "float | None",
-    metadata: "StructureMetadata",
-    report: dict,
-) -> dict:
-    """Assemble the canonical release payload.
-
-    One source of truth for the payload schema, shared by
-    :meth:`PrivateCountingTrie.to_dict` and
-    :meth:`repro.serving.CompiledTrie.to_payload` so the two forms stay
-    byte-identical (the release store's digest check depends on it).
-    ``counts`` maps stored patterns to noisy counts (copied, never
-    mutated); the root / empty pattern's count is added when present so
-    save -> load preserves every query.
-    """
-    counts = dict(counts)
-    if root_count is not None:
-        counts[""] = float(root_count)
-    return {
-        "metadata": payload_metadata(metadata),
-        "counts": counts,
-        "report": report,
-    }
-
-
-def payload_json(payload: dict) -> str:
-    """The canonical JSON form every counter serializes (and digests)."""
-    return json.dumps(payload, sort_keys=True)
-
-
-def payload_digest(payload_text: str) -> str:
-    """SHA-256 of a canonical JSON payload (the release-store digest)."""
-    return hashlib.sha256(payload_text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -108,88 +118,445 @@ class StructureMetadata:
     count_backend: str = ""
 
 
-@dataclass
-class PrivateCountingTrie:
-    """A trie storing an (epsilon, delta)-differentially private count for
-    every string it contains.
+#: "not built yet" marker for lazily constructed views (``None`` is a valid
+#: built value: the dense transition table of an over-limit alphabet).
+_UNSET = object()
 
-    Queries run in ``O(|P|)`` time: the pattern is matched in the trie and the
-    stored noisy count is returned, or 0 when the pattern is absent (patterns
-    absent from the structure have true count below the error bound with high
-    probability).
+
+class _LazyViews:
+    """Query-acceleration structures derived from the canonical arrays.
+
+    Built on the first query so that loading an mmap'd release stays
+    O(header): the dense transition table, the NaN-folded count gathers
+    and ``walk``, memoryviews of those arrays for the single-pattern walk
+    (indexing a memoryview yields a plain Python scalar, several times
+    cheaper than a numpy scalar).
     """
 
-    trie: Trie
-    metadata: StructureMetadata
-    #: optional per-construction diagnostics (sizes, stage error bounds, ...).
-    report: dict = field(default_factory=dict)
-    #: build diagnostics: the construction's tracing-span tree wrapped in a
-    #: :class:`repro.obs.BuildProfile` (total/per-stage wall and CPU
-    #: seconds, pipeline backend; ``None`` when telemetry was disabled).
-    #: Deliberately *not* part of the serialized payload or the content
-    #: digest: two builds with identical released content must have
-    #: identical digests regardless of how long they took or which pipeline
-    #: produced them (``dpsc mine --profile`` prints this).
-    profile: "BuildProfile | None" = field(default=None, repr=False, compare=False)
-    #: the view :meth:`compiled` returns, compiled lazily (rebuilt if the
-    #: trie's node count changes; structures are immutable after
-    #: construction).
-    _batch_view: "CompiledTrie | None" = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("lock", "transitions", "counts_ext", "counts_zero", "walk")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.transitions: object = _UNSET
+        self.counts_ext: np.ndarray | None = None
+        self.counts_zero: np.ndarray | None = None
+        #: ``(transitions, counts_zero, counts_ext)`` as memoryviews; the
+        #: first is ``None`` when there is no dense table.
+        self.walk: tuple | None = None
+
+
+class PrivateCountingTrie:
+    """An array trie storing an (epsilon, delta)-differentially private
+    count for every string it contains.
+
+    Queries run in ``O(|P|)`` time: the pattern is walked through the trie
+    and the stored noisy count is returned, or 0 when the pattern is absent
+    (patterns absent from the structure have true count below the error
+    bound with high probability).  Build one from a pattern -> noisy count
+    map with :meth:`from_counts`; the constructor takes the nine canonical
+    columns directly (the array construction pipeline, the binary release
+    reader and synthetic releases use it).
+    """
+
+    #: largest dense transition table (entries) built eagerly; ~256 MiB.
+    DENSE_TRANSITION_LIMIT = 1 << 25
+
+    def __init__(
+        self,
+        *,
+        counts: np.ndarray,
+        depths: np.ndarray,
+        parents: np.ndarray,
+        parent_codes: np.ndarray,
+        child_start: np.ndarray,
+        child_end: np.ndarray,
+        edge_keys: np.ndarray,
+        edge_labels: np.ndarray,
+        edge_targets: np.ndarray,
+        vocab: dict[str, int],
+        metadata: StructureMetadata,
+        report: dict | None = None,
+    ) -> None:
+        self._counts = counts
+        self._depths = depths
+        self._parents = parents
+        self._parent_codes = parent_codes
+        self._child_start = child_start
+        self._child_end = child_end
+        self._edge_keys = edge_keys
+        self._edge_labels = edge_labels
+        self._edge_targets = edge_targets
+        self._vocab = vocab
+        self._chars = [""] * (len(vocab) + 1)
+        for char, code in vocab.items():
+            self._chars[code] = char
+        self._vocab_size = len(vocab) + 1
+        # Dense codepoint -> code table for vectorized pattern encoding.
+        # Unknown characters (and the NUL separator) map to the reserved
+        # code 0, whose transition column is entirely dead.  Covering the
+        # whole BMP lets the common case skip bounds checks completely, and
+        # the extra guard slot past every vocab character stays 0 so
+        # ``take(..., mode="clip")`` maps astral-plane codepoints to
+        # "unknown" without a per-batch bounds scan.
+        max_point = max((ord(c) for c in vocab), default=0)
+        table = np.zeros(max(0x10000, max_point + 2), dtype=np.int32)
+        for char, code in vocab.items():
+            table[ord(char)] = code
+        self._code_table = table
+        self._dead = int(counts.size)
+        # Everything derived from the node/edge arrays — the dense
+        # transition table and the NaN-folded count gathers — is built
+        # lazily on first use (see _LazyViews), so construction never
+        # touches a node page: an mmap'd release loads in O(header) and N
+        # processes share one page-cache copy.
+        self._lazy = _LazyViews()
+        self.metadata = metadata
+        #: optional per-construction diagnostics (sizes, stage error bounds, ...).
+        self.report = dict(report or {})
+        #: build diagnostics: the construction's tracing-span tree wrapped in
+        #: a :class:`repro.obs.BuildProfile` (total/per-stage wall and CPU
+        #: seconds, pipeline backend; ``None`` when telemetry was disabled or
+        #: the structure was loaded).  Deliberately *not* part of the
+        #: serialized payload or the content digest: two builds with
+        #: identical released content must have identical digests regardless
+        #: of how long they took or which pipeline produced them
+        #: (``dpsc mine --profile`` prints this).
+        self.profile: "BuildProfile | None" = None
+        # Immutable-snapshot guarantee: all shared arrays are frozen so a
+        # rogue writer faults loudly instead of racing readers.
+        for array in self._shared_arrays():
+            array.setflags(write=False)
 
     # ------------------------------------------------------------------
-    # Queries (post-processing; no privacy cost)
+    # Construction
     # ------------------------------------------------------------------
+    @classmethod
+    def from_counts(
+        cls,
+        counts: Mapping[str, float],
+        metadata: StructureMetadata,
+        report: dict | None = None,
+    ) -> "PrivateCountingTrie":
+        """The counter storing ``counts`` (pattern -> noisy count; the empty
+        pattern's entry is the root count).
+
+        Every prefix of a stored pattern becomes a node, storing no count
+        unless it is a key itself.  The trie is radix-built over the sorted
+        patterns by the array pipeline's own :func:`~repro.core.array_build.
+        build_array_trie` and assembled by :func:`~repro.core.array_build.
+        counter_columns`, so every producer shares one layout.
+        """
+        patterns = sorted(pattern for pattern in counts if pattern)
+        matrix, lengths = pack_strings(patterns)
+        trie = build_array_trie(matrix, lengths)
+        values = np.fromiter(
+            (counts[pattern] for pattern in patterns),
+            dtype=np.float64,
+            count=len(patterns),
+        )
+        # A node stores a count iff it spells its creation row in full: a
+        # stored prefix sorts before every pattern extending it.
+        rows = trie.node_row[1:]
+        stored = np.flatnonzero(lengths[rows] == trie.depths[1:]) + 1
+        noisy = np.full(trie.num_nodes, np.nan, dtype=np.float64)
+        noisy[stored] = values[trie.node_row[stored]]
+        if "" in counts:
+            noisy[0] = float(counts[""])
+        columns = counter_columns(trie, noisy, np.ones(trie.num_nodes, dtype=bool))
+        return cls(**columns, metadata=metadata, report=report)
+
+    @classmethod
+    def from_payload(cls, payload: dict) -> "PrivateCountingTrie":
+        """Rebuild a structure from :meth:`to_payload` output."""
+        return cls.from_counts(
+            payload["counts"],
+            StructureMetadata(**payload["metadata"]),
+            payload.get("report"),
+        )
+
+    #: the dict-form spelling of :meth:`from_payload`.
+    from_dict = from_payload
+
+    @classmethod
+    def from_json(cls, payload: str) -> "PrivateCountingTrie":
+        return cls.from_payload(json.loads(payload))
+
+    @classmethod
+    def load(cls, path: "str | Path") -> "PrivateCountingTrie":
+        """Read a structure previously written by :meth:`save`."""
+        return cls.from_json(Path(path).read_text())
+
+    # ------------------------------------------------------------------
+    # Lazily built query-acceleration views
+    # ------------------------------------------------------------------
+    def _batch_tables(
+        self,
+    ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+        """``(transitions, counts_ext, counts_zero)``, built on first use.
+
+        ``transitions`` is the dense, pre-scaled transition table (``None``
+        when ``(nodes + 1) * vocab`` exceeds :attr:`DENSE_TRANSITION_LIMIT`
+        — read at build time, so tests may monkeypatch it before the first
+        query); ``counts_ext`` appends a NaN sentinel so the dead state
+        gathers to "no count"; ``counts_zero`` is the same array with NaN
+        already folded to 0.  Double-checked under the views lock; every
+        view is frozen before publication.
+        """
+        lazy = self._lazy
+        if lazy.transitions is not _UNSET:
+            return lazy.transitions, lazy.counts_ext, lazy.counts_zero
+        with lazy.lock:
+            if lazy.transitions is not _UNSET:
+                return lazy.transitions, lazy.counts_ext, lazy.counts_zero
+            counts_ext = np.append(self._counts, np.nan)
+            counts_zero = np.where(np.isnan(counts_ext), 0.0, counts_ext)
+            counts_ext.setflags(write=False)
+            counts_zero.setflags(write=False)
+            num_nodes = self._dead
+            entries = (num_nodes + 1) * self._vocab_size
+            transitions: np.ndarray | None = None
+            if entries <= self.DENSE_TRANSITION_LIMIT:
+                transitions = np.full(entries, num_nodes, dtype=np.int32)
+                transitions[self._edge_keys] = self._edge_targets
+                # Pre-scaled by vocab_size: table values are *row offsets*,
+                # so a batch round is one add and one gather.
+                transitions *= self._vocab_size
+                transitions.setflags(write=False)
+            lazy.counts_ext = counts_ext
+            lazy.counts_zero = counts_zero
+            lazy.walk = (
+                None if transitions is None else memoryview(transitions),
+                memoryview(counts_zero),
+                memoryview(counts_ext),
+            )
+            # Published last: the sentinel flipping is what tells lock-free
+            # readers the other views are already in place.
+            lazy.transitions = transitions
+            return transitions, counts_ext, counts_zero
+
+    @property
+    def _transitions(self) -> np.ndarray | None:
+        """The dense transition table (building it if necessary); ``None``
+        past :attr:`DENSE_TRANSITION_LIMIT`."""
+        return self._batch_tables()[0]
+
+    # ------------------------------------------------------------------
+    # Single-pattern queries (post-processing; no privacy cost)
+    # ------------------------------------------------------------------
+    def _node(self, pattern: str) -> int:
+        """Index of the node spelling ``pattern``; the dead state (one past
+        the last node, which stores no count) when it is absent."""
+        walk = self._lazy.walk
+        if walk is None:
+            self._batch_tables()
+            walk = self._lazy.walk
+        table = walk[0]
+        if table is None:
+            return self._node_sparse(pattern)
+        vocab = self._vocab
+        state = 0
+        for char in pattern:
+            # Unknown characters (and NUL) get code 0, whose column is dead
+            # like the whole dead row, so no step needs a branch.
+            state = table[state + vocab.get(char, 0)]
+        return state // self._vocab_size
+
+    def _node_sparse(self, pattern: str) -> int:
+        """:meth:`_node` without a dense table: a binary search of each
+        node's slice of ``edge_keys``."""
+        keys = self._edge_keys
+        vocab = self._vocab
+        vocab_size = self._vocab_size
+        node = 0
+        for char in pattern:
+            code = vocab.get(char)
+            if code is None:
+                return self._dead
+            key = node * vocab_size + code
+            end = int(self._child_end[node])
+            position = bisect_left(keys, key, int(self._child_start[node]), end)
+            if position >= end or keys[position] != key:
+                return self._dead
+            node = int(self._edge_targets[position])
+        return node
+
+    def lookup_node(self, pattern: str) -> int:
+        """Index of the node spelling ``pattern``, or ``-1`` when absent."""
+        node = self._node(pattern)
+        return -1 if node == self._dead else node
+
     def query(self, pattern: str) -> float:
         """Noisy ``count_Delta(pattern, D)`` estimate (0 when absent)."""
-        node = self.trie.find(pattern)
-        if node is None or node.noisy_count is None:
-            return 0.0
-        return float(node.noisy_count)
-
-    def query_many(self, patterns: Sequence[str]) -> np.ndarray:
-        """Noisy counts for a whole batch of patterns at once.
-
-        Bit-for-bit equal to ``[self.query(p) for p in patterns]`` but
-        answered by the compiled-trie batch machinery (all patterns advance
-        one character per vectorized numpy round), so large batches run
-        orders of magnitude faster than a per-pattern Python loop — see
-        ``benchmarks/bench_query_many.py`` (E22).  Like every query, this is
-        post-processing with no privacy cost.
-
-        The compiled view is cached; a structure is treated as read-only
-        once built.  Code that mutates stored nodes in place (tests,
-        ablations) must call :meth:`invalidate_cached_views` afterwards —
-        adding or pruning nodes is detected automatically via the node
-        count, but an in-place count edit is not observable cheaply.
-        """
-        return self.compiled().batch_query(patterns)
-
-    def invalidate_cached_views(self) -> None:
-        """Drop the cached compiled view so the next :meth:`compiled` or
-        :meth:`query_many` recompiles.  Required after mutating
-        ``noisy_count`` values in place; structural changes (insert/prune)
-        invalidate automatically."""
-        self._batch_view = None
+        node = self._node(pattern)
+        return self._lazy.walk[1][node]
 
     def __contains__(self, pattern: str) -> bool:
-        node = self.trie.find(pattern)
-        return node is not None and node.noisy_count is not None
+        node = self._node(pattern)
+        return not math.isnan(self._lazy.walk[2][node])
 
-    def items(self) -> Iterator[tuple[str, float]]:
-        """Iterate over ``(pattern, noisy count)`` pairs for every stored
-        node (excluding the root / empty pattern)."""
-        stack: list[tuple[TrieNode, str]] = [(self.trie.root, "")]
-        while stack:
-            node, prefix = stack.pop()
-            if prefix and node.noisy_count is not None:
-                yield prefix, float(node.noisy_count)
-            for char, child in node.children.items():
-                stack.append((child, prefix + char))
+    # ------------------------------------------------------------------
+    # Batch queries (vectorized)
+    # ------------------------------------------------------------------
+    #: separator used to split a joined batch in one vectorized pass; NUL is
+    #: outside every data-universe alphabet (and guarded against anyway).
+    _SEPARATOR = "\x00"
 
-    def patterns(self) -> list[str]:
-        return [pattern for pattern, _ in self.items()]
+    def batch_query(self, patterns: Sequence[str]) -> np.ndarray:
+        """Noisy counts for every pattern, advancing all of them through the
+        trie one character per vectorized round.
+
+        Patterns are joined with NUL separators so their codes and lengths
+        come from one vectorized encode + separator scan (falling back to
+        per-pattern ``len()`` when a pattern contains NUL itself; the guard
+        slot of the code table absorbs astral-plane codepoints via a clipped
+        gather, and a lone surrogate encodes to a code point of its own —
+        an unknown character, as in :meth:`query`).  Uniform-length batches
+        take a dedicated fast path; mixed batches are sorted by length so
+        each round operates on a contiguous suffix of still-running
+        patterns — no per-round boolean compaction.  A pattern that ends
+        simply drops out of the next round's suffix with its node frozen; a
+        pattern that mismatches moves to the dead state and stays there.
+        Total work is proportional to the number of characters consumed, in
+        a few numpy kernels per round.
+        """
+        if not isinstance(patterns, list):
+            patterns = list(patterns)
+        m = len(patterns)
+        if m == 0:
+            return np.zeros(0, dtype=np.float64)
+        joined = self._SEPARATOR.join(patterns)
+        points = np.frombuffer(
+            joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
+        )
+        flat_codes = self._code_table.take(points, mode="clip")
+        is_separator = points == 0
+        transitions, counts_ext, counts_zero = self._batch_tables()
+        if transitions is not None and m > 1:
+            # Uniform-length fast path: q-gram releases serve fixed-length
+            # traffic, where the length sort, per-step activity cuts and the
+            # final unscramble are pure overhead.  Uniform lengths mean the
+            # joined batch carries exactly m - 1 NULs, all at the expected
+            # separator positions (which also rules out patterns containing
+            # NUL themselves); then one (L, m) gather of the codes up front
+            # and two kernels per round answer the batch.
+            length = len(patterns[0])
+            if points.size == m * (length + 1) - 1:
+                at_separators = is_separator[length :: length + 1]
+                if (
+                    at_separators.size == m - 1
+                    and bool(at_separators.all())
+                    and int(np.count_nonzero(is_separator)) == m - 1
+                ):
+                    return self._batch_query_uniform(
+                        flat_codes, length, m, transitions, counts_zero
+                    )
+        separators = np.flatnonzero(is_separator)
+        if separators.size == m - 1:
+            bounds = np.concatenate((separators, [points.size]))
+            starts = np.concatenate(([0], separators + 1))
+            lengths = bounds - starts
+        else:  # some pattern contains NUL itself
+            lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=m)
+            starts = np.concatenate(([0], np.cumsum(lengths + 1)))[:-1]
+        # Grouping by length only needs buckets, not a stable order; uint16
+        # keys keep the sort in numpy's radix path.
+        if int(lengths.max()) < 0x10000:
+            order = np.argsort(lengths.astype(np.uint16), kind="stable")
+        else:  # patterns longer than 65535 characters
+            order = np.argsort(lengths, kind="stable")
+        sorted_lengths = lengths[order]
+        positions = starts[order].astype(np.intp)
+        max_len = int(sorted_lengths[-1])
+        # First index whose pattern still has characters left at each step.
+        cuts = np.searchsorted(
+            sorted_lengths, np.arange(max_len + 1), side="right"
+        ).tolist()
+        nodes = np.zeros(m, dtype=np.int32)
+        vocab_size = self._vocab_size
+        for step in range(max_len):
+            lo = cuts[step]
+            active_positions = positions[lo:]
+            codes = flat_codes.take(active_positions)
+            if transitions is not None:
+                # States are row offsets (node * vocab_size); unknown
+                # characters carry code 0, whose transition column (like
+                # the dead state's whole row) is entirely dead.
+                nodes[lo:] = transitions.take(nodes[lo:] + codes)
+            else:
+                nodes[lo:] = self._advance_sparse(nodes[lo:], codes)
+            active_positions += 1  # in place: ready for the next round
+        if transitions is not None:
+            nodes //= vocab_size  # row offsets back to node indices
+        counts = counts_ext.take(nodes)
+        results_sorted = np.where(np.isnan(counts), 0.0, counts)
+        results = np.empty(m, dtype=np.float64)
+        results[order] = results_sorted
+        return results
+
+    def _batch_query_uniform(
+        self,
+        flat_codes: np.ndarray,
+        length: int,
+        m: int,
+        transitions: np.ndarray,
+        counts_zero: np.ndarray,
+    ) -> np.ndarray:
+        """Dense-table batch walk for a batch whose patterns all have the
+        same ``length`` — bit-for-bit the counts of the general path, minus
+        its per-length bookkeeping.
+
+        Pattern ``i`` starts at flat offset ``i * (length + 1)`` (one NUL
+        separator apart), so padding the flat codes by one slot makes them
+        an ``(m, length + 1)`` matrix; its first ``length`` columns,
+        transposed and copied to ``(length, m)``, let each round read one
+        contiguous row.  The two round kernels reuse preallocated buffers.
+        """
+        codes = (
+            np.append(flat_codes, np.int32(0))
+            .reshape(m, length + 1)[:, :length]
+            .T.copy()
+        )
+        nodes = np.zeros(m, dtype=np.int32)
+        scratch = np.empty(m, dtype=np.int32)
+        for step in range(length):
+            # Same row-offset arithmetic as the general path: table values
+            # are pre-scaled node offsets, codes index columns.
+            np.add(nodes, codes[step], out=scratch)
+            transitions.take(scratch, out=nodes)
+        if length:
+            nodes //= self._vocab_size
+        return counts_zero.take(nodes)
+
+    def query_many(self, patterns: Sequence[str]) -> np.ndarray:
+        """Alias of :meth:`batch_query` — the :class:`repro.api.PrivateCounter`
+        spelling (bit-for-bit ``[self.query(p) for p in patterns]``)."""
+        return self.batch_query(patterns)
+
+    def _advance_sparse(self, nodes: np.ndarray, codes: np.ndarray) -> np.ndarray:
+        """One batch step by binary search on ``edge_keys`` — the fallback
+        when the alphabet is too large for a dense transition table."""
+        num_edges = self._edge_keys.size
+        if num_edges == 0:
+            return np.full(nodes.size, self._dead, dtype=np.int32)
+        keys = nodes.astype(np.int64) * self._vocab_size + codes
+        found_at = np.minimum(np.searchsorted(self._edge_keys, keys), num_edges - 1)
+        # Code 0 (unknown character) never occurs among edge keys, and the
+        # dead state's keys are past every real key, so misses stay dead.
+        hit = self._edge_keys[found_at] == keys
+        return np.where(hit, self._edge_targets[found_at], self._dead).astype(
+            np.int32
+        )
+
+    # ------------------------------------------------------------------
+    # Mining and enumeration (post-processing)
+    # ------------------------------------------------------------------
+    def pattern_of(self, node: int) -> str:
+        """The string spelled from the root to node ``node``."""
+        chars: list[str] = []
+        while node > 0:
+            chars.append(self._chars[self._parent_codes[node]])
+            node = int(self._parents[node])
+        return "".join(reversed(chars))
 
     def mine(
         self,
@@ -205,30 +572,50 @@ class PrivateCountingTrie:
         and, with ``exact_length=q``, alpha-approximate q-Gram Mining.  Any
         number of thresholds can be tried without additional privacy loss.
         """
-        results = []
-        for pattern, count in self.items():
-            if count < threshold:
-                continue
-            if exact_length is not None and len(pattern) != exact_length:
-                continue
-            if len(pattern) < min_length:
-                continue
-            if max_length is not None and len(pattern) > max_length:
-                continue
-            results.append((pattern, count))
+        mask = ~np.isnan(self._counts)
+        mask &= np.where(np.isnan(self._counts), -np.inf, self._counts) >= threshold
+        mask &= self._depths >= max(1, min_length)
+        if exact_length is not None:
+            mask &= self._depths == exact_length
+        if max_length is not None:
+            mask &= self._depths <= max_length
+        hits = np.flatnonzero(mask)
+        results = [(self.pattern_of(int(v)), float(self._counts[v])) for v in hits]
         results.sort(key=lambda item: (-item[1], item[0]))
         return results
+
+    def items(self) -> Iterator[tuple[str, float]]:
+        """``(pattern, noisy count)`` for every stored node except the root
+        (whose count answers the empty pattern), in node order."""
+        chars = self._chars
+        codes = self._parent_codes.tolist()
+        parents = self._parents.tolist()
+        # Parents precede their children, so one forward pass spells every
+        # node from its parent's string.
+        spelled = [""] * len(parents)
+        for node in range(1, len(parents)):
+            spelled[node] = spelled[parents[node]] + chars[codes[node]]
+        stored = np.flatnonzero(~np.isnan(self._counts[1:])) + 1
+        return zip(
+            [spelled[node] for node in stored.tolist()],
+            self._counts[stored].tolist(),
+        )
+
+    def patterns(self) -> list[str]:
+        return [pattern for pattern, _ in self.items()]
 
     # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
-        return self.trie.num_nodes
+        return int(self._counts.size)
 
     @property
     def num_stored_patterns(self) -> int:
-        return sum(1 for _ in self.items())
+        stored = ~np.isnan(self._counts)
+        stored[0] = False
+        return int(stored.sum())
 
     @property
     def error_bound(self) -> float:
@@ -257,75 +644,101 @@ class PrivateCountingTrie:
         return PrivacyBudget(self.metadata.epsilon, self.metadata.delta)
 
     def depth(self) -> int:
-        return self.trie.height()
+        """Maximum string depth over all nodes."""
+        return int(self._depths.max())
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The nine canonical flat arrays by name, in the fixed column order
+        the binary release format (:mod:`repro.serving.binfmt`) serializes
+        them in.  These — plus vocab, metadata and report — fully determine
+        the counter; every other array is a derived view."""
+        return {
+            "counts": self._counts,
+            "depths": self._depths,
+            "parents": self._parents,
+            "parent_codes": self._parent_codes,
+            "child_start": self._child_start,
+            "child_end": self._child_end,
+            "edge_keys": self._edge_keys,
+            "edge_labels": self._edge_labels,
+            "edge_targets": self._edge_targets,
+        }
+
+    def _shared_arrays(self) -> tuple[np.ndarray, ...]:
+        """Every numpy array reachable by more than one serving thread.
+
+        Lazily built views are included only once built — checking a fresh
+        (e.g. just-mmap'd) instance must not force their construction.
+        """
+        arrays = list(self.arrays().values())
+        arrays.append(self._code_table)
+        lazy = self._lazy
+        if lazy.counts_ext is not None:
+            arrays.append(lazy.counts_ext)
+        if lazy.counts_zero is not None:
+            arrays.append(lazy.counts_zero)
+        if lazy.transitions is not _UNSET and lazy.transitions is not None:
+            arrays.append(lazy.transitions)
+        return tuple(arrays)
+
+    def assert_immutable(self) -> None:
+        """Raise :class:`AssertionError` unless every shared array is
+        read-only — the snapshot guarantee concurrent query paths rely on.
+        Raised explicitly (not via ``assert``) so the check survives
+        ``python -O``."""
+        for array in self._shared_arrays():
+            if array.flags.writeable:
+                raise AssertionError("shared counter array is writable")
+
+    @property
+    def nbytes(self) -> int:
+        """Total array storage of the counter."""
+        return int(sum(array.nbytes for array in self._shared_arrays()))
 
     # ------------------------------------------------------------------
     # Serialization (post-processing)
     # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        """A JSON-serializable representation of the structure."""
-        # items() excludes the root, but query("") answers from it;
-        # release_payload() keeps the empty pattern's count so save -> load
-        # preserves every query.
-        return release_payload(
-            {pattern: count for pattern, count in self.items()},
-            self.trie.root.noisy_count,
-            self.metadata,
-            self.report,
-        )
-
     def to_payload(self) -> dict:
-        """The :class:`repro.api.PrivateCounter` payload form — an alias of
-        :meth:`to_dict`, shared by every structure kind so releases of any
-        kind round-trip through the same stores and servers."""
-        return self.to_dict()
+        """The release payload: stored counts (the empty pattern's included
+        when the root stores one, so save -> load preserves every query),
+        metadata and report.  Shared by every structure kind, so releases
+        of any kind round-trip through the same stores and servers."""
+        counts = dict(self.items())
+        root_count = float(self._counts[0])
+        if not math.isnan(root_count):
+            counts[""] = root_count
+        return {
+            "metadata": payload_metadata(self.metadata),
+            "counts": counts,
+            "report": self.report,
+        }
+
+    #: the dict-form spelling of :meth:`to_payload`.
+    to_dict = to_payload
 
     def to_json(self) -> str:
-        return payload_json(self.to_dict())
+        """The canonical JSON of :meth:`to_payload` (sorted keys)."""
+        return json.dumps(self.to_payload(), sort_keys=True)
 
     def content_digest(self) -> str:
         """SHA-256 of the canonical JSON form.
 
         Two structures storing the same counts, metadata and report have the
-        same digest; the release store uses this to detect tampered or
-        corrupted files on load.
+        same digest whatever their node layout; the release store uses this
+        to detect tampered or corrupted files on load.
         """
-        return payload_digest(self.to_json())
+        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
 
-    def compiled(self) -> "CompiledTrie":
-        """This structure flattened into a
-        :class:`repro.serving.CompiledTrie` for high-throughput serving
-        (pure post-processing, identical query answers).
+    def save(self, path: "str | Path") -> "Path":
+        """Write the structure to ``path`` as JSON and return the path.
 
-        The compiled view is built once and cached: every call returns the
-        same immutable object (a structure built by the array pipeline
-        starts with it already in place, so nothing is re-flattened).  Code
-        that mutates stored counts in place must call
-        :meth:`invalidate_cached_views` first, exactly as for
-        :meth:`query_many`.
+        The file contains only the released (noisy) counts and public
+        metadata, so sharing it carries no privacy cost beyond the
+        construction's budget.
         """
-        from repro.serving.compiled import CompiledTrie
-
-        view = self._batch_view
-        if view is None or view.num_nodes != self.trie.num_nodes:
-            view = CompiledTrie.from_structure(self)
-            self._batch_view = view
-        return view
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "PrivateCountingTrie":
-        metadata = StructureMetadata(**payload["metadata"])
-        trie = Trie()
-        for pattern, count in payload["counts"].items():
-            node = trie.insert(pattern)
-            node.noisy_count = float(count)
-        return cls(trie=trie, metadata=metadata, report=dict(payload.get("report", {})))
-
-    @classmethod
-    def from_payload(cls, payload: dict) -> "PrivateCountingTrie":
-        """Rebuild a structure from :meth:`to_payload` output (the
-        :class:`repro.api.PrivateCounter` counterpart of :meth:`from_dict`)."""
-        return cls.from_dict(payload)
+        target = Path(path)
+        target.write_text(self.to_json())
+        return target
 
     def release(self, store, name: str = "release", *, format: str | None = None):
         """Persist this structure as the next version of release ``name`` in
@@ -341,23 +754,3 @@ class PrivateCountingTrie:
         if format is not None:
             return store.save(name, self, format=format)
         return store.save(name, self)
-
-    @classmethod
-    def from_json(cls, payload: str) -> "PrivateCountingTrie":
-        return cls.from_dict(json.loads(payload))
-
-    def save(self, path: "str | Path") -> "Path":
-        """Write the structure to ``path`` as JSON and return the path.
-
-        The file contains only the released (noisy) counts and public
-        metadata, so sharing it carries no privacy cost beyond the
-        construction's budget.
-        """
-        target = Path(path)
-        target.write_text(self.to_json())
-        return target
-
-    @classmethod
-    def load(cls, path: "str | Path") -> "PrivateCountingTrie":
-        """Read a structure previously written by :meth:`save`."""
-        return cls.from_json(Path(path).read_text())

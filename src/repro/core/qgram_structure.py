@@ -40,7 +40,6 @@ from repro.dp.mechanisms import (
     NoiselessMechanism,
 )
 from repro.exceptions import ConstructionAborted, PrivacyParameterError
-from repro.strings.trie import Trie
 
 __all__ = [
     "qgram_counting_structure",
@@ -152,12 +151,11 @@ def theorem3_qgram_structure(
         )
 
         with obs.span("trie_build"):
-            trie = Trie()
+            stored: dict[str, float] = {}
             kept = 0
             for pattern, value in zip(candidate_qgrams, noisy):
                 if value >= threshold:
-                    node = trie.insert(pattern)
-                    node.noisy_count = float(value)
+                    stored[pattern] = float(value)
                     kept += 1
         if kept > n * ell:
             raise ConstructionAborted(
@@ -186,7 +184,7 @@ def theorem3_qgram_structure(
         "privacy_spent_delta": accountant.total_delta,
         "absent_pattern_bound": max(3.0 * candidate_alpha_value, threshold + alpha),
     }
-    structure = PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    structure = PrivateCountingTrie.from_counts(stored, metadata, report)
     if trace_root is not None:
         structure.profile = obs.BuildProfile(trace_root)
     return structure
@@ -329,7 +327,7 @@ def theorem4_qgram_structure(
         # Final phase: q-minimal nodes whose length-2^j prefix and suffix were
         # both marked.
         power = 1 << j
-        trie = Trie()
+        stored: dict[str, float] = {}
         kept = 0
         with obs.span("final_phase", length=q):
             for node_id in tree.minimal_nodes_at_depth(q, valid_prefix):
@@ -340,9 +338,7 @@ def theorem4_qgram_structure(
                 if first in marked and second in marked:
                     value = noisy_count_of(node_id)
                     if value >= threshold:
-                        pattern = index.decode_prefix(witness, q)
-                        node = trie.insert(pattern)
-                        node.noisy_count = value
+                        stored[index.decode_prefix(witness, q)] = value
                         kept += 1
         accountant.spend("q-gram final phase", mechanism.epsilon, mechanism.delta)
 
@@ -369,7 +365,7 @@ def theorem4_qgram_structure(
         "privacy_spent_delta": accountant.total_delta,
         "absent_pattern_bound": threshold + alpha,
     }
-    structure = PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    structure = PrivateCountingTrie.from_counts(stored, metadata, report)
     if trace_root is not None:
         structure.profile = obs.BuildProfile(trace_root)
     return structure

@@ -9,21 +9,20 @@ The observability layer for the whole package.  It sits *below* every other
 * tracing spans (:func:`trace` / :func:`span`) producing nested wall+CPU
   timing trees, wrapped by :class:`BuildProfile` for the construction
   pipelines — see :mod:`repro.obs.spans`;
-* Prometheus text exposition rendering and validation
-  (:func:`render_prometheus` / :func:`validate_exposition`) — see
+* Prometheus text exposition rendering and validation of registry
+  snapshots (:func:`render_snapshot` / :func:`validate_exposition`) — see
   :mod:`repro.obs.export`;
 * cross-process snapshot aggregation for the sharded serving tier
-  (:func:`merge_snapshots` / :func:`render_snapshot`: counters sum,
-  histograms bucket-merge, gauges stay per-worker) — see
-  :mod:`repro.obs.aggregate`.
+  (:func:`merge_snapshots`: counters sum, histograms bucket-merge, gauges
+  stay per-worker) — see :mod:`repro.obs.aggregate`.
 
 Telemetry is on by default; :func:`set_enabled` (False) reduces histogram
 observations and span recording to single flag checks, which the
 observability micro-benchmark asserts costs <5% on the serving hot path.
 """
 
-from repro.obs.aggregate import merge_snapshots, render_snapshot, snapshot_percentile
-from repro.obs.export import render_prometheus, validate_exposition
+from repro.obs.aggregate import merge_snapshots, snapshot_percentile
+from repro.obs.export import render_snapshot, validate_exposition
 from repro.obs.registry import (
     DEFAULT_BUCKET_GROWTH,
     DEFAULT_LATENCY_BUCKETS,
@@ -52,7 +51,6 @@ __all__ = [
     "span",
     "trace",
     "current_span",
-    "render_prometheus",
     "validate_exposition",
     "merge_snapshots",
     "render_snapshot",

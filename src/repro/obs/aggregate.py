@@ -22,11 +22,11 @@ follow the Prometheus data model, metric kind by metric kind:
     reported per source, with the source name attached as an extra label
     (``dpsc_uptime_seconds{worker="w0"}``).
 
-:func:`merge_snapshots` returns a snapshot-shaped dict (so ``/metrics?
-format=json`` serves it directly) and :func:`render_snapshot` renders any
-snapshot dict in text exposition format 0.0.4 — output that must pass
-:func:`repro.obs.export.validate_exposition`, which the aggregation tests
-assert.
+:func:`merge_snapshots` returns a snapshot-shaped dict, so ``/metrics?
+format=json`` serves it directly and :func:`repro.obs.export.render_snapshot`
+renders it as text like any single registry's snapshot — output that must
+pass :func:`repro.obs.export.validate_exposition`, which the aggregation
+tests assert.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from repro.obs.export import _format_labels, _format_value
-
-__all__ = ["merge_snapshots", "render_snapshot", "snapshot_percentile"]
+__all__ = ["merge_snapshots", "snapshot_percentile"]
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
@@ -179,41 +177,3 @@ def merge_snapshots(
             series = labelled.get(name, [])
         merged[name] = {"kind": kind, "help": helps.get(name, ""), "series": series}
     return merged
-
-
-def render_snapshot(snapshot: Mapping) -> str:
-    """A snapshot dict in Prometheus text exposition format 0.0.4.
-
-    The snapshot-shaped twin of :func:`repro.obs.export.render_prometheus`
-    (which renders live registries); the router uses it to expose the
-    merged tier snapshot.  Output validates under ``validate_exposition``.
-    """
-    lines: list[str] = []
-    for name in sorted(snapshot):
-        family = snapshot[name]
-        kind = family.get("kind", "gauge")
-        if family.get("help"):
-            escaped = family["help"].replace("\\", "\\\\").replace("\n", "\\n")
-            lines.append(f"# HELP {name} {escaped}")
-        lines.append(f"# TYPE {name} {kind}")
-        for series in family.get("series", ()):
-            labels = dict(series.get("labels", {}))
-            value = series["value"]
-            if kind == "histogram":
-                total = int(value.get("count", 0))
-                for boundary, running in value.get("buckets", ()):
-                    le = "+Inf" if boundary == "+Inf" else _format_value(float(boundary))
-                    lines.append(
-                        f"{name}_bucket{_format_labels(labels, (('le', le),))} "
-                        f"{int(running)}"
-                    )
-                lines.append(
-                    f"{name}_sum{_format_labels(labels)} "
-                    f"{_format_value(float(value.get('sum', 0.0)))}"
-                )
-                lines.append(f"{name}_count{_format_labels(labels)} {total}")
-            else:
-                lines.append(
-                    f"{name}{_format_labels(labels)} {_format_value(float(value))}"
-                )
-    return "\n".join(lines) + "\n"

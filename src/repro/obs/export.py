@@ -1,10 +1,12 @@
 """Prometheus text exposition rendering (and a validating parser).
 
-:func:`render_prometheus` serializes a :class:`~repro.obs.MetricsRegistry`
-into text exposition format 0.0.4 — the format a Prometheus server scrapes
-from ``GET /metrics``.  Counters and gauges emit one sample per label set;
-histograms expand into cumulative ``_bucket{le="..."}`` samples (always
-ending in ``le="+Inf"``), ``_sum`` and ``_count``.
+:func:`render_snapshot` serializes a metrics snapshot — one
+:class:`~repro.obs.MetricsRegistry`'s, or the serving tier's merge of many —
+into text exposition format 0.0.4, the format a Prometheus server scrapes
+from ``GET /metrics``.  Families come out sorted by name.  Counters and
+gauges emit one sample per label set; histograms expand into cumulative
+``_bucket{le="..."}`` samples (always ending in ``le="+Inf"``), ``_sum`` and
+``_count``.
 
 :func:`validate_exposition` is the matching strict parser.  It exists for
 the CI smoke job: after a short load test we scrape ``/metrics`` and fail
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import math
 import re
+from typing import Mapping
 
-from repro.obs.registry import Histogram, MetricsRegistry
-
-__all__ = ["render_prometheus", "validate_exposition"]
+__all__ = ["render_snapshot", "validate_exposition"]
 
 
 def _escape_help(text: str) -> str:
@@ -48,32 +49,37 @@ def _format_labels(labels: dict, extra: tuple[tuple[str, str], ...] = ()) -> str
     return "{" + body + "}"
 
 
-def render_prometheus(registry: MetricsRegistry) -> str:
-    """The registry in Prometheus text exposition format 0.0.4."""
+def render_snapshot(snapshot: Mapping) -> str:
+    """A snapshot dict (:meth:`MetricsRegistry.snapshot`, or the tier's
+    :func:`~repro.obs.aggregate.merge_snapshots`) in Prometheus text
+    exposition format 0.0.4.  Output validates under
+    :func:`validate_exposition`."""
     lines: list[str] = []
-    for name, kind, help_text, children in registry.families():
-        if help_text:
-            lines.append(f"# HELP {name} {_escape_help(help_text)}")
+    for name in sorted(snapshot):
+        family = snapshot[name]
+        kind = family.get("kind", "gauge")
+        if family.get("help"):
+            lines.append(f"# HELP {name} {_escape_help(family['help'])}")
         lines.append(f"# TYPE {name} {kind}")
-        for labels, metric in children:
+        for series in family.get("series", ()):
+            labels = dict(series.get("labels", {}))
+            value = series["value"]
             if kind == "histogram":
-                assert isinstance(metric, Histogram)
-                counts, total, total_sum, _, _ = metric._snapshot_locked()
-                running = 0
-                for boundary, bucket_count in zip(metric.boundaries, counts):
-                    running += bucket_count
-                    le = _format_value(boundary)
+                total = int(value.get("count", 0))
+                for boundary, running in value.get("buckets", ()):
+                    le = "+Inf" if boundary == "+Inf" else _format_value(float(boundary))
                     lines.append(
-                        f"{name}_bucket{_format_labels(labels, (('le', le),))} {running}"
+                        f"{name}_bucket{_format_labels(labels, (('le', le),))} "
+                        f"{int(running)}"
                     )
                 lines.append(
-                    f"{name}_bucket{_format_labels(labels, (('le', '+Inf'),))} {total}"
+                    f"{name}_sum{_format_labels(labels)} "
+                    f"{_format_value(float(value.get('sum', 0.0)))}"
                 )
-                lines.append(f"{name}_sum{_format_labels(labels)} {_format_value(total_sum)}")
                 lines.append(f"{name}_count{_format_labels(labels)} {total}")
             else:
                 lines.append(
-                    f"{name}{_format_labels(labels)} {_format_value(metric.value)}"
+                    f"{name}{_format_labels(labels)} {_format_value(float(value))}"
                 )
     return "\n".join(lines) + "\n"
 

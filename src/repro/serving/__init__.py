@@ -1,19 +1,18 @@
-"""Query serving: compiled tries, release store, budget ledger, HTTP server.
+"""Query serving: release store, budget ledger, HTTP server, worker tier.
 
 The paper's structures are *release once, query forever*: construction spends
 privacy budget, every query afterwards is free post-processing.  This package
 is the production path from a built :class:`~repro.core.private_trie.
-PrivateCountingTrie` to serving millions of pattern queries:
+PrivateCountingTrie` to serving millions of pattern queries.  The package
+exports that class as :class:`CompiledTrie` too — one class object under two
+names: contiguous numpy arrays whose single and vectorized batch queries
+walk one dense transition table.
 
-``compiled``
-    :class:`CompiledTrie` — the structure flattened into contiguous numpy
-    arrays; single and vectorized batch queries walk one dense transition
-    table.
 ``store``
     :class:`ReleaseStore` — versioned, digest-checked on-disk persistence of
     releases (save / load / list / pin / migrate) in either payload format.
 ``binfmt``
-    the ``vNNNN.dpsb`` binary columnar release format: the compiled trie's
+    the ``vNNNN.dpsb`` binary columnar release format: the counter's
     flat arrays as raw aligned buffers behind a self-describing header, so
     :meth:`ReleaseStore.load_compiled` can map a release read-only —
     O(header) cold start, one shared page-cache copy across N processes.
@@ -54,18 +53,18 @@ PrivateCountingTrie` to serving millions of pattern queries:
     :func:`call_with_retries` — exercised under seeded fault injection
     (:mod:`repro.faults`) by the chaos drill (E29; ``docs/RESILIENCE.md``).
 
-Everything above is safe under the concurrency it advertises: compiled
-tries are immutable snapshots whose lazy views are built once under a
-lock, and the ledger
+Everything above is safe under the concurrency it advertises: counters
+are immutable snapshots whose lazy views are built once under a lock, and
+the ledger
 and store write their JSON state atomically under advisory file locks —
 see the "Concurrency & durability" section of ``docs/SERVING.md`` and
 ``dpsc serve`` / ``dpsc query`` / ``dpsc releases`` / ``dpsc bench-load``
 for the command-line entry points.
 """
 
+from repro.core.private_trie import PrivateCountingTrie as CompiledTrie
 from repro.serving.binfmt import read_binary, write_binary
 from repro.serving.cluster import Cluster
-from repro.serving.compiled import CompiledTrie
 from repro.serving.client import (
     DEFAULT_ENDPOINT_TIMEOUTS,
     ServingClient,

@@ -1,9 +1,9 @@
 """The versioned binary columnar release format (``vNNNN.dpsb``).
 
-A released structure is, after compilation, nine flat numpy arrays plus a
-small amount of metadata — and the JSON release payload forces every server
-process to re-grow an object trie from pattern strings at startup and hold a
-private copy of the result.  This module serializes the
+A released structure is nine flat numpy arrays plus a small amount of
+metadata — and the JSON release payload forces every server process to
+rebuild those arrays from pattern strings at startup and hold a private copy
+of the result.  This module serializes the
 :class:`repro.serving.CompiledTrie` columns directly::
 
     offset 0   magic b"DPSB" | u32 format version | u32 header length
@@ -46,7 +46,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import faults
-from repro.core.private_trie import StructureMetadata, payload_metadata
+from repro.core.private_trie import (
+    PrivateCountingTrie,
+    StructureMetadata,
+    payload_metadata,
+)
 from repro.exceptions import ReleaseFormatError
 from repro.serving._fsio import atomic_write_bytes
 
@@ -270,8 +274,6 @@ def read_binary(
     index's record) is compared against the header's canonical content
     digest in O(1).
     """
-    from repro.serving.compiled import CompiledTrie
-
     _FP_READ.hit()
     path = Path(path)
     header = read_header(path)
@@ -354,7 +356,7 @@ def read_binary(
     except (ValueError, KeyError, TypeError) as exc:
         raise _format_error(path, f"trailer is malformed ({exc})") from exc
 
-    return CompiledTrie(
+    return PrivateCountingTrie(
         counts=columns["counts"],
         depths=columns["depths"],
         parents=columns["parents"],

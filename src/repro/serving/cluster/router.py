@@ -50,7 +50,7 @@ from typing import Mapping
 from urllib.parse import quote
 
 from repro import faults
-from repro.obs import MetricsRegistry, merge_snapshots, render_snapshot
+from repro.obs import MetricsRegistry, merge_snapshots
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
 from repro.serving.resilience import (
     DEADLINE_HEADER,
@@ -523,9 +523,6 @@ class Router:
                 self._scrape_failures.inc()
         return merge_snapshots(sources, label="worker")
 
-    def render_metrics(self) -> str:
-        return render_snapshot(self.merged_snapshot())
-
     def close(self) -> None:
         with self._idle_lock:
             idle, self._idle = self._idle, {}
@@ -559,7 +556,7 @@ class _RouterHandler(JSONHandler):
             if body is None and path == "/healthz":
                 self._respond(router.health())
             elif body is None and path == "/metrics":
-                self._metrics(query, router.merged_snapshot, router.render_metrics)
+                self._metrics(query, router.merged_snapshot)
             elif body is not None and path == "/admin/reload":
                 if router.reload_fn is None:
                     self._error("reload is not available", 503)

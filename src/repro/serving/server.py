@@ -1,4 +1,4 @@
-"""A concurrent JSON query server over compiled private structures.
+"""A concurrent JSON query server over released private structures.
 
 Because every query against a released structure is post-processing, the
 server can answer arbitrary traffic — any number of clients, any patterns,
@@ -30,8 +30,9 @@ histograms, micro-batch flush sizes);
 Two serving tricks carry the throughput story (benchmarked in
 ``benchmarks/bench_serving.py``):
 
-1. every release is compiled to a :class:`~repro.serving.compiled.CompiledTrie`
-   at load time, so ``/batch`` requests hit the vectorized numpy path; and
+1. every release is an array :class:`~repro.core.private_trie.PrivateCountingTrie`
+   (mapped zero-copy from a binary store version), so ``/batch`` requests
+   hit the vectorized numpy path; and
 2. concurrent single ``/query`` requests are *micro-batched*: a background
    worker eagerly drains the request queue into one vectorized
    ``batch_query`` call, so requests arriving during an in-flight flush
@@ -42,6 +43,7 @@ Two serving tricks carry the throughput story (benchmarked in
 from __future__ import annotations
 
 import json
+import math
 import signal
 import threading
 import time
@@ -54,8 +56,7 @@ import numpy as np
 from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
-from repro.obs import MetricsRegistry, log_buckets, render_prometheus
-from repro.serving.compiled import CompiledTrie
+from repro.obs import MetricsRegistry, log_buckets, render_snapshot
 from repro.serving.resilience import DEADLINE_HEADER, Deadline
 from repro.serving.store import ReleaseStore
 
@@ -211,12 +212,12 @@ class MicroBatcher:
 
 
 class QueryService:
-    """Routes queries to named compiled releases; the HTTP layer and the CLI
-    both delegate here, so the logic is testable without sockets."""
+    """Routes queries to named releases; the HTTP layer and the CLI both
+    delegate here, so the logic is testable without sockets."""
 
     def __init__(
         self,
-        releases: Mapping[str, CompiledTrie | PrivateCountingTrie],
+        releases: Mapping[str, PrivateCountingTrie],
         *,
         default_release: str | None = None,
         micro_batch: bool = True,
@@ -225,14 +226,7 @@ class QueryService:
     ) -> None:
         if not releases:
             raise ReproError("a query service needs at least one release")
-        self._releases: dict[str, CompiledTrie] = {
-            name: (
-                release
-                if isinstance(release, CompiledTrie)
-                else CompiledTrie.from_structure(release)
-            )
-            for name, release in releases.items()
-        }
+        self._releases = dict(releases)
         if default_release is None:
             default_release = sorted(self._releases)[0]
         if default_release not in self._releases:
@@ -283,7 +277,7 @@ class QueryService:
     # ------------------------------------------------------------------
     # Routing
     # ------------------------------------------------------------------
-    def release(self, name: str | None = None) -> CompiledTrie:
+    def release(self, name: str | None = None) -> PrivateCountingTrie:
         resolved = name or self.default_release
         try:
             return self._releases[resolved]
@@ -431,7 +425,7 @@ class QueryService:
         Loads go through :meth:`ReleaseStore.load_compiled`: binary
         (``.dpsb``) versions are mapped zero-copy — cold start is O(header)
         and concurrent server processes share one page-cache copy — while
-        JSON versions are parsed and compiled as before.  ``mmap=False``
+        JSON versions are parsed into arrays.  ``mmap=False``
         forces private in-memory copies of binary payloads.  ``versions``
         pins an explicit version per name — how the cluster tier makes
         every worker of one generation serve the *same* snapshot even
@@ -490,6 +484,21 @@ def decode_f64(body: bytes, patterns: int) -> np.ndarray:
     return np.frombuffer(body, dtype="<f8")
 
 
+def _finite_number(value: object) -> float | None:
+    """``value`` as a float when it is a finite JSON number, else ``None``.
+
+    ``json.loads`` accepts ``NaN``, ``Infinity``, ``1e400`` and integers
+    past the float range; none of them is a threshold, or valid JSON to
+    answer with."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return None
+    try:
+        number = float(value)
+    except OverflowError:
+        return None
+    return number if math.isfinite(number) else None
+
+
 def _is_int(value: object) -> bool:
     """True for JSON integers only (bool is an int subclass in Python —
     ``true`` is not a length)."""
@@ -538,15 +547,13 @@ class JSONHandler(BaseHTTPRequestHandler):
     ) -> None:
         self._respond({"error": message}, status, headers)
 
-    def _metrics(
-        self, query: str, snapshot: Callable[[], dict], render: Callable[[], str]
-    ) -> None:
-        """``/metrics``: ``render()`` as Prometheus text, or ``snapshot()``
-        as JSON when the query string asks for ``format=json``."""
+    def _metrics(self, query: str, snapshot: Callable[[], dict]) -> None:
+        """``/metrics``: ``snapshot()`` as Prometheus text, or as JSON when
+        the query string asks for ``format=json``."""
         if parse_qs(query).get("format", [""])[0] == "json":
             self._respond(snapshot())
         else:
-            body = render().encode("utf-8")
+            body = render_snapshot(snapshot()).encode("utf-8")
             self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
 
     def _read_body(self) -> bytes | None:
@@ -606,10 +613,7 @@ class _Handler(JSONHandler):
             elif parsed.path == "/metrics":
                 # Scrape traffic is not request traffic: /metrics reads the
                 # registry without touching the request counters.
-                metrics = self.service.metrics
-                self._metrics(
-                    parsed.query, metrics.snapshot, lambda: render_prometheus(metrics)
-                )
+                self._metrics(parsed.query, self.service.metrics.snapshot)
             elif parsed.path == "/releases":
                 self._respond({"releases": self.service.releases_info()})
             elif parsed.path == "/query":
@@ -651,6 +655,9 @@ class _Handler(JSONHandler):
         if self._refuse_or_inject():
             return
         release = payload.get("release")
+        if release is not None and not isinstance(release, str):
+            self._error("'release' must be a string or null", 400)
+            return
         try:
             if self.path == "/query":
                 pattern = payload.get("pattern")
@@ -684,11 +691,9 @@ class _Handler(JSONHandler):
                         headers=counted,
                     )
             elif self.path == "/mine":
-                threshold = payload.get("threshold")
-                if not isinstance(threshold, (int, float)) or isinstance(
-                    threshold, bool
-                ):
-                    self._error("'threshold' must be a number", 400)
+                threshold = _finite_number(payload.get("threshold"))
+                if threshold is None:
+                    self._error("'threshold' must be a finite number", 400)
                     return
                 min_length = payload.get("min_length", 1)
                 if not _is_int(min_length):
@@ -703,7 +708,7 @@ class _Handler(JSONHandler):
                     self._error("'exact_length' must be an integer or null", 400)
                     return
                 patterns = self.service.mine(
-                    float(threshold),
+                    threshold,
                     release,
                     min_length=int(min_length),
                     max_length=None if max_length is None else int(max_length),
@@ -712,7 +717,7 @@ class _Handler(JSONHandler):
                 self._respond(
                     {
                         "release": release or self.service.default_release,
-                        "threshold": float(threshold),
+                        "threshold": threshold,
                         "patterns": [[p, c] for p, c in patterns],
                     }
                 )

@@ -17,11 +17,11 @@ version uses):
 ``json``
     exactly what :meth:`PrivateCountingTrie.save` writes — released noisy
     counts plus public metadata, human-readable, rsyncable to untrusted
-    analysts wholesale.  Every byte is re-parsed into an object trie on
+    analysts wholesale.  Every byte is re-parsed and the arrays rebuilt on
     load, so cold start is O(nodes) per process.
 ``binary``
     the ``vNNNN.dpsb`` columnar format of :mod:`repro.serving.binfmt`: the
-    compiled trie's flat arrays as raw aligned buffers.  :meth:`load_compiled`
+    counter's flat arrays as raw aligned buffers.  :meth:`load_compiled`
     maps it read-only, so cold start is O(header) and N server processes
     share one page-cache copy of the node data.
 
@@ -53,15 +53,11 @@ import os
 import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
 from repro.serving import binfmt
 from repro.serving._fsio import FileLock, atomic_write_text, file_signature
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.serving.compiled import CompiledTrie
 
 __all__ = ["ReleaseStore", "ReleaseRecord"]
 
@@ -128,14 +124,12 @@ class ReleaseStore:
     def save(
         self,
         name: str,
-        structure: "PrivateCountingTrie | CompiledTrie",
+        structure: PrivateCountingTrie,
         *,
         format: str | None = None,
         epoch: int | None = None,
     ) -> ReleaseRecord:
-        """Persist ``structure`` as the next version of release ``name``
-        (any counter form with the shared payload surface: in-memory
-        structures and compiled tries serialize identically).
+        """Persist ``structure`` as the next version of release ``name``.
 
         ``format`` overrides the store default for this save; ``"auto"``
         (and an unset store default) means binary.  The recorded digest is
@@ -153,14 +147,9 @@ class ReleaseStore:
         fmt = _check_format(format if format is not None else self.format)
         if fmt == "auto":
             fmt = "binary"
-        # Payload assembly happens outside the locks: compiling / canonical
+        # Payload assembly happens outside the locks: canonical
         # serialization is pure CPU and must not extend the critical section.
         if fmt == "binary":
-            compiled = (
-                structure
-                if hasattr(structure, "arrays")
-                else structure.compiled()
-            )
             digest = structure.content_digest()
             payload = None
         else:
@@ -189,7 +178,7 @@ class ReleaseStore:
             # orphan version file the index never references (and the next
             # save of that name atomically overwrites it).
             if fmt == "binary":
-                binfmt.write_binary(path, compiled, content_digest=digest)
+                binfmt.write_binary(path, structure, content_digest=digest)
             else:
                 atomic_write_text(path, payload)
             info = {
@@ -267,11 +256,10 @@ class ReleaseStore:
                             f"release {release_name!r} v{v} failed its digest "
                             "check; refusing to migrate a modified payload"
                         )
-                    structure = PrivateCountingTrie.from_json(payload)
                     binary_path = json_path.with_suffix(binfmt.BINARY_SUFFIX)
                     binfmt.write_binary(
                         binary_path,
-                        structure.compiled(),
+                        PrivateCountingTrie.from_json(payload),
                         content_digest=record.digest,
                     )
                     # Digest equality is *proved* before the JSON payload
@@ -306,24 +294,23 @@ class ReleaseStore:
         """Reload a stored structure (pinned-or-latest when no version is
         given), verifying its recorded digest.
 
-        Binary versions are fully read (checksummed) and rebuilt as object
-        tries, then re-digested: the returned structure's canonical digest
-        is proven equal to the index record regardless of payload format.
-        Serving paths that want the arrays, not the objects, use
-        :meth:`load_compiled` instead.
+        Binary versions are fully read into memory (checksummed) and
+        re-digested: the returned structure's canonical digest is proven
+        equal to the index record regardless of payload format.  Serving
+        paths use :meth:`load_compiled` instead, which maps binary versions
+        and compares the header's recorded digest without re-deriving it.
         """
         with self._lock:
             self._refresh_if_stale()
             resolved = self.resolve_version(name, version)
             record = self._record(name, resolved)
         if record.format == "binary":
-            compiled = binfmt.read_binary(
+            structure = binfmt.read_binary(
                 record.path,
                 mmap=False,
                 verify=True,
                 expected_digest=record.digest,
             )
-            structure = PrivateCountingTrie.from_dict(compiled.to_payload())
             if structure.content_digest() != record.digest:
                 raise ReproError(
                     f"release {name!r} v{resolved} failed its digest check; "
@@ -345,17 +332,17 @@ class ReleaseStore:
         *,
         mmap: bool = True,
         verify: bool | None = None,
-    ) -> "CompiledTrie":
-        """The serving-path load: a :class:`CompiledTrie` of the stored
-        version, zero-copy over mapped buffers when the payload is binary.
+    ) -> PrivateCountingTrie:
+        """The serving-path load of the stored version, zero-copy over
+        mapped buffers when the payload is binary.
 
         For binary versions with ``mmap=True`` (the default) cold start is
         O(header): magic/version/size are validated, the header's canonical
         digest is checked against the index record, and node pages fault in
         lazily on first query — N processes share one page-cache copy.
         ``verify=True`` additionally checksums the data section up front.
-        JSON versions fall back to :meth:`load` + compile (their cold start
-        is inherently O(nodes)).
+        JSON versions are :meth:`load`-ed (their cold start is inherently
+        O(nodes)).
         """
         with self._lock:
             self._refresh_if_stale()
@@ -368,7 +355,7 @@ class ReleaseStore:
                 verify=verify,
                 expected_digest=record.digest,
             )
-        return self.load(name, resolved).compiled()
+        return self.load(name, resolved)
 
     def resolve_version(self, name: str, version: int | None = None) -> int:
         """The version ``load(name, version)`` would read."""

@@ -1,10 +1,10 @@
 """Tries and compacted tries over string collections.
 
-The private data structures output by the paper's constructions are tries in
-which every node stores a noisy count for the string it spells
-(:class:`repro.core.private_trie.PrivateCountingTrie` wraps a :class:`Trie`).
-The candidate trie ``T_C`` of the construction algorithm is also a
-:class:`Trie`.  :class:`CompactedTrie` implements the classic compaction
+The candidate trie ``T_C`` of the construction algorithm is a :class:`Trie`
+whose nodes carry exact and noisy counts while the object reference
+pipeline builds it; the released structure
+(:class:`repro.core.private_trie.PrivateCountingTrie`) keeps only the noisy
+counts, in arrays.  :class:`CompactedTrie` implements the classic compaction
 (dissolving non-branching internal nodes) used to discuss storage bounds.
 """
 

@@ -4,12 +4,17 @@ release store with identical answers."""
 
 from __future__ import annotations
 
+import gc
+import types
+from typing import Iterator
+
 import numpy as np
 import pytest
 
 from repro.api import CorpusStream, Dataset, PrivateCounter, default_registry
 from repro.core.private_trie import PrivateCountingTrie
 from repro.serving import CompiledTrie, QueryService, ReleaseStore
+from repro.strings.trie import TrieNode
 
 DOCUMENTS = ["abab", "abba", "baba", "bbbb", "aabb"]
 
@@ -95,32 +100,51 @@ class TestProtocol:
         mined = counter.mine(1.0)
         assert set(mined) <= set(counter.items())
 
-    def test_invalidate_cached_views_after_in_place_mutation(self, counters, kind):
-        """Structures are read-only by contract; code that edits stored
-        counts in place must invalidate, after which query_many agrees
-        with query again."""
-        counter = counters[kind]
-        pattern, original = next(iter(counter.items()))
-        counter.query_many([pattern])  # populate the cached view
-        node = counter.trie.find(pattern)
-        node.noisy_count = original + 123.0
-        try:
-            counter.invalidate_cached_views()
-            assert counter.query_many([pattern])[0] == counter.query(pattern)
-        finally:
-            node.noisy_count = original
-            counter.invalidate_cached_views()
+
+
+def _reachable(root: object) -> Iterator[object]:
+    """Every object reachable from ``root`` through ``gc.get_referents``,
+    not following classes, modules or functions (program state every
+    object reaches, not data the counter holds)."""
+    shared = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen = {id(root)}
+    stack = [root]
+    while stack:
+        obj = stack.pop()
+        yield obj
+        for referent in gc.get_referents(obj):
+            if not isinstance(referent, shared) and id(referent) not in seen:
+                seen.add(id(referent))
+                stack.append(referent)
+
+
+@pytest.mark.parametrize(
+    "kind, backend",
+    [(kind, "array") for kind in sorted(KIND_KWARGS)] + [("heavy-path", "object")],
+)
+def test_release_holds_no_exact_counts(kind, backend):
+    """A built counter keeps the released noisy counts only: no candidate
+    trie node, and so no exact count, is reachable from it."""
+    counter = (
+        Dataset.from_documents(DOCUMENTS)
+        .with_budget(2.0, 1e-6)
+        .with_beta(0.1)
+        .noiseless()
+        .with_threshold(1.0)
+        .with_build_backend(backend)
+        .build(kind, rng=np.random.default_rng(7), **KIND_KWARGS[kind])
+    )
+    assert counter.num_stored_patterns > 0
+    reached = list(_reachable(counter))
+    assert not [obj for obj in reached if isinstance(obj, TrieNode)]
+    # the walk does reach the released counts
+    assert any(isinstance(obj, np.ndarray) for obj in reached)
 
 
 class TestCompiledCounter:
-    def test_compiled_trie_satisfies_protocol(self, counters):
-        compiled = CompiledTrie.from_structure(counters["heavy-path"])
-        assert isinstance(compiled, PrivateCounter)
-
-    def test_compiled_payload_matches_source(self, counters):
-        source = counters["heavy-path"]
-        compiled = CompiledTrie.from_structure(source)
-        assert compiled.to_payload() == source.to_payload()
+    def test_compiled_trie_is_the_counter_class(self, counters):
+        assert CompiledTrie is PrivateCountingTrie
+        assert isinstance(counters["heavy-path"], PrivateCounter)
 
     def test_compiled_from_payload_round_trip(self, counters):
         source = counters["qgram-t3"]
@@ -134,7 +158,7 @@ class TestCompiledCounter:
         """A compiled trie ships through the same ReleaseStore as its
         source, byte-identical (same JSON, same digest)."""
         source = counters["heavy-path"]
-        compiled = CompiledTrie.from_structure(source)
+        compiled = CompiledTrie.from_payload(source.to_payload())
         assert compiled.content_digest() == source.content_digest()
         store = ReleaseStore(tmp_path / "store")
         record = compiled.release(store, "compiled")

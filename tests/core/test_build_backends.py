@@ -26,6 +26,7 @@ from repro.core.candidate_set import build_candidate_set
 from repro.core.construction import build_private_counting_structure
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
+from repro.core.private_trie import PrivateCountingTrie
 from repro.core.qgram_structure import (
     theorem3_qgram_structure,
     theorem4_qgram_structure,
@@ -183,25 +184,20 @@ class TestPipelineEquivalence:
         assert "timings" not in payload
         assert "profile" not in payload
 
-    def test_compiled_handoff_matches_from_structure(self, small_db):
+    def test_array_build_matches_its_payload_rebuild(self, small_db):
+        """The array pipeline's counter and the one the pattern -> count
+        factory rebuilds from its payload share one layout, column for
+        column — every producer of the single counter class agrees."""
         params = ConstructionParams.pure(5.0, beta=0.1, build_backend="array")
         structure = build_private_counting_structure(
             small_db, params, rng=np.random.default_rng(9)
         )
-        handoff = structure.compiled()
-        handoff.assert_immutable()
-        from repro.serving.compiled import CompiledTrie
-
-        rebuilt = CompiledTrie.from_structure(structure)
-        probes = structure.patterns() + ["", "ab", "ba", "zzzz"]
-        for pattern in probes:
-            assert handoff.query(pattern) == rebuilt.query(pattern)
-        assert np.array_equal(
-            handoff.batch_query(probes), rebuilt.batch_query(probes)
-        )
-        assert handoff.content_digest() == rebuilt.content_digest()
-        # Nothing in a compiled trie is per-caller: one cached view.
-        assert structure.compiled() is structure.compiled()
+        structure.assert_immutable()
+        rebuilt = PrivateCountingTrie.from_payload(structure.to_payload())
+        for name, column in structure.arrays().items():
+            assert np.array_equal(rebuilt.arrays()[name], column), name
+        assert rebuilt._vocab == structure._vocab
+        assert rebuilt.content_digest() == structure.content_digest()
 
 
 class TestArrayPrimitives:

@@ -15,7 +15,6 @@ from repro.core.mining import (
 )
 from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
-from repro.strings.trie import Trie
 
 
 def noiseless_params(**kwargs) -> ConstructionParams:
@@ -61,12 +60,11 @@ class TestMiningOnNoiselessStructure:
         assert violations.ok
 
     def test_guarantee_checker_detects_missing_pattern(self):
-        trie = Trie()
         metadata = StructureMetadata(
             epsilon=1.0, delta=0.0, beta=0.1, delta_cap=5, max_length=5,
             num_documents=5, alphabet_size=2, error_bound=1.0, threshold=2.0,
         )
-        empty_structure = PrivateCountingTrie(trie=trie, metadata=metadata)
+        empty_structure = PrivateCountingTrie.from_counts({}, metadata)
         result = mine_frequent_substrings(empty_structure, threshold=2.0)
         violations = check_mining_guarantee(
             result, {"aa": 10}, alpha=1.0
@@ -75,25 +73,21 @@ class TestMiningOnNoiselessStructure:
         assert not violations.spurious
 
     def test_guarantee_checker_detects_spurious_pattern(self):
-        trie = Trie()
-        node = trie.insert("zz")
-        node.noisy_count = 50.0
         metadata = StructureMetadata(
             epsilon=1.0, delta=0.0, beta=0.1, delta_cap=5, max_length=5,
             num_documents=5, alphabet_size=2, error_bound=1.0, threshold=2.0,
         )
-        structure = PrivateCountingTrie(trie=trie, metadata=metadata)
+        structure = PrivateCountingTrie.from_counts({"zz": 50.0}, metadata)
         result = mine_frequent_substrings(structure, threshold=10.0)
         violations = check_mining_guarantee(result, {"zz": 0}, alpha=1.0)
         assert violations.spurious == ["zz"]
 
     def test_guarantee_checker_respects_length_restriction(self):
-        trie = Trie()
         metadata = StructureMetadata(
             epsilon=1.0, delta=0.0, beta=0.1, delta_cap=5, max_length=5,
             num_documents=5, alphabet_size=2, error_bound=1.0, threshold=2.0,
         )
-        structure = PrivateCountingTrie(trie=trie, metadata=metadata)
+        structure = PrivateCountingTrie.from_counts({}, metadata)
         result = mine_frequent_qgrams(structure, threshold=2.0, q=2)
         violations = check_mining_guarantee(
             result, {"aaa": 100}, alpha=1.0, restrict_to_length=2

@@ -5,14 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
-from repro.strings.trie import Trie
 
 
 def make_structure(counts: dict[str, float], **metadata_overrides) -> PrivateCountingTrie:
-    trie = Trie()
-    for pattern, count in counts.items():
-        node = trie.insert(pattern)
-        node.noisy_count = count
     metadata = StructureMetadata(
         epsilon=1.0,
         delta=0.0,
@@ -25,7 +20,7 @@ def make_structure(counts: dict[str, float], **metadata_overrides) -> PrivateCou
         threshold=metadata_overrides.pop("threshold", 4.0),
         **metadata_overrides,
     )
-    return PrivateCountingTrie(trie=trie, metadata=metadata)
+    return PrivateCountingTrie.from_counts(counts, metadata)
 
 
 class TestQueries:
@@ -104,13 +99,6 @@ class TestSerialization:
 
 class TestSaveLoad:
     def _structure(self):
-        from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
-        from repro.strings.trie import Trie
-
-        trie = Trie()
-        for pattern, count in (("ab", 4.5), ("abe", 1.2), ("b", 7.0)):
-            node = trie.insert(pattern)
-            node.noisy_count = count
         metadata = StructureMetadata(
             epsilon=1.0,
             delta=0.0,
@@ -123,11 +111,10 @@ class TestSaveLoad:
             threshold=6.0,
             construction="unit-test",
         )
-        return PrivateCountingTrie(trie=trie, metadata=metadata, report={"k": 1})
+        counts = {"ab": 4.5, "abe": 1.2, "b": 7.0}
+        return PrivateCountingTrie.from_counts(counts, metadata, {"k": 1})
 
     def test_save_and_load_roundtrip(self, tmp_path):
-        from repro.core.private_trie import PrivateCountingTrie
-
         structure = self._structure()
         path = structure.save(tmp_path / "release.json")
         assert path.exists()
@@ -137,8 +124,6 @@ class TestSaveLoad:
         assert restored.report == structure.report
 
     def test_save_accepts_string_paths(self, tmp_path):
-        from repro.core.private_trie import PrivateCountingTrie
-
         structure = self._structure()
         path = structure.save(str(tmp_path / "release.json"))
         assert PrivateCountingTrie.load(str(path)).query("ab") == 4.5

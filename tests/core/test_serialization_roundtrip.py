@@ -16,22 +16,20 @@ import pytest
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
-from repro.strings.trie import Trie
 
 ALPHABETS = ["ab", "acgt", "0123456789", "aé☃b"]
 
 
 def random_structure(rng: np.random.Generator, alphabet: str) -> PrivateCountingTrie:
     """A structure over ``alphabet`` with random patterns and counts."""
-    trie = Trie()
+    counts: dict[str, float] = {}
     num_patterns = int(rng.integers(0, 40))
     for _ in range(num_patterns):
         length = int(rng.integers(1, 9))
         pattern = "".join(rng.choice(list(alphabet), size=length))
-        node = trie.insert(pattern)
         # Counts include negatives, huge values and non-round floats, all of
         # which a noisy release can legitimately contain.
-        node.noisy_count = float(rng.normal(0.0, 10.0 ** rng.integers(0, 7)))
+        counts[pattern] = float(rng.normal(0.0, 10.0 ** rng.integers(0, 7)))
     metadata = StructureMetadata(
         epsilon=float(rng.uniform(0.1, 50.0)),
         delta=float(rng.choice([0.0, 1e-6, 1e-9])),
@@ -46,7 +44,7 @@ def random_structure(rng: np.random.Generator, alphabet: str) -> PrivateCounting
         construction=str(rng.choice(["thm1", "thm2", ""])),
     )
     report = {"absent_pattern_bound": float(rng.uniform(0.0, 1e4))}
-    return PrivateCountingTrie(trie=trie, metadata=metadata, report=report)
+    return PrivateCountingTrie.from_counts(counts, metadata, report)
 
 
 def probe_patterns(
@@ -145,7 +143,7 @@ class TestConstructedRoundTrips:
         params = ConstructionParams.pure(5.0, beta=0.1)
         structure = build_private_counting_structure(small_db, params, rng=rng)
         restored = PrivateCountingTrie.from_json(structure.to_json())
-        compiled = restored.compiled()
+        compiled = restored
         probes = structure.patterns() + ["", "ab", "zz"]
         for pattern in probes:
             assert compiled.query(pattern) == structure.query(pattern)

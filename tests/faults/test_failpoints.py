@@ -258,7 +258,7 @@ class TestServingSites:
 
         structure = make_structure({"ab": 5.0, "ba": 3.0})
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
         faults.arm([{"site": "binfmt.read", "action": "corrupt", "times": 1}])
         with pytest.raises(ReleaseFormatError):
             binfmt.read_binary(path, mmap=False)

@@ -8,7 +8,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.obs import MetricsRegistry, render_prometheus, validate_exposition
+from repro.obs import MetricsRegistry, render_snapshot, validate_exposition
+
+
+def render(registry: MetricsRegistry) -> str:
+    return render_snapshot(registry.snapshot())
 
 
 @pytest.fixture
@@ -31,11 +35,11 @@ def registry() -> MetricsRegistry:
 
 class TestRenderer:
     def test_rendered_output_validates(self, registry):
-        text = render_prometheus(registry)
+        text = render(registry)
         assert validate_exposition(text) > 0
 
     def test_counter_and_gauge_samples(self, registry):
-        text = render_prometheus(registry)
+        text = render(registry)
         assert "# TYPE dpsc_requests_total counter" in text
         assert 'dpsc_requests_total{endpoint="query"} 5.0' in text
         assert 'dpsc_requests_total{endpoint="batch"} 2.0' in text
@@ -43,7 +47,7 @@ class TestRenderer:
         assert "dpsc_uptime_seconds 12.5" in text
 
     def test_histogram_expansion(self, registry):
-        text = render_prometheus(registry)
+        text = render(registry)
         assert "# TYPE dpsc_request_seconds histogram" in text
         assert 'dpsc_request_seconds_bucket{endpoint="query",le="+Inf"} 5' in text
         assert 'dpsc_request_seconds_count{endpoint="query"} 5' in text
@@ -59,12 +63,12 @@ class TestRenderer:
         registry.counter(
             "weird_total", "quotes", {"release": 'a"b\\c'}
         ).inc()
-        text = render_prometheus(registry)
+        text = render(registry)
         assert '\\"' in text and "\\\\" in text
         assert validate_exposition(text) == 1
 
     def test_empty_registry_renders_nothing_but_validates(self):
-        text = render_prometheus(MetricsRegistry())
+        text = render(MetricsRegistry())
         assert validate_exposition(text) == 0
 
 

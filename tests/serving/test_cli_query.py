@@ -12,7 +12,7 @@ import threading
 import pytest
 
 from repro.cli import main
-from repro.serving import CompiledTrie, QueryService, create_server
+from repro.serving import QueryService, create_server
 from tests.serving.test_release_format import make_structure
 
 #: counts with distinct one-decimal values, so the printed rows pin them
@@ -21,7 +21,7 @@ COUNTS = {"ab": 5.0, "ba": 3.5, "abab": 1.5, "b": 40.0, "bab": -2.5}
 
 @pytest.fixture(scope="module")
 def served():
-    compiled = CompiledTrie.from_structure(make_structure(COUNTS))
+    compiled = make_structure(COUNTS)
     service = QueryService({"demo": compiled}, micro_batch=False)
     server = create_server(service)
     thread = threading.Thread(

@@ -252,6 +252,34 @@ def test_relayed_answers_match_the_single_process(cluster, single_url, case):
     assert exchange(cluster.url, method, path, body) == single
 
 
+#: client inputs a worker once failed with a 500, which the router retried
+#: on every worker until its retry timeout, opening their breakers: (path,
+#: body, the single-process status).
+CLIENT_FAULTS = {
+    "release-a-list": ("/query", b'{"pattern": "A", "release": [1]}', 400),
+    "release-an-object": ("/batch", b'{"patterns": ["A"], "release": {}}', 400),
+    "batch-lone-surrogate": ("/batch", b'{"patterns": ["\\ud800", "ab"]}', 200),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLIENT_FAULTS))
+def test_a_client_fault_is_answered_at_once_without_retries(
+    cluster, client, single_url, case
+):
+    path, body, status = CLIENT_FAULTS[case]
+    retries = client.healthz()["retries"]
+    started = time.monotonic()
+    answer = exchange(cluster.url, "POST", path, body)
+    assert time.monotonic() - started < 1.0
+    assert answer[0] == status
+    assert answer == exchange(single_url, "POST", path, body)
+    assert client.healthz()["retries"] == retries
+    router = cluster.router
+    assert all(
+        router._breaker(worker).state == "closed" for worker in router.table.live()
+    )
+
+
 def raw_get(url: str, target: bytes) -> tuple[bytes, bytes]:
     """A ``GET`` whose request target is sent as the raw bytes ``target``
     (``http.client`` refuses control bytes): status line and body."""

@@ -1,9 +1,9 @@
-"""Parity tests for the compiled array-backed trie.
+"""Query-path tests for the array trie the server answers from.
 
-The load-bearing property is *exact post-processing parity*: a compiled
-release answers byte-identical counts to the in-memory
-:class:`PrivateCountingTrie` for every pattern, through every query path
-(single walk, batch, mine), with and without the dense transition table.
+The load-bearing property is that every query path — single walk, batch,
+membership, mine — answers exactly what the released payload says: the
+stored noisy count of a pattern, or 0 when it stores none, with and
+without the dense transition table.
 """
 
 from __future__ import annotations
@@ -15,14 +15,9 @@ from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 from repro.serving import CompiledTrie
-from repro.strings.trie import Trie
 
 
 def make_structure(counts: dict[str, float], **metadata_overrides) -> PrivateCountingTrie:
-    trie = Trie()
-    for pattern, count in counts.items():
-        node = trie.insert(pattern)
-        node.noisy_count = count
     metadata = StructureMetadata(
         epsilon=1.0,
         delta=0.0,
@@ -35,7 +30,37 @@ def make_structure(counts: dict[str, float], **metadata_overrides) -> PrivateCou
         threshold=4.0,
         **metadata_overrides,
     )
-    return PrivateCountingTrie(trie=trie, metadata=metadata)
+    return PrivateCountingTrie.from_counts(counts, metadata)
+
+
+class Oracle:
+    """A release's answers straight from its payload's count map."""
+
+    def __init__(self, counts: dict[str, float]) -> None:
+        self.counts = counts
+
+    @classmethod
+    def of(cls, structure: PrivateCountingTrie) -> "Oracle":
+        return cls(structure.to_payload()["counts"])
+
+    def query(self, pattern: str) -> float:
+        return float(self.counts.get(pattern, 0.0))
+
+    def __contains__(self, pattern: str) -> bool:
+        return pattern in self.counts
+
+    def mine(self, threshold, *, min_length=1, max_length=None, exact_length=None):
+        results = [
+            (pattern, count)
+            for pattern, count in self.counts.items()
+            if pattern
+            and count >= threshold
+            and len(pattern) >= min_length
+            and (max_length is None or len(pattern) <= max_length)
+            and (exact_length is None or len(pattern) == exact_length)
+        ]
+        results.sort(key=lambda item: (-item[1], item[0]))
+        return results
 
 
 def probe_patterns(structure: PrivateCountingTrie) -> list[str]:
@@ -57,39 +82,37 @@ def built_structure(small_db, rng):
 
 class TestSingleQueryParity:
     def test_handmade_structure(self):
-        structure = make_structure({"ab": 7.5, "abc": 3.0, "ba": -1.5})
-        compiled = CompiledTrie.from_structure(structure)
+        counts = {"ab": 7.5, "abc": 3.0, "ba": -1.5}
+        structure = make_structure(counts)
         for pattern in ("ab", "abc", "ba", "a", "b", "", "abcd", "zz", "a?"):
-            assert compiled.query(pattern) == structure.query(pattern)
+            assert structure.query(pattern) == Oracle(counts).query(pattern)
 
     def test_membership_matches(self):
         structure = make_structure({"abc": 3.0})
-        compiled = CompiledTrie.from_structure(structure)
-        for pattern in ("abc", "ab", "a", "zz", "abcd"):
-            assert (pattern in compiled) == (pattern in structure)
+        for pattern in ("abc", "ab", "a", "zz", "abcd", ""):
+            assert (pattern in structure) == (pattern == "abc")
 
     def test_built_structure_parity(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
+        oracle = Oracle.of(built_structure)
         for pattern in probe_patterns(built_structure):
-            assert compiled.query(pattern) == built_structure.query(pattern)
+            assert built_structure.query(pattern) == oracle.query(pattern)
 
     def test_root_count_parity(self, built_structure):
-        # Constructions store a count on the root; query("") must agree.
-        compiled = CompiledTrie.from_structure(built_structure)
-        assert compiled.query("") == built_structure.query("")
+        # Constructions store a count on the root; query("") answers it.
+        assert "" in built_structure
+        assert built_structure.query("") == Oracle.of(built_structure).query("")
 
     def test_empty_structure(self):
         structure = make_structure({})
-        compiled = CompiledTrie.from_structure(structure)
-        assert compiled.query("anything") == 0.0
-        assert compiled.num_nodes == 1
-        assert compiled.num_stored_patterns == 0
+        assert structure.query("anything") == 0.0
+        assert structure.num_nodes == 1
+        assert structure.num_stored_patterns == 0
 
 
 class TestSingleWalk:
     """``query`` and ``in`` walk the dense table, or binary-search
     ``edge_keys`` past :attr:`CompiledTrie.DENSE_TRANSITION_LIMIT`; both
-    walks must answer exactly what the in-memory structure answers."""
+    walks must answer exactly what the payload says."""
 
     @staticmethod
     def probes(structure: PrivateCountingTrie) -> list[str]:
@@ -99,6 +122,7 @@ class TestSingleWalk:
             "a\x00",
             "\U0001F600",
             "a\U0001F600",
+            "\ud800",
             "?",
             longest + longest,
         ]
@@ -107,19 +131,20 @@ class TestSingleWalk:
     def compiled(self, built_structure, monkeypatch, request):
         if request.param == "sparse":
             monkeypatch.setattr(CompiledTrie, "DENSE_TRANSITION_LIMIT", 0)
-        trie = CompiledTrie.from_structure(built_structure)
+        trie = PrivateCountingTrie.from_payload(built_structure.to_payload())
         assert (trie._transitions is None) == (request.param == "sparse")
         return trie
 
     def test_query_and_membership_match_the_structure(
         self, compiled, built_structure
     ):
+        oracle = Oracle.of(built_structure)
         for pattern in self.probes(built_structure):
-            assert compiled.query(pattern) == built_structure.query(pattern)
-            assert (pattern in compiled) == (pattern in built_structure)
+            assert compiled.query(pattern) == oracle.query(pattern)
+            assert (pattern in compiled) == (pattern in oracle)
 
     def test_both_walks_agree(self, compiled, built_structure):
-        dense = CompiledTrie.from_structure(built_structure)
+        dense = PrivateCountingTrie.from_payload(built_structure.to_payload())
         dense.DENSE_TRANSITION_LIMIT = 1 << 25
         assert dense._transitions is not None
         for pattern in self.probes(built_structure):
@@ -128,10 +153,11 @@ class TestSingleWalk:
             assert compiled.lookup_node(pattern) == dense.lookup_node(pattern)
 
     def test_lookup_node_spells_the_pattern(self, compiled, built_structure):
+        nodes = set(built_structure.patterns())
         for pattern in self.probes(built_structure):
             node = compiled.lookup_node(pattern)
             if node < 0:
-                assert built_structure.trie.find(pattern) is None
+                assert pattern not in nodes
             else:
                 assert compiled.pattern_of(node) == pattern
 
@@ -142,54 +168,50 @@ class TestSingleWalk:
 
 class TestBatchQueryParity:
     def test_matches_single_queries(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
         probes = probe_patterns(built_structure)
-        batch = compiled.batch_query(probes)
+        batch = built_structure.batch_query(probes)
         expected = [built_structure.query(p) for p in probes]
-        assert np.allclose(batch, expected)
+        assert batch.tolist() == expected
 
     def test_empty_batch(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
-        assert compiled.batch_query([]).tolist() == []
+        assert built_structure.batch_query([]).tolist() == []
 
     def test_all_empty_patterns(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
-        batch = compiled.batch_query(["", "", ""])
-        assert np.allclose(batch, [built_structure.query("")] * 3)
+        batch = built_structure.batch_query(["", "", ""])
+        assert batch.tolist() == [built_structure.query("")] * 3
 
     def test_unknown_alphabet_characters(self):
         structure = make_structure({"ab": 4.0})
-        compiled = CompiledTrie.from_structure(structure)
-        assert compiled.batch_query(["a?", "?a", "ab", "☃"]).tolist() == [
+        assert structure.batch_query(["a?", "?a", "ab", "☃", "\ud800"]).tolist() == [
             0.0,
             0.0,
             4.0,
+            0.0,
             0.0,
         ]
 
     def test_sparse_fallback_parity(self, built_structure, monkeypatch):
         # Force the searchsorted fallback used for huge alphabets.
         monkeypatch.setattr(CompiledTrie, "DENSE_TRANSITION_LIMIT", 0)
-        compiled = CompiledTrie.from_structure(built_structure)
+        compiled = PrivateCountingTrie.from_payload(built_structure.to_payload())
         assert compiled._transitions is None
         probes = probe_patterns(built_structure)
-        expected = [built_structure.query(p) for p in probes]
-        assert np.allclose(compiled.batch_query(probes), expected)
+        expected = [Oracle.of(built_structure).query(p) for p in probes]
+        assert compiled.batch_query(probes).tolist() == expected
 
     def test_sparse_fallback_single_node(self, monkeypatch):
         monkeypatch.setattr(CompiledTrie, "DENSE_TRANSITION_LIMIT", 0)
-        compiled = CompiledTrie.from_structure(make_structure({}))
+        compiled = make_structure({})
         assert compiled.batch_query(["a", ""]).tolist() == [0.0, 0.0]
 
     def test_large_random_batch(self, built_structure, rng):
-        compiled = CompiledTrie.from_structure(built_structure)
         alphabet = ["a", "b", "c"]
         probes = [
             "".join(alphabet[i] for i in rng.integers(0, 3, size=rng.integers(0, 7)))
             for _ in range(500)
         ]
-        expected = [built_structure.query(p) for p in probes]
-        assert np.allclose(compiled.batch_query(probes), expected)
+        expected = [Oracle.of(built_structure).query(p) for p in probes]
+        assert built_structure.batch_query(probes).tolist() == expected
 
 
 class TestBatchQueryEdgeCases:
@@ -201,7 +223,7 @@ class TestBatchQueryEdgeCases:
     def compiled(self, built_structure, monkeypatch, request):
         if request.param == "sparse":
             monkeypatch.setattr(CompiledTrie, "DENSE_TRANSITION_LIMIT", 0)
-        trie = CompiledTrie.from_structure(built_structure)
+        trie = PrivateCountingTrie.from_payload(built_structure.to_payload())
         assert (trie._transitions is None) == (request.param == "sparse")
         return trie
 
@@ -249,36 +271,26 @@ class TestBatchQueryEdgeCases:
 
 class TestMiningParity:
     def test_mine_matches(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
+        oracle = Oracle.of(built_structure)
         for threshold in (0.5, 1.0, 2.0, 100.0):
-            assert compiled.mine(threshold) == built_structure.mine(threshold)
+            assert built_structure.mine(threshold) == oracle.mine(threshold)
 
     def test_mine_filters_match(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
-        assert compiled.mine(1.0, min_length=2) == built_structure.mine(
-            1.0, min_length=2
-        )
-        assert compiled.mine(1.0, max_length=2) == built_structure.mine(
-            1.0, max_length=2
-        )
-        assert compiled.mine(1.0, exact_length=3) == built_structure.mine(
-            1.0, exact_length=3
-        )
+        oracle = Oracle.of(built_structure)
+        for filters in ({"min_length": 2}, {"max_length": 2}, {"exact_length": 3}):
+            assert built_structure.mine(1.0, **filters) == oracle.mine(1.0, **filters)
 
     def test_items_match(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
-        assert dict(compiled.items()) == dict(built_structure.items())
+        counts = dict(Oracle.of(built_structure).counts)
+        del counts[""]
+        assert dict(built_structure.items()) == counts
 
 
 class TestStatistics:
     def test_counts_and_sizes(self, built_structure):
-        compiled = CompiledTrie.from_structure(built_structure)
-        assert compiled.num_nodes == built_structure.num_nodes
-        assert compiled.num_stored_patterns == built_structure.num_stored_patterns
-        assert compiled.error_bound == built_structure.error_bound
-        assert compiled.metadata == built_structure.metadata
-        assert compiled.nbytes > 0
-
-    def test_compiled_via_structure_hook(self, built_structure):
-        compiled = built_structure.compiled()
-        assert compiled.query("ab") == built_structure.query("ab")
+        counts = Oracle.of(built_structure).counts
+        prefixes = {p[:k] for p in counts for k in range(len(p) + 1)}
+        assert built_structure.num_nodes == len(prefixes)
+        assert built_structure.num_stored_patterns == len(counts) - 1
+        assert built_structure.error_bound == built_structure.metadata.error_bound
+        assert built_structure.nbytes > 0

@@ -38,7 +38,6 @@ from repro.dp.composition import PrivacyBudget
 from repro.exceptions import BudgetExceededError
 from repro.serving import (
     BudgetLedger,
-    CompiledTrie,
     QueryService,
     ReleaseStore,
     binfmt,
@@ -103,7 +102,7 @@ class TestCompiledSnapshot:
         call must be the same object (two builds that race past the views
         lock would publish two)."""
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
         stored = sorted(pattern for pattern, _ in structure.items())
         width = max(len(p) for p in stored)
         probes = stored + ["", "zz", "\x00", "a\U0001F600", stored[-1] * 3]
@@ -140,14 +139,13 @@ class TestCompiledSnapshot:
             compiled.assert_immutable()
 
     def test_compiled_arrays_are_immutable_snapshots(self, structure):
-        compiled = CompiledTrie.from_structure(structure)
-        compiled.query("ab")
-        compiled.batch_query(["ab", "ba", "ab", "ba"])
-        compiled.assert_immutable()
+        structure.query("ab")
+        structure.batch_query(["ab", "ba", "ab", "ba"])
+        structure.assert_immutable()
         with pytest.raises(ValueError):
-            compiled._counts[0] = 1.0
+            structure._counts[0] = 1.0
         with pytest.raises(ValueError):
-            compiled._transitions[0] = 1
+            structure._transitions[0] = 1
 
 
 class TestMixedTrafficStorm:

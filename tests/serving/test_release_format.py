@@ -22,15 +22,9 @@ import repro.serving._fsio as fsio
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 from repro.exceptions import ReleaseFormatError, ReproError
 from repro.serving import ReleaseStore, binfmt
-from repro.serving.compiled import CompiledTrie
-from repro.strings.trie import Trie
 
 
 def make_structure(counts: dict[str, float]) -> PrivateCountingTrie:
-    trie = Trie()
-    for pattern, count in counts.items():
-        node = trie.insert(pattern)
-        node.noisy_count = count
     metadata = StructureMetadata(
         epsilon=2.0,
         delta=1e-6,
@@ -43,7 +37,7 @@ def make_structure(counts: dict[str, float]) -> PrivateCountingTrie:
         threshold=1.0,
         construction="unit-test",
     )
-    return PrivateCountingTrie(trie=trie, metadata=metadata, report={"k": 2})
+    return PrivateCountingTrie.from_counts(counts, metadata, {"k": 2})
 
 
 def probe_patterns(counts: dict[str, float]) -> list[str]:
@@ -77,7 +71,7 @@ class TestRoundTripProperty:
         structure = make_structure(counts)
         digest = structure.content_digest()
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
 
         probes = probe_patterns(counts)
         expected = structure.query_many(probes)
@@ -118,7 +112,7 @@ class TestCorruptionRejection:
     def blob(self, tmp_path) -> tuple[Path, PrivateCountingTrie]:
         structure = make_structure({"ab": 4.0, "abc": 2.0, "b": 1.0})
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
         return path, structure
 
     def test_truncated_blob_rejected(self, blob):
@@ -244,7 +238,7 @@ class TestMmapParity:
     def test_mmap_assert_immutable(self, tmp_path):
         structure = make_structure({"ab": 4.0, "abc": 2.0})
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
         mapped = binfmt.read_binary(path, mmap=True)
         mapped.assert_immutable()  # fresh: no lazy views built yet
         mapped.query("ab")
@@ -264,7 +258,7 @@ class TestMmapParity:
             {"ab": 4.0, "abc": 2.0, "ba": 1.0, "bca": 3.0, "cab": 5.0}
         )
         path = tmp_path / "v0001.dpsb"
-        binfmt.write_binary(path, structure.compiled())
+        binfmt.write_binary(path, structure)
         mapped = binfmt.read_binary(path, mmap=True)
         lazy = mapped._lazy
         assert lazy.walk is None and lazy.counts_ext is None

@@ -100,12 +100,6 @@ class TestQueryService:
         assert infos[0]["default"] is True
         assert all(info["num_patterns"] > 0 for info in infos)
 
-    def test_accepts_precompiled_releases(self, structures):
-        compiled = CompiledTrie.from_structure(structures["first"])
-        service = QueryService({"first": compiled}, micro_batch=False)
-        assert service.query("ab") == structures["first"].query("ab")
-        service.close()
-
 
 class TestMicroBatcher:
     def test_concurrent_queries_answer_correctly(self, structures):
@@ -218,6 +212,19 @@ def post_with_content_length(base_url: str, value: str) -> tuple[bytes, dict]:
     return head, json.loads(body)
 
 
+def post_raw(base_url: str, path: str, body: bytes) -> tuple[int, dict]:
+    """A raw JSON ``POST`` (``body`` need not be what ``json.dumps``
+    writes): the answer's status and decoded JSON body."""
+    host, port = base_url.split("//", 1)[1].rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    try:
+        conn.request("POST", path, body, {"Content-Type": "application/json"})
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
+
+
 class TestHTTPEndToEnd:
     def test_query(self, http_client):
         client, structures = http_client
@@ -296,6 +303,40 @@ class TestHTTPEndToEnd:
             assert excinfo.value.status == 400, payload
             assert excinfo.value.args[0], payload  # JSON error message
 
+    @pytest.mark.parametrize("path", ["/query", "/batch", "/mine"])
+    @pytest.mark.parametrize("release", ["[1]", "{}", "7", "true"])
+    def test_non_string_release_is_json_400(self, http_client, path, release):
+        client, _ = http_client
+        fields = {"/query": '"pattern": "ab"', "/batch": '"patterns": ["ab"]'}
+        body = "{%s, \"release\": %s}" % (fields.get(path, '"threshold": 1'), release)
+        status, payload = post_raw(client.base_url, path, body.encode())
+        assert (status, payload) == (400, {"error": "'release' must be a string or null"})
+
+    def test_lone_surrogate_counts_zero_on_both_paths(self, http_client):
+        client, structures = http_client
+        status, payload = post_raw(client.base_url, "/query", b'{"pattern": "\\ud800"}')
+        assert (status, payload["count"]) == (200, 0.0)
+        body = b'{"patterns": ["\\ud800", "ab", "a\\udfffb"]}'
+        status, payload = post_raw(client.base_url, "/batch", body)
+        assert status == 200
+        assert payload["counts"] == [0.0, structures["first"].query("ab"), 0.0]
+
+    @pytest.mark.parametrize(
+        "threshold",
+        [
+            "NaN",
+            "Infinity",
+            "-Infinity",
+            "1e400",
+            pytest.param("1" + "0" * 400, id="int-past-float"),
+        ],
+    )
+    def test_non_finite_mine_threshold_is_json_400(self, http_client, threshold):
+        client, _ = http_client
+        body = f'{{"threshold": {threshold}}}'.encode()
+        status, payload = post_raw(client.base_url, "/mine", body)
+        assert (status, payload) == (400, {"error": "'threshold' must be a finite number"})
+
     @pytest.mark.parametrize("value", ["-1", "abc"])
     def test_unusable_content_length_is_json_400_and_closes(self, http_client, value):
         client, _ = http_client
@@ -343,7 +384,7 @@ def encoding_release() -> tuple[CompiledTrie, list[str]]:
             counts[pattern] = round(float(rng.uniform(-50.0, 1000.0)), 3)
         else:
             counts[pattern] = round(float(rng.uniform(1e6, 5e7)), 3)
-    return CompiledTrie.from_structure(make_structure(counts)), patterns + ["zz", "", "abx"]
+    return make_structure(counts), patterns + ["zz", "", "abx"]
 
 
 @pytest.fixture(scope="module")
@@ -390,7 +431,7 @@ class TestBatchEncoding:
                 counts[pattern] = round(float(rng.uniform(-50.0, 1000.0)), 3)
             else:
                 counts[pattern] = round(float(rng.uniform(1e6, 5e7)), 3)
-        compiled = CompiledTrie.from_structure(make_structure(counts))
+        compiled = make_structure(counts)
         probes = patterns + ["zz", "", "abx"]
         expected = json.dumps(
             {

@@ -7,14 +7,9 @@ import pytest
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
 from repro.exceptions import ReleaseNotFoundError, ReproError
 from repro.serving import ReleaseStore
-from repro.strings.trie import Trie
 
 
 def make_structure(counts: dict[str, float], epsilon: float = 1.0) -> PrivateCountingTrie:
-    trie = Trie()
-    for pattern, count in counts.items():
-        node = trie.insert(pattern)
-        node.noisy_count = count
     metadata = StructureMetadata(
         epsilon=epsilon,
         delta=0.0,
@@ -27,7 +22,7 @@ def make_structure(counts: dict[str, float], epsilon: float = 1.0) -> PrivateCou
         threshold=4.0,
         construction="unit-test",
     )
-    return PrivateCountingTrie(trie=trie, metadata=metadata, report={"k": 1})
+    return PrivateCountingTrie.from_counts(counts, metadata, {"k": 1})
 
 
 @pytest.fixture
