@@ -14,8 +14,8 @@ construction run as a handful of flat-array passes:
   the :mod:`repro.counting` engines (integers are integers), typically much
   faster than building a per-batch automaton.
 * **Radix trie construction** (:func:`build_array_trie`) — the candidate
-  trie as CSR-style arrays built in one pass over the lexsorted candidate
-  matrix; node patterns are slices of the sorted matrix, never
+  trie as depth-major parent arrays built in one pass over the lexsorted
+  candidate matrix; node patterns are slices of the sorted matrix, never
   ``node.string()`` parent walks.
 * **Suffix/prefix joins** (:func:`match_overlap_pairs`) — the hash-bucketed
   replacement for the O(k^2) LCE double loop of the completion step.
@@ -113,8 +113,7 @@ def row_bytes(matrix: np.ndarray) -> np.ndarray:
     k, width = matrix.shape
     if k == 0 or width == 0:
         return np.zeros(k, dtype="S1")
-    buffer = np.ascontiguousarray(matrix).astype(">u4").tobytes()
-    return np.frombuffer(buffer, dtype=f"S{4 * width}")
+    return matrix.astype(">u4", order="C").view(f"S{4 * width}").reshape(k)
 
 
 def lexsort_rows(matrix: np.ndarray) -> np.ndarray:
@@ -298,77 +297,50 @@ class ArrayTrie:
 
     Node ids are depth-major — all depth-1 nodes (rows ascending, i.e.
     lexicographic), then depth-2, ... — so every depth is the contiguous id
-    slice ``level_bounds[d]:level_bounds[d + 1]``.  Edges are stored in
-    child-id order (``children[e]`` is node ``e + 1``), which groups them by
-    parent with siblings in ascending label order.  Node ``v`` spells
-    ``matrix[node_row[v], :depths[v]]`` — one flat codes buffer backs every
-    node pattern.
+    slice ``level_bounds[d]:level_bounds[d + 1]``.  Inside a level, nodes
+    are grouped by parent with siblings in ascending label order, so a
+    node's children are a contiguous id range of the next level (edge ``e``
+    is node ``e + 1``).
     """
 
     num_nodes: int
     parents: np.ndarray
     depths: np.ndarray
     char_codes: np.ndarray
-    child_start: np.ndarray
-    child_end: np.ndarray
-    children: np.ndarray
-    node_row: np.ndarray
     level_bounds: np.ndarray
-    matrix: np.ndarray
-    row_lengths: np.ndarray
 
     @property
     def max_depth(self) -> int:
         return int(self.level_bounds.size - 2)
 
-    def level(self, depth: int) -> np.ndarray:
-        """Node ids at string depth ``depth`` (a contiguous range)."""
-        return np.arange(
-            int(self.level_bounds[depth]), int(self.level_bounds[depth + 1])
-        )
 
-    def level_patterns(self, depth: int) -> np.ndarray:
-        """The code matrix of the depth-``depth`` node patterns (one row per
-        node, sliced straight from the sorted candidate matrix)."""
-        lo, hi = int(self.level_bounds[depth]), int(self.level_bounds[depth + 1])
-        return self.matrix[self.node_row[lo:hi], :depth]
-
-    def node_strings(self) -> list[str]:
-        """Every non-root node's pattern, in node-id order (depth-major)."""
-        patterns: list[str] = []
-        for depth in range(1, self.max_depth + 1):
-            patterns.extend(decode_rows(self.level_patterns(depth)))
-        return patterns
-
-
-def build_array_trie(matrix: np.ndarray, lengths: np.ndarray) -> ArrayTrie:
+def build_array_trie(
+    matrix: np.ndarray, lengths: np.ndarray
+) -> tuple[ArrayTrie, np.ndarray]:
     """Build the trie of all prefixes of the (distinct, lexsorted) rows.
 
     One radix pass: consecutive-row LCPs mark, per depth, exactly the rows
     whose depth-``d`` prefix is new; those prefixes are the depth-``d``
-    nodes, parents fall out of a ``searchsorted`` against the previous
-    depth's creation rows, and the child CSR slices fall out of the
-    depth-major id layout.  No per-node Python work.
+    nodes, and parents fall out of a ``searchsorted`` against the previous
+    depth's creation rows.  No per-node Python work.  Also returns each
+    node's creation row: node ``v`` spells ``matrix[node_row[v], :depths[v]]``.
     """
     num_rows, width = matrix.shape
     if num_rows == 0 or width == 0:
-        return ArrayTrie(
+        trie = ArrayTrie(
             num_nodes=1,
             parents=np.full(1, -1, dtype=np.int64),
             depths=np.zeros(1, dtype=np.int64),
             char_codes=np.full(1, PAD, dtype=np.int64),
-            child_start=np.zeros(1, dtype=np.int64),
-            child_end=np.zeros(1, dtype=np.int64),
-            children=np.zeros(0, dtype=np.int64),
-            node_row=np.zeros(1, dtype=np.int64),
             level_bounds=np.array([0, 1], dtype=np.int64),
-            matrix=matrix,
-            row_lengths=lengths,
         )
+        return trie, np.zeros(1, dtype=np.int64)
+    # The LCP is the first column where consecutive rows differ (distinct
+    # rows always differ before both are padded).
     lcp = np.zeros(num_rows, dtype=np.int64)
     if num_rows > 1:
-        equal = matrix[1:] == matrix[:-1]
-        lcp[1:] = np.cumprod(equal, axis=1).sum(axis=1)
+        differs = matrix[1:] != matrix[:-1]
+        lcp[1:] = differs.argmax(axis=1)
     creation_rows: list[np.ndarray] = []
     for depth in range(1, width + 1):
         creation_rows.append(np.flatnonzero((lengths >= depth) & (lcp < depth)))
@@ -395,42 +367,20 @@ def build_array_trie(matrix: np.ndarray, lengths: np.ndarray) -> ArrayTrie:
             previous = creation_rows[depth - 2]
             covering = np.searchsorted(previous, rows, side="right") - 1
             parents[lo:hi] = level_bounds[depth - 1] + covering
-
-    # Edges in child-id order are grouped by parent (parents are
-    # nondecreasing inside every depth block and blocks never interleave),
-    # so the CSR slices come from searchsorted per depth block.
-    child_start = np.zeros(num_nodes, dtype=np.int64)
-    child_end = np.zeros(num_nodes, dtype=np.int64)
-    children = np.arange(1, num_nodes, dtype=np.int64)
-    for depth in range(1, max_depth + 1):
-        lo, hi = int(level_bounds[depth]), int(level_bounds[depth + 1])
-        block_parents = parents[lo:hi]
-        parent_lo = int(level_bounds[depth - 1])
-        parent_hi = int(level_bounds[depth])
-        parent_ids = np.arange(parent_lo, parent_hi)
-        child_start[parent_lo:parent_hi] = (lo - 1) + np.searchsorted(
-            block_parents, parent_ids, side="left"
-        )
-        child_end[parent_lo:parent_hi] = (lo - 1) + np.searchsorted(
-            block_parents, parent_ids, side="right"
-        )
-    return ArrayTrie(
+    trie = ArrayTrie(
         num_nodes=num_nodes,
         parents=parents,
         depths=depths,
         char_codes=char_codes,
-        child_start=child_start,
-        child_end=child_end,
-        children=children,
-        node_row=node_row,
         level_bounds=level_bounds,
-        matrix=matrix,
-        row_lengths=lengths,
     )
+    return trie, node_row
 
 
 def annotate_counts_array(
     trie: ArrayTrie,
+    matrix: np.ndarray,
+    node_row: np.ndarray,
     database: StringDatabase,
     delta_cap: int,
     *,
@@ -438,11 +388,13 @@ def annotate_counts_array(
 ) -> np.ndarray:
     """Exact ``count_Delta`` of every node pattern, as a float64 vector.
 
-    ``"auto"`` routes every depth level (a uniform-length batch sliced off
-    the sorted candidate matrix) through :class:`SortJoinCounter`; a
-    concrete backend name is honored by decoding the node patterns into one
-    :meth:`~repro.core.database.StringDatabase.count_many` batch.  Counts
-    are integers either way, so the choice never changes a released value.
+    ``matrix`` and ``node_row`` are :func:`build_array_trie`'s input and
+    creation rows, so every depth level is a uniform-length batch sliced
+    off the sorted candidate matrix.  ``"auto"`` routes each level through
+    :class:`SortJoinCounter`; a concrete backend name is honored by
+    decoding the node patterns into one :meth:`~repro.core.database.
+    StringDatabase.count_many` batch.  Counts are integers either way, so
+    the choice never changes a released value.
     """
     counts = np.zeros(trie.num_nodes, dtype=np.float64)
     counts[0] = float(
@@ -450,15 +402,19 @@ def annotate_counts_array(
     )
     if trie.num_nodes == 1:
         return counts
+    levels = [
+        (int(trie.level_bounds[depth]), int(trie.level_bounds[depth + 1]), depth)
+        for depth in range(1, trie.max_depth + 1)
+    ]
     if count_backend == "auto":
         counter = SortJoinCounter.shared(database)
-        for depth in range(1, trie.max_depth + 1):
-            lo, hi = int(trie.level_bounds[depth]), int(trie.level_bounds[depth + 1])
-            counts[lo:hi] = counter.counts(trie.level_patterns(depth), delta_cap)
+        for lo, hi, depth in levels:
+            counts[lo:hi] = counter.counts(matrix[node_row[lo:hi], :depth], delta_cap)
     else:
-        counts[1:] = database.count_many(
-            trie.node_strings(), delta_cap, backend=count_backend
-        )
+        patterns: list[str] = []
+        for lo, hi, depth in levels:
+            patterns.extend(decode_rows(matrix[node_row[lo:hi], :depth]))
+        counts[1:] = database.count_many(patterns, delta_cap, backend=count_backend)
     return counts
 
 
@@ -476,9 +432,8 @@ def counter_columns(trie: ArrayTrie, noisy: np.ndarray, keep: np.ndarray) -> dic
     requires.  Labels are coded in code point order.
     """
     survivors = np.flatnonzero(keep)
-    new_id = np.cumsum(keep) - 1
     non_root = survivors[1:]
-    parent_ids = new_id[trie.parents[non_root]]
+    parent_ids = np.searchsorted(survivors, trie.parents[non_root])
     points, label_codes = np.unique(trie.char_codes[non_root], return_inverse=True)
     vocab = {chr(point): code + 1 for code, point in enumerate(points.tolist())}
     vocab_size = len(vocab) + 1

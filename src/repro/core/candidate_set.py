@@ -97,7 +97,10 @@ class CandidateSet:
 
     @property
     def size(self) -> int:
-        return len(self.all_strings())
+        """``|C|``, summed over the per-length lists: every producer
+        deduplicates each length's list, and strings of different lengths
+        are never equal, so no union set is needed."""
+        return sum(len(strings) for strings in self.by_length.values())
 
     def max_level_length(self) -> int:
         return max(self.levels, default=0)

@@ -72,6 +72,9 @@ __all__ = [
     "annotate_trie_with_exact_counts",
 ]
 
+#: trie nodes per block of the array pipeline's root + prefix-sum combine.
+COMBINE_BLOCK = 1 << 16
+
 
 def _stage_mechanism(
     budget: PrivacyBudget, noiseless: bool
@@ -435,17 +438,18 @@ def _finish_structure_array(
     # ------------------------------------------------------------------
     with obs.span("trie_build") as sp:
         matrix, row_lengths = _candidate_matrix(candidate_set)
-        trie = build_array_trie(matrix, row_lengths)
+        trie, node_row = build_array_trie(matrix, row_lengths)
         if sp is not None:
             sp.attrs["nodes"] = trie.num_nodes
     with obs.span("annotate"):
         counts = annotate_counts_array(
-            trie, database, delta_cap, count_backend=params.count_backend
+            trie, matrix, node_row, database, delta_cap, count_backend=params.count_backend
         )
+        # Only the topology outlives annotation: the sorted candidate
+        # matrix and its row map are the largest arrays of the build.
+        del matrix, row_lengths, node_row
     with obs.span("decomposition"):
-        decomposition = FlatHeavyPathDecomposition(
-            trie.parents, trie.depths, trie.child_start, trie.child_end, trie.children
-        )
+        decomposition = FlatHeavyPathDecomposition(trie.parents, trie.depths)
     trie_size = trie.num_nodes
     log_trie = math.floor(math.log2(max(2, trie_size))) + 1
 
@@ -499,13 +503,18 @@ def _finish_structure_array(
             max(1, decomposition.num_paths), beta_stage
         )
 
-        path_of = decomposition.path_id
-        offset = decomposition.offset_on_path
-        noisy = noisy_roots[path_of].astype(np.float64, copy=True)
-        deeper = offset > 0
-        noisy[deeper] = noisy[deeper] + prefix_values[
-            difference_offsets[path_of[deeper]] + offset[deeper] - 1
-        ]
+        # Combine one block of path_nodes at a time.  Path p's node at
+        # path_nodes position q (offset > 0) reads prefix sum q - p - 1.
+        noisy = np.empty(trie_size, dtype=np.float64)
+        for lo in range(0, trie_size, COMBINE_BLOCK):
+            nodes = decomposition.path_nodes[lo : lo + COMBINE_BLOCK]
+            paths = decomposition.path_id[nodes]
+            estimate = noisy_roots[paths]
+            deeper = np.flatnonzero(decomposition.offset_on_path[nodes] > 0)
+            estimate[deeper] = estimate[deeper] + prefix_values[
+                lo + deeper - paths[deeper] - 1
+            ]
+            noisy[nodes] = estimate
 
     alpha_counts = roots_error + sums_error
     prune_threshold = (

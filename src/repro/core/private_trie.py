@@ -248,7 +248,7 @@ class PrivateCountingTrie:
         """
         patterns = sorted(pattern for pattern in counts if pattern)
         matrix, lengths = pack_strings(patterns)
-        trie = build_array_trie(matrix, lengths)
+        trie, node_row = build_array_trie(matrix, lengths)
         values = np.fromiter(
             (counts[pattern] for pattern in patterns),
             dtype=np.float64,
@@ -256,10 +256,9 @@ class PrivateCountingTrie:
         )
         # A node stores a count iff it spells its creation row in full: a
         # stored prefix sorts before every pattern extending it.
-        rows = trie.node_row[1:]
-        stored = np.flatnonzero(lengths[rows] == trie.depths[1:]) + 1
+        stored = np.flatnonzero(lengths[node_row[1:]] == trie.depths[1:]) + 1
         noisy = np.full(trie.num_nodes, np.nan, dtype=np.float64)
-        noisy[stored] = values[trie.node_row[stored]]
+        noisy[stored] = values[node_row[stored]]
         if "" in counts:
             noisy[0] = float(counts[""])
         columns = counter_columns(trie, noisy, np.ones(trie.num_nodes, dtype=bool))

@@ -48,6 +48,11 @@ __all__ = [
     "PrefixSumMechanism",
 ]
 
+#: flat elements per block of :meth:`PrefixSumMechanism.release_many_flat`
+#: (blocks hold whole sequences, so a block can exceed this by one
+#: sequence); the interval temporaries of a block are a few times its size.
+RELEASE_BLOCK = 1 << 16
+
 
 def dyadic_intervals(length: int) -> list[tuple[int, int]]:
     """All dyadic intervals of ``[0, length)``.
@@ -231,14 +236,17 @@ class PrefixSumMechanism:
         in the same flat layout: position ``offsets[p] + m - 1`` estimates
         the ``m``-th prefix sum of sequence ``p``.
 
-        Bit-identical to :meth:`release_many` (``tests/dp`` asserts this):
-        the noise for all sequences comes from one RNG call — numpy
-        generators fill element by element, so the concatenated stream
-        equals the per-sequence calls — the exact partial sums replicate
-        ``array[lo:hi].sum()`` by grouping equal-width intervals into one
-        row-wise ``np.sum`` (same pairwise reduction), and the canonical
-        covers are accumulated left to right exactly like the per-interval
-        Python sum.
+        Bit-identical to :meth:`release_many`
+        (``tests/core/test_build_backends.py`` asserts this at several block
+        sizes).  Sequences are released in contiguous blocks of whole sequences
+        (about :data:`RELEASE_BLOCK` elements each), so the temporaries stay
+        block-sized; each block draws the noise of all its intervals in one
+        RNG call — numpy generators fill element by element, so the
+        concatenated stream equals the per-sequence calls.  The exact
+        partial sums replicate ``array[lo:hi].sum()`` by grouping
+        equal-width intervals into one row-wise ``np.sum`` (same pairwise
+        reduction), and the canonical covers are accumulated left to right
+        exactly like the per-interval Python sum.
         """
         flat = np.asarray(flat, dtype=np.float64)
         offsets = np.asarray(offsets, dtype=np.int64)
@@ -251,11 +259,28 @@ class PrefixSumMechanism:
         values = np.zeros(flat.size, dtype=np.float64)
         if flat.size == 0:
             return values
-        max_t = int(lengths.max())
-        if max_t == 0:
-            return values
-        num_levels = int(math.floor(math.log2(max_t))) + 1
+        covers = _CoverTable(int(lengths.max()))
+        # A block starts at the first sequence starting at or after each
+        # multiple of RELEASE_BLOCK.
+        starts = np.searchsorted(offsets[:-1], np.arange(0, flat.size, RELEASE_BLOCK))
+        cuts = np.unique(np.append(starts, lengths.size)).tolist()
+        for first, last in zip(cuts[:-1], cuts[1:]):
+            lo, hi = int(offsets[first]), int(offsets[last])
+            if hi > lo:
+                values[lo:hi] = self._release_block(
+                    flat[lo:hi], lengths[first:last], covers, rng
+                )
+        return values
 
+    def _release_block(
+        self,
+        flat: np.ndarray,
+        lengths: np.ndarray,
+        covers: "_CoverTable",
+        rng: np.random.Generator,
+    ) -> np.ndarray:
+        """The noisy prefix sums of one block of whole sequences."""
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
         # ------------------------------------------------------------------
         # Enumerate every dyadic interval of every sequence, in the exact
         # per-sequence order dyadic_intervals() produces (level-major,
@@ -265,7 +290,7 @@ class PrefixSumMechanism:
         part_path: list[np.ndarray] = []
         part_level: list[np.ndarray] = []
         part_pos: list[np.ndarray] = []
-        for level in range(num_levels):
+        for level in range(covers.num_levels):
             width = 1 << level
             # A sequence of length t has levels 0..floor(log2 t), i.e. the
             # level exists iff 2^level <= t, with ceil(t / width) intervals.
@@ -312,61 +337,28 @@ class PrefixSumMechanism:
         # cover blocks left to right (the same float-addition order as the
         # per-interval Python sum in release()).
         # ------------------------------------------------------------------
-        # Index base of each sequence's interval block, and the per-(t,
-        # level) offsets of the level-major interval layout.
+        # Index base of each sequence's interval block.
         interval_counts = np.bincount(interval_path, minlength=lengths.size)
         interval_base = np.concatenate(([0], np.cumsum(interval_counts)[:-1]))
-        level_offset = np.zeros((max_t + 1, num_levels + 1), dtype=np.int64)
-        ts = np.arange(max_t + 1)
-        for level in range(num_levels):
-            per_level = np.where(ts >> level > 0, -(-ts // (1 << level)), 0)
-            level_offset[:, level + 1] = level_offset[:, level] + per_level
-        # Canonical covers by prefix length (independent of t).
-        cover_lists = [canonical_cover(m, max_t) for m in range(max_t + 1)]
-        max_cover = max(len(cover) for cover in cover_lists)
-        cover_len = np.array([len(cover) for cover in cover_lists])
-        cover_level = np.full((max_cover, max_t + 1), -1, dtype=np.int64)
-        cover_pos = np.zeros((max_cover, max_t + 1), dtype=np.int64)
-        for m, cover in enumerate(cover_lists):
-            for slot, (lo, hi) in enumerate(cover):
-                level = (hi - lo).bit_length() - 1
-                cover_level[slot, m] = level
-                cover_pos[slot, m] = lo >> level
-        # release() keys partial sums by (lo, hi), so a clipped interval of a
-        # higher level that also ends at t overwrites any lower-level
-        # interval with the same bounds (e.g. t = 3: the clipped level-1
-        # interval (2, 3) replaces the level-0 one).  Only the final cover
-        # block of the full prefix m = t can hit such a collision; resolve
-        # it to the highest colliding level, exactly like the dict does.
-        final_level = np.zeros(max_t + 1, dtype=np.int64)
-        final_pos = np.zeros(max_t + 1, dtype=np.int64)
-        for t in range(1, max_t + 1):
-            lo, hi = cover_lists[t][-1]
-            level = (hi - lo).bit_length() - 1
-            for candidate in range(t.bit_length() - 1, level - 1, -1):
-                if ((t - 1) >> candidate) << candidate == lo:
-                    level = candidate
-                    break
-            final_level[t] = level
-            final_pos[t] = lo >> level
+        values = np.zeros(flat.size, dtype=np.float64)
         element_path = np.repeat(np.arange(lengths.size), lengths)
         element_m = np.arange(flat.size) - offsets[element_path] + 1
         element_t = lengths[element_path]
-        for slot in range(max_cover):
-            active = cover_len[element_m] > slot
+        for slot in range(covers.max_cover):
+            active = covers.cover_len[element_m] > slot
             if not active.any():
                 break
             m_active = element_m[active]
-            level = cover_level[slot, m_active]
-            pos = cover_pos[slot, m_active]
+            level = covers.cover_level[slot, m_active]
+            pos = covers.cover_pos[slot, m_active]
             collides = (m_active == element_t[active]) & (
-                cover_len[m_active] - 1 == slot
+                covers.cover_len[m_active] - 1 == slot
             )
-            level = np.where(collides, final_level[m_active], level)
-            pos = np.where(collides, final_pos[m_active], pos)
+            level = np.where(collides, covers.final_level[m_active], level)
+            pos = np.where(collides, covers.final_pos[m_active], pos)
             idx = (
                 interval_base[element_path[active]]
-                + level_offset[element_t[active], level]
+                + covers.level_offset[element_t[active], level]
                 + pos
             )
             values[active] += partials[idx]
@@ -406,3 +398,47 @@ class PrefixSumMechanism:
             # scale * sqrt(levels) (Fact 1).
             return gaussian_tail_bound(scale * math.sqrt(self.levels), per_prefix_beta)
         return 0.0
+
+
+class _CoverTable:
+    """Where every prefix sum's canonical cover blocks sit in a sequence's
+    level-major interval layout, for every sequence length up to ``max_t``
+    (shared by all blocks of one :meth:`PrefixSumMechanism.
+    release_many_flat` call)."""
+
+    def __init__(self, max_t: int) -> None:
+        self.num_levels = num_levels = int(math.floor(math.log2(max_t))) + 1
+        # Per-(t, level) offsets of the level-major interval layout.
+        self.level_offset = np.zeros((max_t + 1, num_levels + 1), dtype=np.int64)
+        ts = np.arange(max_t + 1)
+        for level in range(num_levels):
+            per_level = np.where(ts >> level > 0, -(-ts // (1 << level)), 0)
+            self.level_offset[:, level + 1] = self.level_offset[:, level] + per_level
+        # Canonical covers by prefix length (independent of t).
+        cover_lists = [canonical_cover(m, max_t) for m in range(max_t + 1)]
+        self.max_cover = max(len(cover) for cover in cover_lists)
+        self.cover_len = np.array([len(cover) for cover in cover_lists])
+        self.cover_level = np.full((self.max_cover, max_t + 1), -1, dtype=np.int64)
+        self.cover_pos = np.zeros((self.max_cover, max_t + 1), dtype=np.int64)
+        for m, cover in enumerate(cover_lists):
+            for slot, (lo, hi) in enumerate(cover):
+                level = (hi - lo).bit_length() - 1
+                self.cover_level[slot, m] = level
+                self.cover_pos[slot, m] = lo >> level
+        # release() keys partial sums by (lo, hi), so a clipped interval of a
+        # higher level that also ends at t overwrites any lower-level
+        # interval with the same bounds (e.g. t = 3: the clipped level-1
+        # interval (2, 3) replaces the level-0 one).  Only the final cover
+        # block of the full prefix m = t can hit such a collision; resolve
+        # it to the highest colliding level, exactly like the dict does.
+        self.final_level = np.zeros(max_t + 1, dtype=np.int64)
+        self.final_pos = np.zeros(max_t + 1, dtype=np.int64)
+        for t in range(1, max_t + 1):
+            lo, hi = cover_lists[t][-1]
+            level = (hi - lo).bit_length() - 1
+            for candidate in range(t.bit_length() - 1, level - 1, -1):
+                if ((t - 1) >> candidate) << candidate == lo:
+                    level = candidate
+                    break
+            self.final_level[t] = level
+            self.final_pos[t] = lo >> level

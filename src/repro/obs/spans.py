@@ -6,9 +6,10 @@ a trace (``with obs.trace("construction", build_backend=...) as root``) and
 every stage — candidates (per doubling level), counting, trie build, heavy
 paths, noise, prune, materialize — opens a child ``span(...)``.  The tree
 replaces the old flat ``stage_seconds`` dict: same totals, but nested, with
-per-level detail, CPU time alongside wall time, and exportable to Chrome
-trace-event JSON (``dpsc mine --trace-out trace.json``, loadable in
-Perfetto or ``chrome://tracing``).
+per-level detail, CPU time alongside wall time, the process's peak RSS at
+every span's exit (``peak_rss_mb``, where :mod:`resource` exists), and
+exportable to Chrome trace-event JSON (``dpsc mine --trace-out
+trace.json``, loadable in Perfetto or ``chrome://tracing``).
 
 Nesting is implicit through a thread-local stack:
 
@@ -35,6 +36,7 @@ rendered text tree (``dpsc mine --profile``) and the Chrome trace export.
 from __future__ import annotations
 
 import os
+import sys
 import threading
 import time
 from typing import Iterator
@@ -46,8 +48,22 @@ __all__ = ["Span", "BuildProfile", "span", "trace", "current_span"]
 _state = threading.local()
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's resident-set high-water mark so far, in MB (``None``
+    without :mod:`resource`).  Imported here, not at module level, so
+    processes that never record a span (the servers) never load it."""
+    try:
+        import resource
+    except ImportError:  # platforms without getrusage
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss is in kilobytes on Linux, in bytes on macOS.
+    return peak / (1 << 20) if sys.platform == "darwin" else peak / 1024.0
+
+
 class Span:
-    """One timed region: name, attributes, wall+CPU duration, children."""
+    """One timed region: name, attributes, wall+CPU duration, the process's
+    peak RSS when it ended, children."""
 
     __slots__ = (
         "name",
@@ -57,6 +73,7 @@ class Span:
         "start_wall",
         "wall_seconds",
         "cpu_seconds",
+        "peak_rss_mb",
         "_start_cpu",
     )
 
@@ -68,6 +85,7 @@ class Span:
         self.start_wall = 0.0
         self.wall_seconds = 0.0
         self.cpu_seconds = 0.0
+        self.peak_rss_mb: float | None = None
         self._start_cpu = 0.0
 
     def find(self, name: str) -> "Iterator[Span]":
@@ -79,7 +97,7 @@ class Span:
 
     def to_dict(self) -> dict:
         """JSON-friendly recursive form (tests, snapshots)."""
-        return {
+        result = {
             "name": self.name,
             "attrs": dict(self.attrs),
             "status": self.status,
@@ -87,6 +105,9 @@ class Span:
             "cpu_seconds": self.cpu_seconds,
             "children": [child.to_dict() for child in self.children],
         }
+        if self.peak_rss_mb is not None:
+            result["peak_rss_mb"] = self.peak_rss_mb
+        return result
 
 
 class _NullSpan:
@@ -125,6 +146,7 @@ class _SpanContext:
         recording = self._span
         recording.wall_seconds = time.perf_counter() - recording.start_wall
         recording.cpu_seconds = time.thread_time() - recording._start_cpu
+        recording.peak_rss_mb = _peak_rss_mb()
         if exc_type is not None:
             recording.status = "error"
             recording.attrs.setdefault("error", exc_type.__name__)
@@ -216,11 +238,14 @@ class BuildProfile:
             if detail:
                 label = f"{label} [{detail}]"
             share = 100.0 * node.wall_seconds / total
+            memory = (
+                "" if node.peak_rss_mb is None else f" {node.peak_rss_mb:8.1f} MB peak"
+            )
             marker = "" if node.status == "ok" else "  !error"
             lines.append(
                 f"{'  ' * depth}{label:<{max(2, 36 - 2 * depth)}s} "
                 f"{node.wall_seconds:9.4f}s wall {node.cpu_seconds:9.4f}s cpu "
-                f"{share:5.1f}%{marker}"
+                f"{share:5.1f}%{memory}{marker}"
             )
             for child in node.children:
                 emit(child, depth + 1)
@@ -241,6 +266,8 @@ class BuildProfile:
         def emit(node: Span) -> None:
             args = {str(k): v for k, v in node.attrs.items()}
             args["cpu_seconds"] = node.cpu_seconds
+            if node.peak_rss_mb is not None:
+                args["peak_rss_mb"] = node.peak_rss_mb
             if node.status != "ok":
                 args["status"] = node.status
             events.append(

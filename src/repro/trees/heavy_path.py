@@ -211,142 +211,111 @@ class HeavyPathDecomposition(Generic[Node]):
 class FlatHeavyPathDecomposition:
     """Heavy path decomposition over a tree stored as flat numpy arrays.
 
-    The tree is described in the CSR layout the array construction pipeline
-    (:mod:`repro.core.array_build`) produces: node ``0`` is the root, node
-    ids are depth-major (all depth-1 nodes, then depth-2, ...), ``parents``
-    holds each node's parent id (``-1`` for the root), ``depths`` the string
-    depths, and ``children[child_start[v]:child_end[v]]`` lists ``v``'s
-    children in sibling order.
+    The tree is described in the radix layout the array construction
+    pipeline (:mod:`repro.core.array_build`) produces: node ``0`` is the
+    root, node ids are depth-major (all depth-1 nodes, then depth-2, ...),
+    ``parents`` holds each node's parent id (``-1`` for the root) and
+    ``depths`` the string depths.  Inside a level, nodes are grouped by
+    parent in sibling order, so every node's children are a contiguous id
+    range of the next level.
 
     The decomposition is **order-identical** to running
     :class:`HeavyPathDecomposition` on the same tree with ``children``
     returning the children in the same sibling order: identical heavy-child
     choices (first maximal-subtree child wins ties), identical path index
     order (the object version appends path starts while popping a DFS stack
-    that visits children in *descending* sibling order, so starts are
-    ordered by the parent's rank in that traversal, then by sibling
-    position), and identical per-path node offsets.  The array construction
-    pipeline relies on this to draw its noise in exactly the object
-    pipeline's RNG order; ``tests/core/test_build_backends.py`` asserts the
-    equivalence on random tries.
+    that visits children in *descending* sibling order, so a node's light
+    children are numbered after every light child of the nodes that DFS
+    visits before it), and identical per-path node offsets.  The array
+    construction pipeline relies on this to draw its noise in exactly the
+    object pipeline's RNG order; ``tests/core/test_build_backends.py``
+    asserts the equivalence on random tries.
 
-    Everything is computed in ``O(depth)`` vectorized passes over the level
-    slices (plus one ``lexsort``), never per-node Python work.
+    Everything is computed one level at a time — subtree sizes and light
+    edge counts bottom-up, path ids and offsets top-down — so no pass holds
+    a temporary larger than one level, and no per-node Python work.
     """
 
-    def __init__(
-        self,
-        parents: np.ndarray,
-        depths: np.ndarray,
-        child_start: np.ndarray,
-        child_end: np.ndarray,
-        children: np.ndarray,
-    ) -> None:
+    def __init__(self, parents: np.ndarray, depths: np.ndarray) -> None:
         n = int(parents.size)
         self.num_nodes = n
-        self.parents = parents
-        self.depths = depths
-        max_depth = int(depths.max()) if n else 0
+        max_depth = int(depths[-1])
         # Depth-major node ids make every level a contiguous id slice.
-        level_bounds = np.searchsorted(depths, np.arange(max_depth + 2))
+        level_bounds = np.searchsorted(depths, np.arange(max_depth + 2)).tolist()
 
         # --------------------------------------------------------------
-        # Subtree sizes, bottom-up one level at a time.
+        # Bottom-up: subtree sizes, the heavy child of every internal node
+        # (the *first* child in sibling order whose subtree is maximal,
+        # exactly like max(children, key=subtree_size)) and the number of
+        # light edges inside every subtree.
         # --------------------------------------------------------------
         size = np.ones(n, dtype=np.int64)
+        light_below = np.zeros(n, dtype=np.int64)
+        heavy = np.zeros(n, dtype=bool)
         for depth in range(max_depth, 0, -1):
             lo, hi = level_bounds[depth], level_bounds[depth + 1]
-            if hi > lo:
-                contribution = np.bincount(
-                    parents[lo:hi], weights=size[lo:hi], minlength=n
-                )
-                size += contribution.astype(np.int64)
+            first, ends, run_of = _sibling_runs(parents[lo:hi])
+            owners = parents[lo + first]
+            sizes = size[lo:hi]
+            maximal = np.flatnonzero(np.maximum.reduceat(sizes, first)[run_of] == sizes)
+            heavy[lo + maximal[np.searchsorted(maximal, first)]] = True
+            size[owners] += np.add.reduceat(sizes, first)
+            light_below[owners] += (ends - first - 1) + np.add.reduceat(
+                light_below[lo:hi], first
+            )
         self.subtree_size = size
 
         # --------------------------------------------------------------
-        # Heavy child of every internal node: the *first* child (in sibling
-        # order) whose subtree is maximal, exactly like max(children,
-        # key=subtree_size).
+        # Top-down: a heavy child continues its parent's path one offset
+        # further; a light child starts a path.  The object version numbers
+        # a node's light children (in sibling order) right after every light
+        # child of the nodes its DFS pops earlier: the node's ancestors'
+        # light children counted so far plus the subtrees of its *later*
+        # siblings, which the descending DFS visits first.
         # --------------------------------------------------------------
-        num_edges = int(children.size)
-        heavy_child = np.full(n, -1, dtype=np.int64)
-        if num_edges:
-            internal = np.flatnonzero(child_end > child_start)
-            seg_starts = child_start[internal]
-            seg_lengths = (child_end - child_start)[internal]
-            seg_of_edge = np.repeat(np.arange(internal.size), seg_lengths)
-            edge_parent = internal[seg_of_edge]
-            child_sizes = size[children]
-            seg_max = np.maximum.reduceat(child_sizes, seg_starts)
-            is_max = child_sizes == seg_max[seg_of_edge]
-            edge_rank = np.where(is_max, np.arange(num_edges), num_edges)
-            first_max_edge = np.minimum.reduceat(edge_rank, seg_starts)
-            heavy_child[internal] = children[first_max_edge]
-            heavy_edge_mask = np.zeros(num_edges, dtype=bool)
-            heavy_edge_mask[first_max_edge] = True
-        else:
-            edge_parent = np.zeros(0, dtype=np.int64)
-            heavy_edge_mask = np.zeros(0, dtype=bool)
-        self.heavy_child = heavy_child
-
-        # --------------------------------------------------------------
-        # Rank of every node in the object version's stack traversal (a DFS
-        # that pops children in descending sibling order): within a parent,
-        # the descending DFS lays out child subtrees back to front, so
-        # rank(child_i) = rank(parent) + 1 + sum of later siblings' sizes.
-        # --------------------------------------------------------------
-        desc_rank = np.zeros(n, dtype=np.int64)
-        if num_edges:
-            child_sizes = size[children]
-            running = np.cumsum(child_sizes)
-            seg_before = running[seg_starts] - child_sizes[seg_starts]
-            seg_totals = np.add.reduceat(child_sizes, seg_starts)
-            after = seg_totals[seg_of_edge] - (running - seg_before[seg_of_edge])
-            for depth in range(max_depth):
-                lo, hi = level_bounds[depth], level_bounds[depth + 1]
-                mask = (edge_parent >= lo) & (edge_parent < hi)
-                if mask.any():
-                    desc_rank[children[mask]] = (
-                        desc_rank[edge_parent[mask]] + 1 + after[mask]
-                    )
-
-        # --------------------------------------------------------------
-        # Path starts: the root plus every light child, ordered by (parent's
-        # traversal rank, sibling position) — the order the object version
-        # appends them in.
-        # --------------------------------------------------------------
-        light_edges = np.flatnonzero(~heavy_edge_mask)
-        light_children = children[light_edges]
-        light_order = np.lexsort((light_edges, desc_rank[edge_parent[light_edges]]))
-        starts = np.concatenate(
-            ([0], light_children[light_order])
-        ).astype(np.int64)
-        self.path_start = starts
-        self.num_paths = int(starts.size)
-
-        # --------------------------------------------------------------
-        # Path membership: starts seed their own path; heavy children
-        # inherit path and offset from their parent, one level at a time.
-        # --------------------------------------------------------------
-        path_id = np.empty(n, dtype=np.int64)
+        path_id = np.zeros(n, dtype=np.int64)
         offset = np.zeros(n, dtype=np.int64)
-        path_id[starts] = np.arange(starts.size)
-        for depth in range(max_depth):
+        # light children numbered before each node's own, for one level
+        lights_before = np.zeros(1, dtype=np.int64)
+        for depth in range(1, max_depth + 1):
             lo, hi = level_bounds[depth], level_bounds[depth + 1]
-            level_nodes = np.arange(lo, hi)
-            heavy = heavy_child[level_nodes]
-            has_heavy = heavy >= 0
-            path_id[heavy[has_heavy]] = path_id[level_nodes[has_heavy]]
-            offset[heavy[has_heavy]] = offset[level_nodes[has_heavy]] + 1
+            level_parents = parents[lo:hi]
+            first, ends, run_of = _sibling_runs(level_parents)
+            owner_before = lights_before[level_parents - level_bounds[depth - 1]]
+            is_heavy = heavy[lo:hi]
+            index = np.arange(hi - lo)
+            heavy_index = np.flatnonzero(is_heavy)[run_of]
+            light_rank = index - first[run_of] - (heavy_index < index)
+            path_id[lo:hi] = np.where(
+                is_heavy, path_id[level_parents], 1 + owner_before + light_rank
+            )
+            offset[lo:hi] = np.where(is_heavy, offset[level_parents] + 1, 0)
+            running = np.cumsum(light_below[lo:hi])
+            later_siblings = running[ends - 1][run_of] - running
+            lights_before = owner_before + (ends - first - 1)[run_of] + later_siblings
         self.path_id = path_id
         self.offset_on_path = offset
+        self.num_paths = int(light_below[0]) + 1
         self.path_length = np.bincount(path_id, minlength=self.num_paths)
-        #: node ids ordered by (path, offset): path p's nodes are the slice
-        #: path_nodes[path_offsets[p]:path_offsets[p + 1]], topmost first.
-        self.path_nodes = np.lexsort((offset, path_id))
         self.path_offsets = np.concatenate(
             ([0], np.cumsum(self.path_length))
         ).astype(np.int64)
+
+        # --------------------------------------------------------------
+        # Path starts and node ids ordered by (path, offset), scattered one
+        # level at a time: path p's nodes are the slice
+        # path_nodes[path_offsets[p]:path_offsets[p + 1]], topmost first.
+        # --------------------------------------------------------------
+        self.path_start = np.zeros(self.num_paths, dtype=np.int64)
+        self.path_nodes = np.zeros(n, dtype=np.int64)
+        for depth in range(max_depth + 1):
+            lo, hi = level_bounds[depth], level_bounds[depth + 1]
+            level_paths = path_id[lo:hi]
+            level_offsets = offset[lo:hi]
+            nodes = np.arange(lo, hi)
+            self.path_nodes[self.path_offsets[level_paths] + level_offsets] = nodes
+            starts = level_offsets == 0
+            self.path_start[level_paths[starts]] = nodes[starts]
 
     def max_path_length(self) -> int:
         """Length (number of nodes) of the longest heavy path."""
@@ -365,8 +334,22 @@ class FlatHeavyPathDecomposition:
         Equivalent to flattening
         :meth:`HeavyPathDecomposition.difference_sequences`: entry ``m - 1``
         of path ``p``'s sequence is ``counts[v_m] - counts[v_{m-1}]`` along
-        the path's nodes.
+        the path's nodes — consecutive entries of :attr:`path_nodes`, minus
+        the steps that cross into the next path.
         """
-        non_root = self.offset_on_path[self.path_nodes] > 0
-        lower = self.path_nodes[non_root]
-        return counts[lower] - counts[self.parents[lower]]
+        along = counts[self.path_nodes]
+        steps = np.ones(self.num_nodes, dtype=bool)
+        steps[self.path_offsets[:-1]] = False
+        return (along[1:] - along[:-1])[steps[1:]]
+
+
+def _sibling_runs(
+    level_parents: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sibling groups of one level slice whose (nondecreasing) parents are
+    ``level_parents``: each group's first and one-past-last index, and each
+    node's group."""
+    new_run = np.ones(level_parents.size, dtype=bool)
+    new_run[1:] = level_parents[1:] != level_parents[:-1]
+    first = np.flatnonzero(new_run)
+    return first, np.append(first[1:], level_parents.size), np.cumsum(new_run) - 1

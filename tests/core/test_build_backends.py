@@ -13,7 +13,9 @@ the flat prefix-sum release vs the per-sequence one).
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Dataset
+from repro.core import construction
 from repro.core.array_build import SortJoinCounter, pack_strings
 from repro.core.candidate_set import build_candidate_set
 from repro.core.construction import build_private_counting_structure
@@ -32,6 +35,7 @@ from repro.core.qgram_structure import (
     theorem4_qgram_structure,
 )
 from repro.counting import make_engine
+from repro.dp import prefix_sums
 from repro.dp.mechanisms import GaussianMechanism, LaplaceMechanism
 from repro.dp.prefix_sums import PrefixSumMechanism
 from repro.exceptions import ConstructionAborted
@@ -45,8 +49,30 @@ DOCS = st.lists(st.text(alphabet="ab", min_size=1, max_size=8), min_size=1, max_
 WIDE_DOCS = st.lists(
     st.text(alphabet="acé☃", min_size=1, max_size=7), min_size=1, max_size=5
 )
+#: up to five children per node: light children on both sides of the heavy
+#: one, and several light siblings per node
+BUSHY_DOCS = st.lists(
+    st.text(alphabet="abcde", min_size=1, max_size=6), min_size=1, max_size=12
+)
 SEEDS = st.integers(min_value=0, max_value=2**16)
 BUDGETS = st.sampled_from(["noiseless", "pure", "approx"])
+
+
+#: ``None`` keeps the production block sizes.
+BLOCK_SIZES = (None, 1, 3)
+
+
+@contextmanager
+def block_sizes(block: int | None):
+    """Run the array pipeline's blocked passes (prefix-sum release, root +
+    prefix-sum combine) in blocks of ``block``."""
+    if block is None:
+        yield
+        return
+    with mock.patch.object(prefix_sums, "RELEASE_BLOCK", block), mock.patch.object(
+        construction, "COMBINE_BLOCK", block
+    ):
+        yield
 
 
 def base_params(budget: str) -> ConstructionParams:
@@ -84,14 +110,18 @@ class TestPipelineEquivalence:
     @given(DOCS, SEEDS, BUDGETS)
     @settings(max_examples=30, deadline=None)
     def test_heavy_path_bit_identical(self, docs, seed, budget):
+        """Identical at the production block sizes and at blocks of 1 and
+        3, so release and combine blocks end mid-trie."""
         database = StringDatabase(docs)
-        first, second = run_both(
-            lambda params: build_private_counting_structure(
-                database, params, rng=np.random.default_rng(seed)
-            ),
-            base_params(budget),
-        )
-        assert_identical_structures(first, second)
+        for block in BLOCK_SIZES:
+            with block_sizes(block):
+                first, second = run_both(
+                    lambda params: build_private_counting_structure(
+                        database, params, rng=np.random.default_rng(seed)
+                    ),
+                    base_params(budget),
+                )
+            assert_identical_structures(first, second)
 
     @given(WIDE_DOCS, SEEDS, BUDGETS)
     @settings(max_examples=15, deadline=None)
@@ -216,8 +246,8 @@ class TestArrayPrimitives:
         )
         assert np.array_equal(got, expected)
 
-    @given(DOCS)
-    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(DOCS, BUSHY_DOCS))
+    @settings(max_examples=60, deadline=None)
     def test_flat_decomposition_matches_object(self, docs):
         trie = Trie(docs)
         object_decomposition = HeavyPathDecomposition(
@@ -230,21 +260,12 @@ class TestArrayPrimitives:
                 ids[id(child)] = len(order)
                 order.append(child)
         # Depth-major BFS ids with dict-order siblings, as the radix build
-        # lays them out.
+        # lays them out: every node's children are a contiguous id range.
         parents = np.array(
             [-1 if nd.parent is None else ids[id(nd.parent)] for nd in order]
         )
         depths = np.array([nd.depth for nd in order])
-        children: list[int] = []
-        child_start = np.zeros(len(order), dtype=np.int64)
-        child_end = np.zeros(len(order), dtype=np.int64)
-        for index, node in enumerate(order):
-            child_start[index] = len(children)
-            children.extend(ids[id(child)] for child in node.children.values())
-            child_end[index] = len(children)
-        flat = FlatHeavyPathDecomposition(
-            parents, depths, child_start, child_end, np.array(children, dtype=np.int64)
-        )
+        flat = FlatHeavyPathDecomposition(parents, depths)
         assert flat.num_paths == object_decomposition.num_paths
         assert [ids[id(path.root)] for path in object_decomposition.paths] == (
             flat.path_start.tolist()
@@ -294,10 +315,14 @@ class TestArrayPrimitives:
         offsets = np.concatenate(
             ([0], np.cumsum([len(s) for s in sequences]))
         ).astype(np.int64)
-        got = prefix.release_many_flat(flat, offsets, np.random.default_rng(seed))
         expected = (
             np.concatenate([noisy.values for noisy in reference])
             if sequences
             else np.zeros(0)
         )
-        assert np.array_equal(expected, got)
+        for block in BLOCK_SIZES:
+            with block_sizes(block):
+                got = prefix.release_many_flat(
+                    flat, offsets, np.random.default_rng(seed)
+                )
+            assert np.array_equal(expected, got), block

@@ -1,14 +1,19 @@
-"""Tracing span tests: nesting, exception unwinding, thread isolation, and
-the BuildProfile views (backend, total, stages, text render, Chrome trace)."""
+"""Tracing span tests: nesting, exception unwinding, thread isolation, the
+per-span peak RSS, and the BuildProfile views (backend, total, stages, text
+render, Chrome trace)."""
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro import obs
+from repro.core.construction import build_private_counting_structure
+from repro.core.params import ConstructionParams
 from repro.obs.spans import _state
 
 
@@ -191,3 +196,48 @@ class TestBuildProfile:
         events = profile.chrome_trace()["traceEvents"]
         prune = next(e for e in events if e["name"] == "prune")
         assert prune["args"]["status"] == "error"
+
+
+def _descendants(node):
+    for child in node.children:
+        yield child
+        yield from _descendants(child)
+
+
+class TestPeakRss:
+    @pytest.mark.parametrize("backend", ["object", "array"])
+    def test_every_stage_span_of_a_build_carries_it(self, small_db, backend):
+        pytest.importorskip("resource")
+        structure = build_private_counting_structure(
+            small_db,
+            ConstructionParams.pure(5.0, beta=0.1, build_backend=backend),
+            rng=np.random.default_rng(3),
+        )
+        profile = structure.profile
+        assert {"candidates", "trie_build", "annotate", "noise", "prune"} <= set(
+            profile.stages()
+        )
+        recorded = [profile.root, *_descendants(profile.root)]
+        assert all(sp.peak_rss_mb > 0 for sp in recorded)
+        # A high-water mark: no span ends below one that ended before it.
+        stages = profile.root.children
+        assert all(a.peak_rss_mb <= b.peak_rss_mb for a, b in zip(stages, stages[1:]))
+        assert stages[-1].peak_rss_mb <= profile.root.peak_rss_mb
+        assert all(sp.to_dict()["peak_rss_mb"] == sp.peak_rss_mb for sp in recorded)
+        events = profile.chrome_trace()["traceEvents"]
+        assert len(events) == len(recorded)
+        assert all(event["args"]["peak_rss_mb"] > 0 for event in events)
+        assert profile.render().count("MB peak") == len(recorded)
+
+    def test_omitted_without_resource(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "resource", None)  # import fails
+        with obs.trace("construction") as root:
+            with obs.span("noise"):
+                pass
+        profile = obs.BuildProfile(root)
+        assert root.peak_rss_mb is None
+        assert "peak_rss_mb" not in root.to_dict()
+        assert "peak_rss_mb" not in root.children[0].to_dict()
+        events = profile.chrome_trace()["traceEvents"]
+        assert all("peak_rss_mb" not in event["args"] for event in events)
+        assert "MB peak" not in profile.render()
