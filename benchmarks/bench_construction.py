@@ -5,6 +5,8 @@ scenario whose candidate trie exceeds 10k nodes, the end-to-end
 ``build("heavy-path")`` must run at least 5x faster than the object
 pipeline, and the released structure must be **bit-identical** — same
 ``content_digest()``, same stored patterns — at every benchmarked setting.
+Every row must also carry the array build's seven stage times and the CPUs
+it ran on (``available_cpus``); a row that lacks one fails.
 
 Also runnable as a script (the CI benchmark-smoke job does)::
 
@@ -20,6 +22,15 @@ amortize a 5x win, but the array path must never be a regression).
 from repro.analysis import experiments
 
 TITLE = "Construction pipeline: array backend vs object backend"
+#: what every row must record beyond the timings and identity checks
+REQUIRED_FIELDS = tuple(
+    f"array_{stage}_seconds" for stage in experiments.CONSTRUCTION_STAGES
+) + ("available_cpus",)
+
+
+def missing_fields(row: dict) -> list[str]:
+    """The required fields ``row`` lacks (absent or ``None``)."""
+    return [name for name in REQUIRED_FIELDS if row.get(name) is None]
 
 
 def test_e24_construction_backends(benchmark, experiment_report):
@@ -33,6 +44,7 @@ def test_e24_construction_backends(benchmark, experiment_report):
         # Bit-identity: the backend may never change a released value.
         assert row["digests_equal"], f"digest mismatch at n={row['n']}"
         assert row["items_equal"], f"stored patterns differ at n={row['n']}"
+        assert not missing_fields(row), f"n={row['n']} lacks {missing_fields(row)}"
     large = [row for row in rows if row["candidate_trie_nodes"] >= 10_000]
     assert large, "no scenario produced a candidate trie with >= 10k nodes"
     for row in large:
@@ -77,6 +89,8 @@ def _main() -> int:
             failures.append(f"n={row['n']}: content digests differ")
         if not row["items_equal"]:
             failures.append(f"n={row['n']}: stored patterns differ")
+        if missing_fields(row):
+            failures.append(f"n={row['n']}: row lacks {missing_fields(row)}")
         if row["candidate_trie_nodes"] >= node_floor and row["speedup"] < speedup_floor:
             failures.append(
                 f"n={row['n']}: speedup {row['speedup']:.2f}x below the "

@@ -25,6 +25,7 @@ Two measurement conventions deserve a note:
 from __future__ import annotations
 
 import math
+import os
 import time
 from typing import Callable, Sequence
 
@@ -1513,6 +1514,26 @@ def run_concurrent_serving(
         service.close()
 
 
+#: the top-level stage spans of a heavy-path build, in order
+CONSTRUCTION_STAGES = (
+    "candidates",
+    "trie_build",
+    "annotate",
+    "decomposition",
+    "noise",
+    "prune",
+    "materialize",
+)
+
+
+def _available_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask on Linux)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # pragma: no cover - non-Linux
+        return os.cpu_count() or 1
+
+
 def _timed(run: Callable[[], object]) -> float:
     started = time.perf_counter()
     run()
@@ -1537,9 +1558,10 @@ def run_construction_benchmark(
     structures must be **bit-identical** — same ``content_digest()``, same
     stored patterns, same report.  The headline
     (``benchmarks/bench_construction.py``) is a >= 5x end-to-end speedup on
-    every scenario whose candidate trie exceeds 10k nodes; per-stage
-    timings of the array build are reported so BENCH_construction.json can
-    track where the remaining time goes.  ``timing_reps`` takes the best of
+    every scenario whose candidate trie exceeds 10k nodes.  Every stage
+    time of the array build (:data:`CONSTRUCTION_STAGES`) and the CPUs it
+    ran on are reported so BENCH_construction.json can track where the
+    remaining time goes.  ``timing_reps`` takes the best of
     that many builds per backend (same seeded rng each rep, so every rep
     produces the same structure) — the CI smoke uses 3 so a one-off
     scheduler stall on a shared runner cannot fail the speedup gate.
@@ -1555,9 +1577,8 @@ def run_construction_benchmark(
         def timed_build(backend: str):
             best, structure = float("inf"), None
             for _ in range(max(1, timing_reps)):
-                # Every rep is a cold build: drop the sorted-window cache the
-                # array pipeline pins on the database, or reps 2+ would
-                # measure warm-cache times the object pipeline never gets.
+                # Every rep is a cold build: drop the corpus encode the array
+                # pipeline keeps on the database, so reps 2+ pay for it too.
                 database.__dict__.pop("_sortjoin_counter", None)
                 started = time.perf_counter()
                 structure = build_private_counting_structure(
@@ -1592,9 +1613,12 @@ def run_construction_benchmark(
                 == object_structure.content_digest(),
                 "items_equal": dict(array_structure.items())
                 == dict(object_structure.items()),
-                "array_candidates_seconds": stages.get("candidates", 0.0),
-                "array_annotate_seconds": stages.get("annotate", 0.0),
-                "array_noise_seconds": stages.get("noise", 0.0),
+                # None marks a stage the profile lacks; the benchmark fails it.
+                **{
+                    f"array_{stage}_seconds": stages.get(stage)
+                    for stage in CONSTRUCTION_STAGES
+                },
+                "available_cpus": _available_cpus(),
             }
         )
     return rows
@@ -2180,10 +2204,7 @@ def run_serving_scale(
     ]
     expected = [float(count) for count in compiled.batch_query(patterns)]
     body = json.dumps({"patterns": patterns}).encode("utf-8")
-    try:
-        available_cpus = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux
-        available_cpus = os.cpu_count() or 1
+    available_cpus = _available_cpus()
 
     rows: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="e27-") as scratch:

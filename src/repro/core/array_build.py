@@ -6,19 +6,20 @@ construction run as a handful of flat-array passes:
 
 * **Code matrices** — every candidate set is an ``(k, length)`` int32 matrix
   of Unicode code points (:func:`pack_strings` / :func:`decode_rows`), padded
-  with :data:`PAD` (which sorts before every real code, so a padded
-  ``lexsort`` reproduces Python's string order exactly).
+  with :data:`PAD` past each string's end.
+* **Packed keys** (:class:`PackedKeys`) — one order-preserving int64 (or
+  fixed-width byte string) per row, built from alphabet ranks: sorting,
+  searching and joining rows is sorting, searching and joining keys.
 * **Sort-join counting** (:class:`SortJoinCounter`) — exact ``count_Delta``
-  for a uniform-length pattern batch by sorting the corpus windows of that
-  length once and binary-searching the patterns into them; bit-identical to
-  the :mod:`repro.counting` engines (integers are integers), typically much
-  faster than building a per-batch automaton.
+  for a uniform-length pattern batch by binary-searching the key of every
+  corpus window of that length into the sorted pattern keys, and for a
+  doubling level's ``k^2`` concatenations by counting only the pairs whose
+  windows occur; bit-identical to the :mod:`repro.counting` engines
+  (integers are integers).
 * **Radix trie construction** (:func:`build_array_trie`) — the candidate
   trie as depth-major parent arrays built in one pass over the lexsorted
   candidate matrix; node patterns are slices of the sorted matrix, never
   ``node.string()`` parent walks.
-* **Suffix/prefix joins** (:func:`match_overlap_pairs`) — the hash-bucketed
-  replacement for the O(k^2) LCE double loop of the completion step.
 * **Counter assembly** (:func:`counter_columns`) — the pruned arrays become
   the columns of the released :class:`~repro.core.private_trie.
   PrivateCountingTrie` directly, with no object graph in between; every
@@ -32,7 +33,6 @@ mechanisms are applied by the callers in :mod:`repro.core.candidate_set` and
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -43,20 +43,17 @@ from repro.core.database import StringDatabase
 __all__ = [
     "PAD",
     "ArrayTrie",
+    "PackedKeys",
     "SortJoinCounter",
     "build_array_trie",
     "counter_columns",
     "decode_rows",
-    "dedup_rows",
-    "lexsort_rows",
-    "match_overlap_pairs",
     "pack_strings",
-    "row_bytes",
 ]
 
-#: Padding code for positions past a string's end.  Any real code point is
-#: non-negative, so PAD sorts first — exactly Python's "prefix before
-#: extension" string order under a padded lexsort.
+#: Padding code for positions past a string's end.  :class:`PackedKeys`
+#: ranks it below every real code point, which is exactly Python's "prefix
+#: before extension" string order.
 PAD = -1
 
 
@@ -102,85 +99,107 @@ def decode_rows(matrix: np.ndarray, lengths: np.ndarray | None = None) -> list[s
     return [joined[bounds[i] : bounds[i + 1]] for i in range(k)]
 
 
-def row_bytes(matrix: np.ndarray) -> np.ndarray:
-    """Each row as one fixed-width big-endian byte string (dtype ``S4w``).
+class PackedKeys:
+    """One order-preserving key per code-matrix row.
 
-    Byte-wise comparisons on the result order rows exactly like
-    lexicographic comparison of their code points, which makes whole rows
-    sortable / searchable with numpy's string machinery.  Rows must be
-    unpadded (uniform width).
+    Every code point of ``points`` gets its 1-based rank in code point
+    order and :data:`PAD` gets rank 0; a row's ranks are packed big-endian,
+    ``per_word`` of them to a 63-bit word.  Comparing keys therefore
+    compares rows exactly as Python compares the strings they spell, and a
+    shorter row sorts before its extensions because its missing positions
+    are rank 0.  Rows that fit one word get a plain ``int64`` key, wider
+    rows an ``S{8 * words}`` string of big-endian words (numpy compares
+    those byte-wise).  Keys of different widths are comparable only when
+    they have the same number of words, so callers mixing widths pass the
+    widest one.
+
+    A code outside ``points`` also reads rank 0.  Such a row can equal no
+    corpus window (whose positions are all ranked), so counts stay exact;
+    only sorting needs every code to be ranked.
     """
-    k, width = matrix.shape
-    if k == 0 or width == 0:
-        return np.zeros(k, dtype="S1")
-    return matrix.astype(">u4", order="C").view(f"S{4 * width}").reshape(k)
+
+    #: rows packed per block, so that one block's columns stay in cache
+    BLOCK = 1 << 14
+
+    def __init__(self, points) -> None:
+        self.points = np.unique(np.asarray(points, dtype=np.int64))
+        self.bits = max(1, int(self.points.size).bit_length())
+        self.per_word = 63 // self.bits
+        # rank of code c at _table[c + 1]; PAD and unranked codes read 0,
+        # and codes past the last point are clipped onto the final 0.
+        size = int(self.points[-1]) + 3 if self.points.size else 2
+        self._table = np.zeros(size, dtype=np.int64)
+        self._table[self.points + 1] = np.arange(1, self.points.size + 1)
+
+    @classmethod
+    def of_symbols(cls, symbols) -> "PackedKeys":
+        return cls([ord(symbol) for symbol in symbols])
+
+    def words(self, width: int) -> int:
+        """Words per key of a width-``width`` row (at least one)."""
+        return max(1, -(-width // self.per_word))
+
+    def _shift(self, slot: int) -> int:
+        return (self.per_word - 1 - slot) * self.bits
+
+    def keys(self, matrix: np.ndarray, width: int | None = None) -> np.ndarray:
+        """The key of every row of ``matrix``, packed as ``width`` columns
+        (default: the matrix width)."""
+        rows, columns = matrix.shape
+        packed = np.zeros(
+            (rows, self.words(columns if width is None else width)), dtype=np.int64
+        )
+        for lo in range(0, rows, self.BLOCK):
+            block, out = matrix[lo : lo + self.BLOCK], packed[lo : lo + self.BLOCK]
+            for column in range(columns):
+                word, slot = divmod(column, self.per_word)
+                ranks = np.take(self._table, block[:, column] + 1, mode="clip")
+                ranks <<= self._shift(slot)
+                out[:, word] |= ranks
+        return _comparable(packed)
+
+    def prefix_keys(self, keys: np.ndarray, depth: int) -> np.ndarray:
+        """The keys of the length-``depth`` prefixes of the rows keyed by
+        ``keys``: later positions are zeroed, as PAD would be."""
+        words = self.words(depth)
+        kept = depth - (words - 1) * self.per_word
+        mask = ((1 << (kept * self.bits)) - 1) << self._shift(kept - 1)
+        if keys.dtype == np.int64:
+            return keys & mask
+        packed = keys.view(">i8").reshape(keys.size, -1)[:, :words].astype(np.int64)
+        packed[:, -1] &= mask
+        return _comparable(packed)
 
 
-def lexsort_rows(matrix: np.ndarray) -> np.ndarray:
-    """Indices sorting the matrix rows lexicographically (first column most
-    significant) — with PAD padding this is Python's string sort order."""
-    if matrix.shape[0] <= 1 or matrix.shape[1] == 0:
-        return np.arange(matrix.shape[0])
-    return np.lexsort(matrix.T[::-1])
+def _comparable(packed: np.ndarray) -> np.ndarray:
+    """``(rows, words)`` int64 words as one comparable key per row."""
+    if packed.shape[1] == 1:
+        return packed[:, 0].copy()
+    return packed.astype(">i8").view(f"S{8 * packed.shape[1]}").reshape(-1)
 
 
-def dedup_rows(matrix: np.ndarray) -> np.ndarray:
-    """Sort the rows lexicographically and drop duplicates — the array form
-    of ``sorted(set(strings))`` for uniform-length strings."""
-    if matrix.shape[0] <= 1:
-        return matrix.copy()
-    ordered = matrix[lexsort_rows(matrix)]
-    keep = np.empty(ordered.shape[0], dtype=bool)
-    keep[0] = True
-    keep[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return ordered[keep]
-
-
-# ----------------------------------------------------------------------
-# Suffix/prefix overlap joins
-# ----------------------------------------------------------------------
-def match_overlap_pairs(
-    suffix_keys: np.ndarray, prefix_keys: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """All index pairs ``(i, j)`` with ``suffix_keys[i] == prefix_keys[j]``.
-
-    Keys are compared exactly (byte keys from :func:`row_bytes`), so this is
-    the hash-bucketed equivalent of asking an LCE structure whether string
-    ``i``'s suffix equals string ``j``'s prefix — O(k log k) instead of the
-    O(k^2) double loop.  Pairs come out ``i``-major with ``j`` ascending
-    inside each ``i`` (the double loop's order).
-    """
-    if suffix_keys.size == 0 or prefix_keys.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    _, inverse = np.unique(
-        np.concatenate([suffix_keys, prefix_keys]), return_inverse=True
-    )
-    suffix_labels = inverse[: suffix_keys.size]
-    prefix_labels = inverse[suffix_keys.size :]
-    by_label = np.argsort(prefix_labels, kind="stable")
-    sorted_labels = prefix_labels[by_label]
-    group_lo = np.searchsorted(sorted_labels, suffix_labels, side="left")
-    group_hi = np.searchsorted(sorted_labels, suffix_labels, side="right")
-    counts = group_hi - group_lo
-    total = int(counts.sum())
-    left = np.repeat(np.arange(suffix_keys.size), counts)
-    within = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-    right = by_label[np.repeat(group_lo, counts) + within]
-    return left, right
+def _lookup(sorted_keys: np.ndarray, probes: np.ndarray) -> np.ndarray:
+    """Index of each probe in the sorted, distinct ``sorted_keys``; -1 when
+    absent."""
+    if sorted_keys.size == 0:
+        return np.full(probes.size, -1, dtype=np.int64)
+    position = np.minimum(np.searchsorted(sorted_keys, probes), sorted_keys.size - 1)
+    return np.where(sorted_keys[position] == probes, position, -1)
 
 
 # ----------------------------------------------------------------------
 # Sort-join exact counting
 # ----------------------------------------------------------------------
 class SortJoinCounter:
-    """Exact ``count_Delta`` for uniform-length pattern batches.
+    """Exact ``count_Delta`` over the corpus windows of one width.
 
-    For a batch of width-``w`` patterns the corpus has at most ``N`` windows
-    of width ``w``; sorting those windows once and binary-searching every
-    pattern answers the whole batch in ``O((N + k) log N)`` C-level work.
-    Per-document capping folds runs of equal ``(window, document)`` pairs
-    and caps each run at ``Delta``.  Counts are integers, hence bitwise
-    identical to every :mod:`repro.counting` engine
+    Every width-``w`` window of the corpus gets a :class:`PackedKeys` key
+    under the database alphabet's ranks.  A batch of width-``w`` patterns
+    is counted by binary-searching every window key into the sorted
+    pattern keys — ``O(N log k)`` C-level work, then one ``bincount``.
+    Per-document capping folds runs of equal ``(pattern, document)``
+    pairs and caps each run at ``Delta``.  Counts are integers, hence
+    bitwise identical to every :mod:`repro.counting` engine
     (``tests/core/test_build_backends.py`` asserts this) — which is what
     lets the array pipeline use it under ``count_backend="auto"`` without
     perturbing any released value.
@@ -188,6 +207,8 @@ class SortJoinCounter:
 
     def __init__(self, database: StringDatabase) -> None:
         self.database = database
+        #: the key codec every array-pipeline key is packed with
+        self.codec = PackedKeys.of_symbols(database.alphabet)
         documents = database.documents
         self._codes = np.frombuffer(
             "".join(documents).encode("utf-32-le"), dtype=np.uint32
@@ -197,95 +218,96 @@ class SortJoinCounter:
         )
         self._doc_of = np.repeat(np.arange(len(documents)), doc_lengths)
         self._max_doc_length = int(doc_lengths.max()) if len(documents) else 0
-        #: width -> (sorted window keys, sorted window docs), LRU-evicted
-        #: once the cached arrays exceed the byte budget below.
-        self._window_cache: "OrderedDict[int, tuple[np.ndarray, np.ndarray]]" = (
-            OrderedDict()
-        )
-        self._window_cache_bytes = 0
 
     @classmethod
     def shared(cls, database: StringDatabase) -> "SortJoinCounter":
-        """The database's cached counter (one corpus encode per database;
-        the candidate, annotation and q-gram stages of a build all reuse
-        it — and with it the sorted-window cache below)."""
+        """The database's cached counter: one corpus encode per database,
+        reused by the candidate, annotation and q-gram stages of a build."""
         counter = getattr(database, "_sortjoin_counter", None)
         if counter is None:
             counter = cls(database)
             database._sortjoin_counter = counter
         return counter
 
-    #: cap on the cached sorted-window arrays (LRU beyond this).  Power-of-
-    #: two widths are the ones every build needs twice (doubling levels,
-    #: then trie annotation one stage later); on corpora large enough to
-    #: blow this budget the duplicate sort is cheaper than pinning gigabytes
-    #: on a long-lived database object.
-    WINDOW_CACHE_BUDGET = 128 << 20
+    def _window_keys(self, width: int) -> np.ndarray:
+        """The key of the width-``width`` window at every corpus position,
+        document boundaries ignored (see :meth:`_in_document`)."""
+        return self.codec.keys(
+            np.lib.stride_tricks.sliding_window_view(self._codes, width)
+        )
 
-    def _sorted_windows(self, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted byte keys and document ids of every width-``width`` corpus
-        window.  Power-of-two widths are memoized (within the byte budget):
-        the doubling levels count them and the trie annotation counts them
-        again one stage later, while every other width is needed at most
-        once per build (so caching it would only grow memory)."""
-        cached = self._window_cache.get(width)
-        if cached is not None:
-            self._window_cache.move_to_end(width)
-            return cached
+    def _in_document(self, width: int) -> np.ndarray:
+        """Whether the width-``width`` window at each position stays inside
+        one document."""
         total = self._codes.size
-        windows = np.lib.stride_tricks.sliding_window_view(self._codes, width)
-        # A window is valid when it stays inside one document.
-        valid = self._doc_of[: total - width + 1] == self._doc_of[width - 1 :]
-        window_keys = row_bytes(windows[valid])
-        window_docs = self._doc_of[: total - width + 1][valid]
-        if window_keys.size:
-            order = np.argsort(window_keys, kind="stable")
-            window_keys = window_keys[order]
-            window_docs = window_docs[order]
-        result = (window_keys, window_docs)
-        nbytes = int(window_keys.nbytes + window_docs.nbytes)
-        if width & (width - 1) == 0 and nbytes <= self.WINDOW_CACHE_BUDGET:
-            self._window_cache[width] = result
-            self._window_cache_bytes += nbytes
-            while self._window_cache_bytes > self.WINDOW_CACHE_BUDGET:
-                _, (old_keys, old_docs) = self._window_cache.popitem(last=False)
-                self._window_cache_bytes -= int(old_keys.nbytes + old_docs.nbytes)
-        return result
+        return self._doc_of[: total - width + 1] == self._doc_of[width - 1 :]
+
+    def _capped_counts(
+        self, ids: np.ndarray, docs: np.ndarray, size: int, delta_cap: int
+    ) -> np.ndarray:
+        """``count_Delta`` of ids ``0..size-1`` from the id of every corpus
+        window (-1: none) and its document, both in corpus order."""
+        found = ids >= 0
+        ids = ids[found]
+        if delta_cap >= self._max_doc_length:
+            return np.bincount(ids, minlength=size)
+        # Stable, so documents stay ascending inside each id and every run
+        # of equal (id, document) is contiguous; each run is capped at Delta.
+        order = np.argsort(ids, kind="stable")
+        ids, docs = ids[order], docs[found][order]
+        counts = np.zeros(size, dtype=np.int64)
+        if ids.size:
+            new_run = np.empty(ids.size, dtype=bool)
+            new_run[0] = True
+            new_run[1:] = (ids[1:] != ids[:-1]) | (docs[1:] != docs[:-1])
+            run_starts = np.flatnonzero(new_run)
+            run_lengths = np.diff(np.append(run_starts, ids.size))
+            np.add.at(counts, ids[run_starts], np.minimum(run_lengths, delta_cap))
+        return counts
+
+    def count_keys(self, keys: np.ndarray, width: int, delta_cap: int) -> np.ndarray:
+        """Counts of width-``width`` patterns given by their keys.  Sorted,
+        distinct keys (every trie level's) are used as they are; any
+        other batch is deduplicated first."""
+        if keys.size == 0 or width > self._max_doc_length:
+            return np.zeros(keys.size, dtype=np.int64)
+        inverse = None
+        if not (keys[1:] > keys[:-1]).all():
+            keys, inverse = np.unique(keys, return_inverse=True)
+        valid = self._in_document(width)
+        ids = _lookup(keys, self._window_keys(width)[valid])
+        counts = self._capped_counts(
+            ids, self._doc_of[: valid.size][valid], keys.size, delta_cap
+        )
+        return counts if inverse is None else counts[inverse]
 
     def counts(self, patterns: np.ndarray, delta_cap: int) -> np.ndarray:
         """Counts for a ``(k, w)`` unpadded pattern code matrix."""
         k, width = patterns.shape
-        if k == 0:
-            return np.zeros(0, dtype=np.int64)
-        if width == 0:
+        if k and width == 0:
             empty = sum(
                 min(len(document), delta_cap) for document in self.database.documents
             )
             return np.full(k, empty, dtype=np.int64)
-        if width > self._max_doc_length:
-            return np.zeros(k, dtype=np.int64)
-        window_keys, window_docs = self._sorted_windows(width)
-        if window_keys.size == 0:
-            return np.zeros(k, dtype=np.int64)
-        pattern_keys = row_bytes(patterns)
-        lo = np.searchsorted(window_keys, pattern_keys, side="left")
-        hi = np.searchsorted(window_keys, pattern_keys, side="right")
-        if delta_cap >= self._max_doc_length:
-            return (hi - lo).astype(np.int64)
-        # Runs of equal (window, document); each run is capped at Delta.
-        new_run = np.empty(window_keys.size, dtype=bool)
-        new_run[0] = True
-        new_run[1:] = (window_keys[1:] != window_keys[:-1]) | (
-            window_docs[1:] != window_docs[:-1]
-        )
-        run_starts = np.flatnonzero(new_run)
-        run_lengths = np.diff(np.append(run_starts, window_keys.size))
-        capped = np.concatenate(
-            ([0], np.cumsum(np.minimum(run_lengths, delta_cap)))
-        )
-        run_lo = np.searchsorted(run_starts, lo, side="left")
-        run_hi = np.searchsorted(run_starts, hi, side="left")
-        return (capped[run_hi] - capped[run_lo]).astype(np.int64)
+        return self.count_keys(self.codec.keys(patterns), width, delta_cap)
+
+    def pair_counts(self, level: np.ndarray, delta_cap: int) -> np.ndarray:
+        """Counts of every concatenation ``level[i] + level[j]``, as one
+        vector of length ``k * k`` indexed ``i * k + j``.
+
+        ``level`` is a sorted, duplicate-free ``(k, w)`` code matrix.  Only
+        pairs that occur can count anything, so instead of materializing
+        the ``k^2`` patterns this maps both halves of every width-``2w``
+        corpus window to their row of ``level``; every other pair stays 0.
+        """
+        k, width = level.shape
+        if k == 0 or 2 * width > self._max_doc_length:
+            return np.zeros(k * k, dtype=np.int64)
+        rows = _lookup(self.codec.keys(level), self._window_keys(width))
+        starts = np.flatnonzero(self._in_document(2 * width))
+        left, right = rows[starts], rows[starts + width]
+        pairs = np.where((left >= 0) & (right >= 0), left * k + right, -1)
+        return self._capped_counts(pairs, self._doc_of[starts], k * k, delta_cap)
 
 
 # ----------------------------------------------------------------------
@@ -380,6 +402,7 @@ def build_array_trie(
 def annotate_counts_array(
     trie: ArrayTrie,
     matrix: np.ndarray,
+    row_keys: np.ndarray,
     node_row: np.ndarray,
     database: StringDatabase,
     delta_cap: int,
@@ -389,8 +412,9 @@ def annotate_counts_array(
     """Exact ``count_Delta`` of every node pattern, as a float64 vector.
 
     ``matrix`` and ``node_row`` are :func:`build_array_trie`'s input and
-    creation rows, so every depth level is a uniform-length batch sliced
-    off the sorted candidate matrix.  ``"auto"`` routes each level through
+    creation rows, and ``row_keys`` the matrix rows' keys under the shared
+    counter's codec, so a depth-``d`` node's key is its creation row's key
+    cut to ``d`` positions.  ``"auto"`` counts each depth level through
     :class:`SortJoinCounter`; a concrete backend name is honored by
     decoding the node patterns into one :meth:`~repro.core.database.
     StringDatabase.count_many` batch.  Counts are integers either way, so
@@ -409,7 +433,8 @@ def annotate_counts_array(
     if count_backend == "auto":
         counter = SortJoinCounter.shared(database)
         for lo, hi, depth in levels:
-            counts[lo:hi] = counter.counts(matrix[node_row[lo:hi], :depth], delta_cap)
+            keys = counter.codec.prefix_keys(row_keys[node_row[lo:hi]], depth)
+            counts[lo:hi] = counter.count_keys(keys, depth, delta_cap)
     else:
         patterns: list[str] = []
         for lo, hi, depth in levels:

@@ -25,19 +25,18 @@ the accuracy event).
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.core.array_build import (
+    PackedKeys,
     SortJoinCounter,
     decode_rows,
-    dedup_rows,
-    match_overlap_pairs,
     pack_strings,
-    row_bytes,
 )
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
@@ -47,6 +46,29 @@ from repro.dp.mechanisms import CountingMechanism, per_level_mechanism
 from repro.exceptions import ConstructionAborted
 
 __all__ = ["CandidateSet", "build_candidate_set", "candidate_alpha"]
+
+
+class _DecodedLengths(Mapping):
+    """``by_length`` of an array-built :class:`CandidateSet`: each length's
+    strings are decoded from its code matrix on first access, so a build
+    that only reads the matrices never decodes them."""
+
+    def __init__(self, matrices: dict[int, np.ndarray]) -> None:
+        self._matrices = matrices
+        self._decoded: dict[int, list[str]] = {}
+
+    def __getitem__(self, length: int) -> list[str]:
+        strings = self._decoded.get(length)
+        if strings is None:
+            strings = decode_rows(self._matrices[length])
+            self._decoded[length] = strings
+        return strings
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._matrices)
+
+    def __len__(self) -> int:
+        return len(self._matrices)
 
 
 @dataclass
@@ -60,7 +82,8 @@ class CandidateSet:
         determinism).
     by_length:
         ``by_length[m]`` is ``C_m`` for every length ``m`` that was completed
-        (powers of two map to the corresponding ``P`` set).
+        (powers of two map to the corresponding ``P`` set).  An array-built
+        set decodes each length on first access.
     alpha:
         The per-level noisy-count error bound used to set the threshold.
     threshold:
@@ -71,7 +94,7 @@ class CandidateSet:
     accountant:
         Privacy expenditure of the doubling phase.
     matrices:
-        Optional int32 code-matrix form of ``by_length`` (one lexsorted
+        Optional int32 code-matrix form of ``by_length`` (one sorted
         ``(k, m)`` matrix per completed length), populated by the array
         construction pipeline so downstream stages can keep working on
         arrays without re-encoding the string lists.  ``None`` when the
@@ -79,7 +102,7 @@ class CandidateSet:
     """
 
     levels: dict[int, list[str]]
-    by_length: dict[int, list[str]]
+    by_length: Mapping[int, list[str]]
     alpha: float
     threshold: float
     noisy_counts: dict[str, float] = field(default_factory=dict)
@@ -97,9 +120,11 @@ class CandidateSet:
 
     @property
     def size(self) -> int:
-        """``|C|``, summed over the per-length lists: every producer
-        deduplicates each length's list, and strings of different lengths
-        are never equal, so no union set is needed."""
+        """``|C|``, summed over the per-length lists (or matrices): every
+        producer deduplicates each length, and strings of different
+        lengths are never equal, so no union set is needed."""
+        if self.matrices is not None:
+            return sum(block.shape[0] for block in self.matrices.values())
         return sum(len(strings) for strings in self.by_length.values())
 
     def max_level_length(self) -> int:
@@ -156,35 +181,6 @@ def _prune_by_noisy_count(
             kept.append(pattern)
             kept_counts[pattern] = float(value)
     return kept, kept_counts
-
-
-def suffix_prefix_overlaps(strings: Sequence[str], overlap: int) -> list[tuple[int, int]]:
-    """All ordered pairs ``(i, j)`` such that the length-``overlap`` suffix of
-    ``strings[i]`` equals the length-``overlap`` prefix of ``strings[j]``.
-
-    This realizes the overlap step of the paper's efficient implementation
-    (Lemma 7, Step 2) by hash-bucketing the encoded length-``overlap``
-    suffix and prefix keys and joining the buckets — ``O(k log k)`` total
-    instead of the ``O(k^2)`` all-pairs probe loop, with one bulk encode of
-    the collection instead of a per-string ``np.fromiter``.  Pairs come out
-    in the double loop's order (``i``-major, ``j`` ascending).
-    """
-    n = len(strings)
-    if n == 0:
-        return []
-    if overlap == 0:
-        return [(i, j) for i in range(n) for j in range(n)]
-    matrix, lengths = pack_strings(strings)
-    valid = np.flatnonzero(lengths >= overlap)
-    if valid.size == 0:
-        return []
-    suffix_columns = (lengths[valid] - overlap)[:, None] + np.arange(overlap)[None, :]
-    suffix_keys = row_bytes(
-        np.ascontiguousarray(matrix[valid[:, None], suffix_columns])
-    )
-    prefix_keys = row_bytes(np.ascontiguousarray(matrix[valid, :overlap]))
-    left, right = match_overlap_pairs(suffix_keys, prefix_keys)
-    return list(zip(valid[left].tolist(), valid[right].tolist()))
 
 
 def build_candidate_set(
@@ -308,7 +304,13 @@ def build_candidate_set(
         noisy_counts.update(kept_counts)
 
     with obs.span("completion"):
-        by_length, _ = _complete_lengths(levels, None, lengths, ell)
+        completed = _complete_lengths(
+            {power: pack_strings(level)[0] for power, level in levels.items()},
+            lengths,
+            ell,
+            PackedKeys.of_symbols(database.alphabet),
+        )
+        by_length = {m: decode_rows(block) for m, block in completed.items()}
     return CandidateSet(
         levels=levels,
         by_length=by_length,
@@ -335,27 +337,21 @@ def _build_candidate_set_array(
 ) -> CandidateSet:
     """The ``build_backend="array"`` body of :func:`build_candidate_set`.
 
-    Bit-identical to the object body: the concatenation batch of every
-    doubling level is the index cross-product of the previous (lexsorted)
-    level matrix — whose row-major order *is* ``sorted(set(left + right))``,
-    because all strings of a level share one length — so each level feeds
-    the same exact-count vector to the same single ``randomize`` call.
-    Counting goes through :class:`~repro.core.array_build.SortJoinCounter`
-    when the counting backend is ``"auto"`` (identical integers, no
-    per-batch automaton); an explicit backend is honored via
-    ``count_many``.
+    Bit-identical to the object body.  The concatenation batch of a
+    doubling level is indexed ``i * k + j`` over the previous (sorted)
+    level — whose row-major order *is* ``sorted(set(left + right))``,
+    because all strings of a level share one length — and
+    :meth:`~repro.core.array_build.SortJoinCounter.pair_counts` fills that
+    ``k^2`` vector from the pairs that occur, so each level feeds the same
+    exact-count vector to the same single ``randomize`` call.  Rows are
+    materialized only for the pairs that survive the threshold.  An
+    explicit counting backend recounts the occurring pairs through
+    ``count_many`` (every other pair counts 0 under any engine).
     """
+    counter = SortJoinCounter.shared(database)
     use_sortjoin = params.count_backend == AUTO_BACKEND
-    counter = SortJoinCounter.shared(database) if use_sortjoin else None
     l1 = 2.0 * ell
     l2 = math.sqrt(2.0 * ell * delta_cap)
-
-    def batch_counts(matrix: np.ndarray) -> np.ndarray:
-        if counter is not None:
-            return counter.counts(matrix, delta_cap)
-        return database.count_many(
-            decode_rows(matrix), delta_cap, backend=params.count_backend
-        )
 
     accountant = PrivacyAccountant()
     levels: dict[int, list[str]] = {}
@@ -367,7 +363,12 @@ def _build_candidate_set_array(
     letters_matrix = np.array([[ord(letter)] for letter in letters], dtype=np.int32)
     with obs.span("level", length=1):
         with obs.span("count", patterns=len(letters)):
-            exact = batch_counts(letters_matrix)
+            if use_sortjoin:
+                exact = counter.counts(letters_matrix, delta_cap)
+            else:
+                exact = database.count_many(
+                    letters, delta_cap, backend=params.count_backend
+                )
         noisy = mechanism.randomize(
             np.asarray(exact, dtype=np.float64),
             l1_sensitivity=l1,
@@ -384,10 +385,10 @@ def _build_candidate_set_array(
         (letters[int(i)], float(noisy[i])) for i in keep
     )
     levels[1] = sorted(letters[int(i)] for i in keep)
-    matrices[1] = np.array([[ord(letter)] for letter in levels[1]], dtype=np.int32)
+    matrices[1] = np.array(
+        [ord(letter) for letter in levels[1]], dtype=np.int32
+    ).reshape(-1, 1)
 
-    # Doubling levels: the cross product of a lexsorted equal-length level
-    # with itself, in row-major order, is already sorted and duplicate-free.
     length = 1
     while length * 2 <= limit:
         length *= 2
@@ -395,110 +396,98 @@ def _build_candidate_set_array(
         k = previous.shape[0]
         with obs.span("level", length=length):
             if k:
-                left = np.repeat(np.arange(k), k)
-                right = np.tile(np.arange(k), k)
-                pairs_matrix = np.concatenate(
-                    [previous[left], previous[right]], axis=1
-                )
-                with obs.span("count", patterns=int(pairs_matrix.shape[0])):
-                    exact = batch_counts(pairs_matrix)
+                with obs.span("count", patterns=k * k):
+                    exact = counter.pair_counts(previous, delta_cap)
+                    if not use_sortjoin:
+                        occurring = np.flatnonzero(exact)
+                        exact[occurring] = database.count_many(
+                            decode_rows(_pair_rows(previous, occurring)),
+                            delta_cap,
+                            backend=params.count_backend,
+                        )
                 noisy = mechanism.randomize(
-                    np.asarray(exact, dtype=np.float64),
+                    exact.astype(np.float64),
                     l1_sensitivity=l1,
                     l2_sensitivity=l2,
                     rng=rng,
                 )
-                keep = noisy >= threshold
+                keep = np.flatnonzero(noisy >= threshold)
             else:
-                pairs_matrix = np.zeros((0, length), dtype=np.int32)
                 noisy = np.zeros(0, dtype=np.float64)
-                keep = np.zeros(0, dtype=bool)
+                keep = np.zeros(0, dtype=np.int64)
         accountant.spend(
             f"candidates level {length}", mechanism.epsilon, mechanism.delta
         )
-        kept_matrix = pairs_matrix[keep]
-        if kept_matrix.shape[0] > capacity:
+        if keep.size > capacity:
             raise ConstructionAborted(
-                f"candidate set P_{length} grew to {kept_matrix.shape[0]} "
+                f"candidate set P_{length} grew to {keep.size} "
                 f"> n*ell = {capacity}",
                 level=length,
             )
-        levels[length] = decode_rows(kept_matrix)
-        matrices[length] = kept_matrix
+        matrices[length] = _pair_rows(previous, keep)
+        levels[length] = decode_rows(matrices[length])
         noisy_counts.update(
             zip(levels[length], (float(value) for value in noisy[keep]))
         )
 
     with obs.span("completion"):
-        by_length, completion_matrices = _complete_lengths(
-            levels, matrices, lengths, ell
-        )
+        completed = _complete_lengths(matrices, lengths, ell, counter.codec)
     return CandidateSet(
         levels=levels,
-        by_length=by_length,
+        by_length=_DecodedLengths(completed),
         alpha=alpha,
         threshold=threshold,
         noisy_counts=noisy_counts,
         accountant=accountant,
-        matrices=completion_matrices,
+        matrices=completed,
     )
 
 
+def _pair_rows(level: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """The rows ``level[i] + level[j]`` of the pair indices ``i * k + j``."""
+    left, right = np.divmod(pairs, max(level.shape[0], 1))
+    return np.concatenate([level[left], level[right]], axis=1)
+
+
 def _complete_lengths(
-    levels: dict[int, list[str]],
-    matrices: dict[int, np.ndarray] | None,
+    matrices: dict[int, np.ndarray],
     lengths: Sequence[int] | None,
     ell: int,
-) -> tuple[dict[int, list[str]], dict[int, np.ndarray]]:
-    """Completion step shared by both pipelines: ``C_m`` for every requested
-    length via suffix/prefix overlap joins on the doubling levels.
+    codec: PackedKeys,
+) -> dict[int, np.ndarray]:
+    """Completion step shared by both pipelines: the sorted code matrix of
+    ``C_m`` for every requested length, joined from the doubling levels.
 
     Pure post-processing of the released ``P_{2^k}`` sets (Lemma 7, Step 2):
     a length-``m`` candidate is ``left + right[overlap:]`` for every pair
-    whose length-``overlap`` suffix/prefix keys match, deduplicated and
-    sorted — the hash-bucketed equivalent of the LCE probe loop.  Returns
-    the string lists plus the code matrices they were cut from.
+    of level rows whose length-``overlap`` suffix and prefix agree.  The
+    level is sorted, so its prefix keys already are: each suffix key finds
+    its matching rows by binary search, the equivalent of the LCE probe
+    loop.  For ``power < m < 2 * power`` a joined row determines its pair
+    (its first and last ``power`` positions), so the join's ``i``-major,
+    ``j``-ascending output is duplicate-free and already sorted.
     """
     if lengths is None:
         lengths = list(range(1, ell + 1))
-    by_length: dict[int, list[str]] = {}
-    by_length_matrices: dict[int, np.ndarray] = {}
-    packed: dict[int, np.ndarray] = {}
-
-    def level_matrix(power: int) -> np.ndarray:
-        if matrices is not None:
-            return matrices[power]
-        if power not in packed:
-            packed[power], _ = pack_strings(levels[power])
-        return packed[power]
-
+    completed: dict[int, np.ndarray] = {}
     for m in sorted(set(lengths)):
         if m < 1 or m > ell:
             continue
         power = 1 << int(math.floor(math.log2(m)))
-        if power not in levels:
-            by_length[m] = []
-            by_length_matrices[m] = np.zeros((0, m), dtype=np.int32)
+        base = matrices.get(power)
+        if base is None or not base.shape[0]:
+            completed[m] = np.zeros((0, m), dtype=np.int32)
             continue
-        base_matrix = level_matrix(power)
         if m == power:
-            by_length[m] = list(levels[power])
-            by_length_matrices[m] = base_matrix
-            continue
-        if not base_matrix.shape[0]:
-            by_length[m] = []
-            by_length_matrices[m] = np.zeros((0, m), dtype=np.int32)
+            completed[m] = base
             continue
         overlap = 2 * power - m
-        suffix_keys = row_bytes(
-            np.ascontiguousarray(base_matrix[:, power - overlap :])
-        )
-        prefix_keys = row_bytes(np.ascontiguousarray(base_matrix[:, :overlap]))
-        left, right = match_overlap_pairs(suffix_keys, prefix_keys)
-        joined = np.concatenate(
-            [base_matrix[left], base_matrix[right][:, overlap:]], axis=1
-        )
-        deduped = dedup_rows(joined)
-        by_length[m] = decode_rows(deduped)
-        by_length_matrices[m] = deduped
-    return by_length, by_length_matrices
+        prefix_keys = codec.keys(base[:, :overlap])
+        suffix_keys = codec.keys(base[:, power - overlap :])
+        lo = np.searchsorted(prefix_keys, suffix_keys, side="left")
+        matches = np.searchsorted(prefix_keys, suffix_keys, side="right") - lo
+        left = np.repeat(np.arange(base.shape[0]), matches)
+        within = np.arange(left.size) - np.repeat(np.cumsum(matches) - matches, matches)
+        right = np.repeat(lo, matches) + within
+        completed[m] = np.concatenate([base[left], base[right, overlap:]], axis=1)
+    return completed

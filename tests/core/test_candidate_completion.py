@@ -8,15 +8,23 @@ counts and threshold 1, ``P_{2^k}`` is exactly the set of occurring
 ``2^k``-substrings, so the completion can be checked end to end against the
 naive ``all_substrings`` enumeration: every occurring ``m``-substring must be
 completed, and nothing outside the brute-force overlap closure may appear.
+
+Both pipelines share ``_complete_lengths``, so no object-vs-array test can
+see a change in the order of its rows — and the q-gram kinds draw their
+noise in ``by_length[q]`` order.  A plain-Python reference pins that order.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.candidate_set import build_candidate_set
+from repro.core.array_build import PackedKeys, decode_rows, pack_strings
+from repro.core.candidate_set import _complete_lengths, build_candidate_set
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
 from repro.strings.naive import all_substrings
@@ -90,3 +98,49 @@ def test_noiseless_level_sets_are_exactly_occurring_substrings():
     substrings = all_substrings(list(database))
     for power, level in candidates.levels.items():
         assert set(level) == {s for s in substrings if len(s) == power}
+
+
+#: a codec over 250 symbols packs 7 positions to a word, so overlaps of 8
+#: or more positions take the multi-word keys
+WIDE_CODEC_SYMBOLS = "abc" + "".join(chr(0x1F300 + i) for i in range(247))
+
+
+@pytest.mark.parametrize(
+    "codec_symbols", ["abc", WIDE_CODEC_SYMBOLS], ids=["one-word", "multi-word"]
+)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_complete_lengths_matches_python_reference(codec_symbols, data):
+    """For every length ``m`` in ``[power, 2 * power)``, the rows of ``C_m``
+    are ``sorted({left + right[overlap:]})`` over the level strings.  The
+    level is every window of a few short texts, so long overlaps match too
+    (at ``power = 16`` the overlaps reach 15 positions, three words wide)."""
+    power = data.draw(st.sampled_from([1, 2, 4, 8, 16]))
+    texts = data.draw(
+        st.lists(
+            st.text(alphabet="abc", min_size=power, max_size=2 * power + 4),
+            max_size=4,
+        )
+    )
+    level = sorted(
+        {text[i : i + power] for text in texts for i in range(len(text) - power + 1)}
+    )
+    matrix = (
+        pack_strings(level)[0] if level else np.zeros((0, power), dtype=np.int32)
+    )
+    lengths = range(power, 2 * power)
+    completed = _complete_lengths(
+        {power: matrix}, lengths, 2 * power - 1, PackedKeys.of_symbols(codec_symbols)
+    )
+    assert sorted(completed) == list(lengths)
+    for m in lengths:
+        overlap = 2 * power - m
+        expected = sorted(
+            {
+                left + right[overlap:]
+                for left in level
+                for right in level
+                if left[power - overlap :] == right[:overlap]
+            }
+        )
+        assert decode_rows(completed[m]) == expected, m
