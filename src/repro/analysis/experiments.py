@@ -34,10 +34,7 @@ import numpy as np
 from repro.api import Dataset, default_registry
 from repro.core.candidate_growth import build_onestep_candidate_set
 from repro.core.candidate_set import CandidateSet, build_candidate_set
-from repro.core.construction import (
-    annotate_trie_with_exact_counts,
-    build_private_counting_structure,
-)
+from repro.core.construction import build_private_counting_structure
 from repro.core.counts import exact_count_table
 from repro.core.database import StringDatabase
 from repro.core.error_bounds import (
@@ -52,6 +49,10 @@ from repro.core.error_bounds import (
 from repro.core.lower_bounds import exact_marginals
 from repro.core.mining import check_mining_guarantee, mine_frequent_substrings
 from repro.core.params import ConstructionParams
+from repro.core.reference import (
+    annotate_trie_with_exact_counts,
+    reference_counting_structure,
+)
 from repro.counting import auto_backend
 from repro.dp.composition import PrivacyBudget
 from repro.dp.mechanisms import LaplaceMechanism
@@ -1547,10 +1548,10 @@ def run_construction_benchmark(
     ),
     *,
     seed: int = 29,
-    timing_reps: int = 1,
+    timing_reps: int = 3,
 ) -> list[dict]:
     """E24 — end-to-end ``build("heavy-path")`` with the array pipeline vs
-    the object pipeline.
+    the linked-object reference pipeline (:mod:`repro.core.reference`).
 
     Each scenario is ``(n, ell, epsilon, threshold)`` on the genome
     workload.  Both pipelines run from the same seeded rng, so beyond the
@@ -1561,36 +1562,33 @@ def run_construction_benchmark(
     every scenario whose candidate trie exceeds 10k nodes.  Every stage
     time of the array build (:data:`CONSTRUCTION_STAGES`) and the CPUs it
     ran on are reported so BENCH_construction.json can track where the
-    remaining time goes.  ``timing_reps`` takes the best of
-    that many builds per backend (same seeded rng each rep, so every rep
-    produces the same structure) — the CI smoke uses 3 so a one-off
-    scheduler stall on a shared runner cannot fail the speedup gate.
+    remaining time goes.  ``timing_reps`` takes the best of that many
+    builds per pipeline (same seeded rng each rep, so every rep produces
+    the same structure): one rep would time the process's first array
+    build, which pays numpy's lazy first-call costs, and a one-off
+    scheduler stall on a shared runner could fail the speedup gate.
     """
-    from dataclasses import replace
-
     rows = []
     for n, ell, epsilon, threshold in scenarios:
         database = genome_with_motifs(n, ell, np.random.default_rng(seed))
         params = ConstructionParams.pure(epsilon, beta=0.1, threshold=threshold)
         build_rng = seed + 1
 
-        def timed_build(backend: str):
+        def timed_build(build):
             best, structure = float("inf"), None
             for _ in range(max(1, timing_reps)):
                 # Every rep is a cold build: drop the corpus encode the array
                 # pipeline keeps on the database, so reps 2+ pay for it too.
                 database.__dict__.pop("_sortjoin_counter", None)
                 started = time.perf_counter()
-                structure = build_private_counting_structure(
-                    database,
-                    replace(params, build_backend=backend),
-                    rng=np.random.default_rng(build_rng),
+                structure = build(
+                    database, params, rng=np.random.default_rng(build_rng)
                 )
                 best = min(best, time.perf_counter() - started)
             return structure, best
 
-        array_structure, array_seconds = timed_build("array")
-        object_structure, object_seconds = timed_build("object")
+        array_structure, array_seconds = timed_build(build_private_counting_structure)
+        object_structure, object_seconds = timed_build(reference_counting_structure)
 
         stages = (
             array_structure.profile.stages() if array_structure.profile else {}

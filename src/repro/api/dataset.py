@@ -125,19 +125,6 @@ class Dataset:
         affects accuracy only, never privacy)."""
         return replace(self, params=replace(self.params, threshold=threshold))
 
-    def with_count_backend(self, backend: str) -> "Dataset":
-        """Select the :mod:`repro.counting` engine (speed only; see
-        docs/ARCHITECTURE.md)."""
-        return replace(self, params=replace(self.params, count_backend=backend))
-
-    def with_build_backend(self, backend: str) -> "Dataset":
-        """Select the construction pipeline: ``"array"`` (the numpy fast
-        path ``"auto"`` resolves to) or ``"object"`` (the linked-node
-        reference).  Bit-identical structures either way — same noisy
-        counts, same digests — so this is speed only; see
-        docs/PERFORMANCE.md."""
-        return replace(self, params=replace(self.params, build_backend=backend))
-
     def noiseless(self, enabled: bool = True) -> "Dataset":
         """Run constructions without noise — **not private**; for tests and
         the paper's illustrative figures."""

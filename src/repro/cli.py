@@ -20,9 +20,8 @@ serving layer from the shell::
 The experiments are the same ones the benchmark harness runs; the registry
 below maps each id to the paper's figures and theorems.  Structure builds
 go through the unified :mod:`repro.api` layer: ``--kind`` selects any
-registered structure kind (docs/API.md), the serving commands are
-documented in docs/SERVING.md, and the ``--count-backend`` engine-selection
-heuristic in docs/ARCHITECTURE.md.
+registered structure kind (docs/API.md) and the serving commands are
+documented in docs/SERVING.md.
 """
 
 from __future__ import annotations
@@ -36,13 +35,8 @@ import numpy as np
 
 from repro.analysis import experiments, reporting
 from repro.api import CorpusStream, Dataset, default_registry
-from repro.counting import AUTO_BACKEND, BACKENDS
 from repro.core.mining import mine_frequent_substrings
-from repro.core.params import (
-    AUTO_BUILD_BACKEND,
-    BUILD_BACKENDS,
-    ConstructionParams,
-)
+from repro.core.params import ConstructionParams
 from repro.dp.composition import PrivacyBudget
 from repro.exceptions import ReproError
 from repro.serving import (
@@ -156,7 +150,7 @@ def _registry() -> dict[str, tuple[str, Callable[[], list[dict]]]]:
             lambda: experiments.run_concurrent_serving(),
         ),
         "E24": (
-            "Construction pipeline: array backend vs object backend (bit-identical)",
+            "Construction pipeline: array build vs linked-object reference (bit-identical)",
             lambda: experiments.run_construction_benchmark(),
         ),
         "E26": (
@@ -232,12 +226,7 @@ def _cmd_quickstart(_: argparse.Namespace) -> int:
 
 def _cli_params(args: argparse.Namespace) -> ConstructionParams:
     """Construction parameters from the shared mine/releases flags."""
-    return ConstructionParams(
-        budget=PrivacyBudget(args.epsilon, args.delta),
-        beta=0.1,
-        count_backend=args.count_backend,
-        build_backend=args.build_backend,
-    )
+    return ConstructionParams(budget=PrivacyBudget(args.epsilon, args.delta), beta=0.1)
 
 
 def _kind_kwargs(args: argparse.Namespace) -> dict:
@@ -299,10 +288,7 @@ def _print_profile(structure) -> None:
     if profile is None:
         print("profile: no construction profile recorded (telemetry disabled?)")
         return
-    print(
-        f"profile: build_backend={profile.build_backend or '?'} "
-        f"total {profile.total_seconds:.3f}s"
-    )
+    print(f"profile: total {profile.total_seconds:.3f}s")
     print(profile.render())
 
 
@@ -1130,8 +1116,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_build_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that builds a structure: the kind
-    (dispatched through the repro.api registry), its q-gram length, the
-    approximate-DP delta and the counting backend."""
+    (dispatched through the repro.api registry), its q-gram length and the
+    approximate-DP delta."""
     parser.add_argument(
         "--kind",
         choices=default_registry().kinds(),
@@ -1149,21 +1135,6 @@ def _add_build_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=0.0,
         help="privacy parameter delta (required > 0 by kind qgram-t4)",
-    )
-    parser.add_argument(
-        "--count-backend",
-        choices=(AUTO_BACKEND,) + BACKENDS,
-        default=AUTO_BACKEND,
-        help="exact-counting engine for the construction (speed only; "
-        "recorded in the release metadata — see docs/ARCHITECTURE.md)",
-    )
-    parser.add_argument(
-        "--build-backend",
-        choices=(AUTO_BUILD_BACKEND,) + BUILD_BACKENDS,
-        default=AUTO_BUILD_BACKEND,
-        help="construction pipeline: 'array' (numpy fast path, the 'auto' "
-        "default) or 'object' (linked-node reference); bit-identical "
-        "results either way — see docs/PERFORMANCE.md",
     )
 
 

@@ -1,8 +1,9 @@
-"""Array primitives of the ``build_backend="array"`` construction pipeline.
+"""Array primitives of the construction pipeline.
 
-The object pipeline builds Python ``TrieNode`` graphs and walks them one node
-at a time; this module supplies the numpy building blocks that let the same
-construction run as a handful of flat-array passes:
+The reference pipeline (:mod:`repro.core.reference`) builds Python
+``TrieNode`` graphs and walks them one node at a time; this module supplies
+the numpy building blocks that let the production build run the same
+construction as a handful of flat-array passes:
 
 * **Code matrices** — every candidate set is an ``(k, length)`` int32 matrix
   of Unicode code points (:func:`pack_strings` / :func:`decode_rows`), padded
@@ -14,8 +15,8 @@ construction run as a handful of flat-array passes:
   for a uniform-length pattern batch by binary-searching the key of every
   corpus window of that length into the sorted pattern keys, and for a
   doubling level's ``k^2`` concatenations by counting only the pairs whose
-  windows occur; bit-identical to the :mod:`repro.counting` engines
-  (integers are integers).
+  windows occur; the same integers the :mod:`repro.counting` engines
+  return.
 * **Radix trie construction** (:func:`build_array_trie`) — the candidate
   trie as depth-major parent arrays built in one pass over the lexsorted
   candidate matrix; node patterns are slices of the sorted matrix, never
@@ -28,7 +29,7 @@ construction run as a handful of flat-array passes:
 
 Everything here is exact bookkeeping — no randomness, no privacy logic; the
 mechanisms are applied by the callers in :mod:`repro.core.candidate_set` and
-:mod:`repro.core.construction`, in the same order as the object pipeline.
+:mod:`repro.core.construction`, in the same order as the reference pipeline.
 """
 
 from __future__ import annotations
@@ -200,9 +201,8 @@ class SortJoinCounter:
     Per-document capping folds runs of equal ``(pattern, document)``
     pairs and caps each run at ``Delta``.  Counts are integers, hence
     bitwise identical to every :mod:`repro.counting` engine
-    (``tests/core/test_build_backends.py`` asserts this) — which is what
-    lets the array pipeline use it under ``count_backend="auto"`` without
-    perturbing any released value.
+    (``tests/core/test_build_backends.py`` asserts this), so counting this
+    way changes no released value.
     """
 
     def __init__(self, database: StringDatabase) -> None:
@@ -401,45 +401,28 @@ def build_array_trie(
 
 def annotate_counts_array(
     trie: ArrayTrie,
-    matrix: np.ndarray,
     row_keys: np.ndarray,
     node_row: np.ndarray,
     database: StringDatabase,
     delta_cap: int,
-    *,
-    count_backend: str = "auto",
 ) -> np.ndarray:
     """Exact ``count_Delta`` of every node pattern, as a float64 vector.
 
-    ``matrix`` and ``node_row`` are :func:`build_array_trie`'s input and
-    creation rows, and ``row_keys`` the matrix rows' keys under the shared
-    counter's codec, so a depth-``d`` node's key is its creation row's key
-    cut to ``d`` positions.  ``"auto"`` counts each depth level through
-    :class:`SortJoinCounter`; a concrete backend name is honored by
-    decoding the node patterns into one :meth:`~repro.core.database.
-    StringDatabase.count_many` batch.  Counts are integers either way, so
-    the choice never changes a released value.
+    ``node_row`` is :func:`build_array_trie`'s creation row of each node
+    and ``row_keys`` the keys of the rows of its sorted matrix under the
+    shared counter's codec, so a depth-``d`` node's key is its creation
+    row's key cut to ``d`` positions.  Each depth level is counted by one
+    :meth:`SortJoinCounter.count_keys` call.
     """
     counts = np.zeros(trie.num_nodes, dtype=np.float64)
     counts[0] = float(
         sum(min(len(document), delta_cap) for document in database.documents)
     )
-    if trie.num_nodes == 1:
-        return counts
-    levels = [
-        (int(trie.level_bounds[depth]), int(trie.level_bounds[depth + 1]), depth)
-        for depth in range(1, trie.max_depth + 1)
-    ]
-    if count_backend == "auto":
-        counter = SortJoinCounter.shared(database)
-        for lo, hi, depth in levels:
-            keys = counter.codec.prefix_keys(row_keys[node_row[lo:hi]], depth)
-            counts[lo:hi] = counter.count_keys(keys, depth, delta_cap)
-    else:
-        patterns: list[str] = []
-        for lo, hi, depth in levels:
-            patterns.extend(decode_rows(matrix[node_row[lo:hi], :depth]))
-        counts[1:] = database.count_many(patterns, delta_cap, backend=count_backend)
+    counter = SortJoinCounter.shared(database)
+    for depth in range(1, trie.max_depth + 1):
+        lo, hi = int(trie.level_bounds[depth]), int(trie.level_bounds[depth + 1])
+        keys = counter.codec.prefix_keys(row_keys[node_row[lo:hi]], depth)
+        counts[lo:hi] = counter.count_keys(keys, depth, delta_cap)
     return counts
 
 

@@ -95,7 +95,7 @@ def build_simple_trie_baseline(
     index = database.index
     # The released counts by pattern; the empty pattern's is the root count.
     counts = {"": float(index.count("", delta_cap))}
-    with obs.trace("construction", build_backend="object") as trace_root:
+    with obs.trace("construction") as trace_root:
         with obs.span("expand") as sp:
             # Frontier of (pattern, SA interval) pairs to expand, breadth-first.
             frontier: deque = deque([("", (0, len(index.suffix_array)))])

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.candidate_set import CandidateSet, _prune_by_noisy_count
+from repro.core.candidate_set import CandidateSet
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
 from repro.dp.composition import PrivacyAccountant, PrivacyBudget
@@ -33,6 +33,31 @@ from repro.dp.mechanisms import CountingMechanism, per_level_mechanism
 from repro.exceptions import ConstructionAborted
 
 __all__ = ["build_onestep_candidate_set", "onestep_candidate_alpha"]
+
+
+def _prune_by_noisy_count(
+    patterns: Sequence[str],
+    exact_counts: Sequence[float],
+    mechanism: CountingMechanism,
+    ell: int,
+    delta_cap: int,
+    threshold: float,
+    rng: np.random.Generator,
+) -> list[str]:
+    """Add calibrated noise to the exact counts and keep the patterns whose
+    noisy count reaches the threshold (one level of a string-built
+    candidate stage: this one and :func:`repro.core.reference.
+    reference_candidate_set`)."""
+    if not patterns:
+        return []
+    values = np.asarray(exact_counts, dtype=np.float64)
+    noisy = mechanism.randomize(
+        values,
+        l1_sensitivity=2.0 * ell,
+        l2_sensitivity=math.sqrt(2.0 * ell * delta_cap),
+        rng=rng,
+    )
+    return [pattern for pattern, value in zip(patterns, noisy) if value >= threshold]
 
 
 def onestep_candidate_alpha(
@@ -111,14 +136,13 @@ def build_onestep_candidate_set(
 
     accountant = PrivacyAccountant()
     levels: dict[int, list[str]] = {}
-    noisy_counts: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     # Length 1: every letter of the public alphabet gets a noisy count.
     # ------------------------------------------------------------------
     letters = list(database.alphabet)
-    exact = database.count_many(letters, delta_cap, backend=params.count_backend)
-    kept, kept_counts = _prune_by_noisy_count(
+    exact = database.count_many(letters, delta_cap)
+    kept = _prune_by_noisy_count(
         letters, exact, mechanism, ell, delta_cap, threshold, rng
     )
     accountant.spend("one-step candidates length 1", mechanism.epsilon, mechanism.delta)
@@ -127,7 +151,6 @@ def build_onestep_candidate_set(
             f"candidate set P_1 grew to {len(kept)} > n*ell = {capacity}", level=1
         )
     levels[1] = sorted(kept)
-    noisy_counts.update(kept_counts)
 
     # ------------------------------------------------------------------
     # Lengths 2..limit: extend every surviving (m-1)-gram by every surviving
@@ -137,10 +160,8 @@ def build_onestep_candidate_set(
     for length in range(2, limit + 1):
         previous = levels[length - 1]
         extensions = sorted({left + letter for left in previous for letter in levels[1]})
-        exact = database.count_many(
-            extensions, delta_cap, backend=params.count_backend
-        )
-        kept, kept_counts = _prune_by_noisy_count(
+        exact = database.count_many(extensions, delta_cap)
+        kept = _prune_by_noisy_count(
             extensions, exact, mechanism, ell, delta_cap, threshold, rng
         )
         accountant.spend(
@@ -152,7 +173,6 @@ def build_onestep_candidate_set(
                 level=length,
             )
         levels[length] = sorted(kept)
-        noisy_counts.update(kept_counts)
         if not kept:
             # Nothing survives at this length, so nothing can survive at any
             # longer length either; stop early (post-processing).
@@ -169,6 +189,5 @@ def build_onestep_candidate_set(
         by_length=by_length,
         alpha=alpha,
         threshold=threshold,
-        noisy_counts=noisy_counts,
         accountant=accountant,
     )

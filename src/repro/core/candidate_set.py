@@ -32,15 +32,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro import obs
-from repro.core.array_build import (
-    PackedKeys,
-    SortJoinCounter,
-    decode_rows,
-    pack_strings,
-)
+from repro.core.array_build import PackedKeys, SortJoinCounter, decode_rows
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
-from repro.counting import AUTO_BACKEND
 from repro.dp.composition import PrivacyAccountant, PrivacyBudget
 from repro.dp.mechanisms import CountingMechanism, per_level_mechanism
 from repro.exceptions import ConstructionAborted
@@ -49,9 +43,9 @@ __all__ = ["CandidateSet", "build_candidate_set", "candidate_alpha"]
 
 
 class _DecodedLengths(Mapping):
-    """``by_length`` of an array-built :class:`CandidateSet`: each length's
-    strings are decoded from its code matrix on first access, so a build
-    that only reads the matrices never decodes them."""
+    """``levels`` and ``by_length`` of an array-built :class:`CandidateSet`:
+    each length's strings are decoded from its code matrix on first access,
+    so a build that only reads the matrices never decodes them."""
 
     def __init__(self, matrices: dict[int, np.ndarray]) -> None:
         self._matrices = matrices
@@ -79,33 +73,30 @@ class CandidateSet:
     ----------
     levels:
         ``levels[2**k]`` is the pruned set ``P_{2^k}`` (sorted lists for
-        determinism).
+        determinism).  A set built by :func:`build_candidate_set` decodes
+        each level from its code matrix on first access.
     by_length:
         ``by_length[m]`` is ``C_m`` for every length ``m`` that was completed
-        (powers of two map to the corresponding ``P`` set).  An array-built
-        set decodes each length on first access.
+        (powers of two map to the corresponding ``P`` set).  A set built by
+        :func:`build_candidate_set` decodes each length on first access.
     alpha:
         The per-level noisy-count error bound used to set the threshold.
     threshold:
         The pruning threshold ``tau`` (``2 * alpha`` unless overridden).
-    noisy_counts:
-        Noisy counts of the strings that were *kept* during the doubling
-        phase (useful for inspection; not needed by later stages).
     accountant:
         Privacy expenditure of the doubling phase.
     matrices:
         Optional int32 code-matrix form of ``by_length`` (one sorted
-        ``(k, m)`` matrix per completed length), populated by the array
-        construction pipeline so downstream stages can keep working on
-        arrays without re-encoding the string lists.  ``None`` when the
-        object pipeline built the set.
+        ``(k, m)`` matrix per completed length), populated by
+        :func:`build_candidate_set` so downstream stages can keep working
+        on arrays without re-encoding the string lists.  ``None`` for sets
+        built from strings (the reference pipeline, the one-step ablation).
     """
 
-    levels: dict[int, list[str]]
+    levels: Mapping[int, list[str]]
     by_length: Mapping[int, list[str]]
     alpha: float
     threshold: float
-    noisy_counts: dict[str, float] = field(default_factory=dict)
     accountant: PrivacyAccountant = field(default_factory=PrivacyAccountant)
     matrices: "dict[int, np.ndarray] | None" = field(
         default=None, compare=False, repr=False
@@ -154,33 +145,48 @@ def candidate_alpha(
     )
 
 
-def _prune_by_noisy_count(
-    patterns: Sequence[str],
-    exact_counts: Sequence[float],
-    mechanism: CountingMechanism,
-    ell: int,
-    delta_cap: int,
-    threshold: float,
-    rng: np.random.Generator,
-) -> tuple[list[str], dict[str, float]]:
-    """Add calibrated noise to the exact counts and keep the patterns whose
-    noisy count reaches the threshold."""
-    if not patterns:
-        return [], {}
-    values = np.asarray(exact_counts, dtype=np.float64)
-    noisy = mechanism.randomize(
-        values,
-        l1_sensitivity=2.0 * ell,
-        l2_sensitivity=math.sqrt(2.0 * ell * delta_cap),
-        rng=rng,
+@dataclass(frozen=True)
+class _Calibration:
+    """What the candidate stage fixes before its first noisy release."""
+
+    ell: int
+    delta_cap: int
+    #: the ``n * ell`` size past which a level aborts the construction
+    capacity: int
+    #: the longest doubling level
+    limit: int
+    mechanism: CountingMechanism
+    alpha: float
+    threshold: float
+
+
+def _calibrate(
+    database: StringDatabase,
+    params: ConstructionParams,
+    budget: PrivacyBudget | None,
+    doubling_limit: int | None,
+) -> _Calibration:
+    """The per-level mechanism, error bound and threshold of the candidate
+    stage (shared with :func:`repro.core.reference.reference_candidate_set`)."""
+    stage_budget = budget if budget is not None else params.budget
+    ell = params.resolve_max_length(database.max_length)
+    delta_cap = params.resolve_delta_cap(ell)
+    n = database.num_documents
+    limit = ell if doubling_limit is None else min(doubling_limit, ell)
+    num_levels = int(math.floor(math.log2(max(1, limit)))) + 1
+    mechanism = per_level_mechanism(stage_budget, num_levels, params.noiseless)
+    alpha = candidate_alpha(
+        n, ell, database.alphabet_size, mechanism, params.beta / num_levels, delta_cap
     )
-    kept: list[str] = []
-    kept_counts: dict[str, float] = {}
-    for pattern, value in zip(patterns, noisy):
-        if value >= threshold:
-            kept.append(pattern)
-            kept_counts[pattern] = float(value)
-    return kept, kept_counts
+    return _Calibration(
+        ell=ell,
+        delta_cap=delta_cap,
+        capacity=n * ell,
+        limit=limit,
+        mechanism=mechanism,
+        alpha=alpha,
+        threshold=params.threshold if params.threshold is not None else 2.0 * alpha,
+    )
 
 
 def build_candidate_set(
@@ -193,6 +199,16 @@ def build_candidate_set(
     lengths: Sequence[int] | None = None,
 ) -> CandidateSet:
     """Run the differentially private candidate-set construction.
+
+    The concatenation batch of a doubling level is indexed ``i * k + j``
+    over the previous (sorted) level, whose row-major order *is*
+    ``sorted(set(left + right))`` because all strings of a level share one
+    length.  :meth:`~repro.core.array_build.SortJoinCounter.pair_counts`
+    fills that ``k^2`` vector from the pairs that occur, so each level
+    feeds one exact-count vector to a single ``randomize`` call, and rows
+    are materialized only for the pairs that clear the threshold.
+    :func:`repro.core.reference.reference_candidate_set` is the string
+    pipeline this must match bit for bit.
 
     Parameters
     ----------
@@ -216,159 +232,22 @@ def build_candidate_set(
     """
     if rng is None:
         rng = np.random.default_rng()
-    stage_budget = budget if budget is not None else params.budget
-    ell = params.resolve_max_length(database.max_length)
-    delta_cap = params.resolve_delta_cap(ell)
-    n = database.num_documents
-    capacity = n * ell
-
-    limit = ell if doubling_limit is None else min(doubling_limit, ell)
-    num_levels = int(math.floor(math.log2(max(1, limit)))) + 1
-    mechanism = per_level_mechanism(stage_budget, num_levels, params.noiseless)
-    beta_per_level = params.beta / num_levels
-    alpha = candidate_alpha(
-        n, ell, database.alphabet_size, mechanism, beta_per_level, delta_cap
-    )
-    threshold = params.threshold if params.threshold is not None else 2.0 * alpha
-
-    if params.resolve_build_backend() == "array":
-        return _build_candidate_set_array(
-            database,
-            params,
-            rng,
-            mechanism=mechanism,
-            ell=ell,
-            delta_cap=delta_cap,
-            capacity=capacity,
-            limit=limit,
-            alpha=alpha,
-            threshold=threshold,
-            lengths=lengths,
-        )
-
-    accountant = PrivacyAccountant()
-    levels: dict[int, list[str]] = {}
-    noisy_counts: dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    # Level 0: single letters.  Every letter of the (public) alphabet gets a
-    # noisy count, including letters that never occur.
-    # ------------------------------------------------------------------
-    letters = list(database.alphabet)
-    with obs.span("level", length=1):
-        with obs.span("count", patterns=len(letters)):
-            exact = database.count_many(
-                letters, delta_cap, backend=params.count_backend
-            )
-        kept, kept_counts = _prune_by_noisy_count(
-            letters, exact, mechanism, ell, delta_cap, threshold, rng
-        )
-    accountant.spend("candidates level 1", mechanism.epsilon, mechanism.delta)
-    if len(kept) > capacity:
-        raise ConstructionAborted(
-            f"candidate set P_1 grew to {len(kept)} > n*ell = {capacity}", level=1
-        )
-    levels[1] = sorted(kept)
-    noisy_counts.update(kept_counts)
-
-    # ------------------------------------------------------------------
-    # Doubling levels: P_{2^k} from P_{2^{k-1}} o P_{2^{k-1}}.
-    # ------------------------------------------------------------------
-    length = 1
-    while length * 2 <= limit:
-        length *= 2
-        previous = levels[length // 2]
-        with obs.span("level", length=length):
-            pairs = [left + right for left in previous for right in previous]
-            # Deduplicate while keeping order deterministic.
-            pairs = sorted(set(pairs))
-            # One batched engine call per level: the whole |P|^2 concatenation
-            # batch is counted in one corpus pass under the Aho-Corasick
-            # backend.
-            with obs.span("count", patterns=len(pairs)):
-                exact = database.count_many(
-                    pairs, delta_cap, backend=params.count_backend
-                )
-            kept, kept_counts = _prune_by_noisy_count(
-                pairs, exact, mechanism, ell, delta_cap, threshold, rng
-            )
-        accountant.spend(
-            f"candidates level {length}", mechanism.epsilon, mechanism.delta
-        )
-        if len(kept) > capacity:
-            raise ConstructionAborted(
-                f"candidate set P_{length} grew to {len(kept)} > n*ell = {capacity}",
-                level=length,
-            )
-        levels[length] = sorted(kept)
-        noisy_counts.update(kept_counts)
-
-    with obs.span("completion"):
-        completed = _complete_lengths(
-            {power: pack_strings(level)[0] for power, level in levels.items()},
-            lengths,
-            ell,
-            PackedKeys.of_symbols(database.alphabet),
-        )
-        by_length = {m: decode_rows(block) for m, block in completed.items()}
-    return CandidateSet(
-        levels=levels,
-        by_length=by_length,
-        alpha=alpha,
-        threshold=threshold,
-        noisy_counts=noisy_counts,
-        accountant=accountant,
-    )
-
-
-def _build_candidate_set_array(
-    database: StringDatabase,
-    params: ConstructionParams,
-    rng: np.random.Generator,
-    *,
-    mechanism: CountingMechanism,
-    ell: int,
-    delta_cap: int,
-    capacity: int,
-    limit: int,
-    alpha: float,
-    threshold: float,
-    lengths: Sequence[int] | None,
-) -> CandidateSet:
-    """The ``build_backend="array"`` body of :func:`build_candidate_set`.
-
-    Bit-identical to the object body.  The concatenation batch of a
-    doubling level is indexed ``i * k + j`` over the previous (sorted)
-    level — whose row-major order *is* ``sorted(set(left + right))``,
-    because all strings of a level share one length — and
-    :meth:`~repro.core.array_build.SortJoinCounter.pair_counts` fills that
-    ``k^2`` vector from the pairs that occur, so each level feeds the same
-    exact-count vector to the same single ``randomize`` call.  Rows are
-    materialized only for the pairs that survive the threshold.  An
-    explicit counting backend recounts the occurring pairs through
-    ``count_many`` (every other pair counts 0 under any engine).
-    """
+    stage = _calibrate(database, params, budget, doubling_limit)
+    mechanism, threshold, capacity = stage.mechanism, stage.threshold, stage.capacity
     counter = SortJoinCounter.shared(database)
-    use_sortjoin = params.count_backend == AUTO_BACKEND
-    l1 = 2.0 * ell
-    l2 = math.sqrt(2.0 * ell * delta_cap)
+    l1 = 2.0 * stage.ell
+    l2 = math.sqrt(2.0 * stage.ell * stage.delta_cap)
 
     accountant = PrivacyAccountant()
-    levels: dict[int, list[str]] = {}
     matrices: dict[int, np.ndarray] = {}
-    noisy_counts: dict[str, float] = {}
 
     # Level 0: one noisy count per alphabet letter (present or not).
-    letters = list(database.alphabet)
-    letters_matrix = np.array([[ord(letter)] for letter in letters], dtype=np.int32)
+    letters = np.array(
+        [ord(letter) for letter in database.alphabet], dtype=np.int32
+    ).reshape(-1, 1)
     with obs.span("level", length=1):
-        with obs.span("count", patterns=len(letters)):
-            if use_sortjoin:
-                exact = counter.counts(letters_matrix, delta_cap)
-            else:
-                exact = database.count_many(
-                    letters, delta_cap, backend=params.count_backend
-                )
+        with obs.span("count", patterns=letters.shape[0]):
+            exact = counter.counts(letters, stage.delta_cap)
         noisy = mechanism.randomize(
             np.asarray(exact, dtype=np.float64),
             l1_sensitivity=l1,
@@ -381,30 +260,17 @@ def _build_candidate_set_array(
         raise ConstructionAborted(
             f"candidate set P_1 grew to {keep.size} > n*ell = {capacity}", level=1
         )
-    noisy_counts.update(
-        (letters[int(i)], float(noisy[i])) for i in keep
-    )
-    levels[1] = sorted(letters[int(i)] for i in keep)
-    matrices[1] = np.array(
-        [ord(letter) for letter in levels[1]], dtype=np.int32
-    ).reshape(-1, 1)
+    matrices[1] = np.sort(letters[keep], axis=0)
 
     length = 1
-    while length * 2 <= limit:
+    while length * 2 <= stage.limit:
         length *= 2
         previous = matrices[length // 2]
         k = previous.shape[0]
         with obs.span("level", length=length):
             if k:
                 with obs.span("count", patterns=k * k):
-                    exact = counter.pair_counts(previous, delta_cap)
-                    if not use_sortjoin:
-                        occurring = np.flatnonzero(exact)
-                        exact[occurring] = database.count_many(
-                            decode_rows(_pair_rows(previous, occurring)),
-                            delta_cap,
-                            backend=params.count_backend,
-                        )
+                    exact = counter.pair_counts(previous, stage.delta_cap)
                 noisy = mechanism.randomize(
                     exact.astype(np.float64),
                     l1_sensitivity=l1,
@@ -413,7 +279,6 @@ def _build_candidate_set_array(
                 )
                 keep = np.flatnonzero(noisy >= threshold)
             else:
-                noisy = np.zeros(0, dtype=np.float64)
                 keep = np.zeros(0, dtype=np.int64)
         accountant.spend(
             f"candidates level {length}", mechanism.epsilon, mechanism.delta
@@ -425,19 +290,14 @@ def _build_candidate_set_array(
                 level=length,
             )
         matrices[length] = _pair_rows(previous, keep)
-        levels[length] = decode_rows(matrices[length])
-        noisy_counts.update(
-            zip(levels[length], (float(value) for value in noisy[keep]))
-        )
 
     with obs.span("completion"):
-        completed = _complete_lengths(matrices, lengths, ell, counter.codec)
+        completed = _complete_lengths(matrices, lengths, stage.ell, counter.codec)
     return CandidateSet(
-        levels=levels,
+        levels=_DecodedLengths(matrices),
         by_length=_DecodedLengths(completed),
-        alpha=alpha,
+        alpha=stage.alpha,
         threshold=threshold,
-        noisy_counts=noisy_counts,
         accountant=accountant,
         matrices=completed,
     )
@@ -455,7 +315,7 @@ def _complete_lengths(
     ell: int,
     codec: PackedKeys,
 ) -> dict[int, np.ndarray]:
-    """Completion step shared by both pipelines: the sorted code matrix of
+    """Completion step shared with the reference pipeline: the sorted code matrix of
     ``C_m`` for every requested length, joined from the doubling levels.
 
     Pure post-processing of the released ``P_{2^k}`` sets (Lemma 7, Step 2):

@@ -25,20 +25,18 @@ steps follow Section 3 of the paper:
 The same code serves both privacy flavours: the mechanisms are selected from
 the budget (``delta = 0`` -> Laplace, ``delta > 0`` -> Gaussian).
 
-Steps 2-6 run on one of two **bit-identical pipelines** selected by
-``ConstructionParams.build_backend``: the linked-object reference pipeline
-(``"object"``) and the array-native fast path (``"array"``, the default via
-``"auto"``), which keeps the candidate trie, heavy paths, difference
-sequences and noise application in flat numpy arrays until the final
-structure is materialized.  Identical means identical: same exact counts,
-same RNG draw order, same noisy values, same prune set, same
-``content_digest()`` — see docs/PERFORMANCE.md and
-``tests/core/test_build_backends.py``.
+Steps 2-6 keep the candidate trie, heavy paths, difference sequences and
+noise application in flat numpy arrays until the released counter is
+assembled.  :mod:`repro.core.reference` keeps the linked-object pipeline
+this must match bit for bit — same exact counts, same RNG draw order, same
+noisy values, same prune set, same ``content_digest()`` — which
+``tests/core/test_build_backends.py`` checks and E24 times.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -54,9 +52,9 @@ from repro.core.array_build import (
 )
 from repro.core.candidate_set import CandidateSet, build_candidate_set
 from repro.core.database import StringDatabase
-from repro.counting import resolve_backend
 from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie, StructureMetadata
+from repro.counting import AUTO_BACKEND
 from repro.dp.composition import PrivacyAccountant, PrivacyBudget
 from repro.dp.mechanisms import (
     CountingMechanism,
@@ -65,13 +63,9 @@ from repro.dp.mechanisms import (
     NoiselessMechanism,
 )
 from repro.dp.prefix_sums import PrefixSumMechanism
-from repro.strings.trie import Trie, TrieNode
-from repro.trees.heavy_path import FlatHeavyPathDecomposition, HeavyPathDecomposition
+from repro.trees.heavy_path import FlatHeavyPathDecomposition
 
-__all__ = [
-    "build_private_counting_structure",
-    "annotate_trie_with_exact_counts",
-]
+__all__ = ["build_private_counting_structure"]
 
 #: trie nodes per block of the array pipeline's root + prefix-sum combine.
 COMBINE_BLOCK = 1 << 16
@@ -85,59 +79,6 @@ def _stage_mechanism(
     if budget.is_pure:
         return LaplaceMechanism(budget.epsilon)
     return GaussianMechanism(budget.epsilon, budget.delta)
-
-
-def annotate_trie_with_exact_counts(
-    trie: Trie, database: StringDatabase, delta_cap: int, *, backend: str = "auto"
-) -> None:
-    """Store ``count_Delta(str(v), D)`` in ``node.count`` for every node of
-    the candidate trie, using the requested :mod:`repro.counting` backend.
-
-    The trie's node set is prefix-closed, so the suffix-array backend has a
-    batch strategy of its own: the counts of all prefixes of a candidate
-    string are computed incrementally by narrowing the SA interval one
-    character at a time, annotating the whole trie in
-    ``O(num_nodes * (log N + cost of a capped count))``.  Every other
-    backend receives the node strings as one ``count_many`` batch; the
-    strings are collected incrementally during one DFS (extending the
-    parent's prefix by one character), never via the ``O(depth)``
-    parent-pointer walk of ``node.string()`` — so the batch assembly is
-    linear in total characters instead of quadratic on deep tries.
-    """
-    # The empty pattern occurs min(len(S), delta) times per document; computing
-    # it from the lengths keeps the non-suffix-array backends from forcing the
-    # O(N log N) index build.
-    trie.root.count = float(
-        sum(min(len(document), delta_cap) for document in database.documents)
-    )
-    num_nodes = trie.num_nodes - 1
-    name = resolve_backend(backend, num_nodes, database.total_length)
-    if name == "suffix-array":
-        index = database.index
-        root_interval = (0, len(index.suffix_array))
-        stack: list[tuple[TrieNode, tuple[int, int]]] = [(trie.root, root_interval)]
-        while stack:
-            node, (lo, hi) = stack.pop()
-            for char, child in node.children.items():
-                child_lo, child_hi = index.extend_interval(lo, hi, node.depth, char)
-                child.count = float(
-                    index.count_of_interval(child_lo, child_hi, delta_cap)
-                )
-                stack.append((child, (child_lo, child_hi)))
-        return
-    nodes: list[TrieNode] = []
-    patterns: list[str] = []
-    prefix_stack: list[tuple[TrieNode, str]] = [(trie.root, "")]
-    while prefix_stack:
-        node, prefix = prefix_stack.pop()
-        if node is not trie.root:
-            nodes.append(node)
-            patterns.append(prefix)
-        for char, child in node.children.items():
-            prefix_stack.append((child, prefix + char))
-    counts = database.engine(name).count_many(patterns, delta_cap)
-    for node, count in zip(nodes, counts):
-        node.count = float(count)
 
 
 def build_private_counting_structure(
@@ -155,9 +96,7 @@ def build_private_counting_structure(
     database:
         The database ``D``.
     params:
-        Privacy budget, failure probability, contribution cap and knobs
-        (including ``build_backend``, which selects the object or array
-        pipeline — bit-identical outputs, different speeds).
+        Privacy budget, failure probability, contribution cap and knobs.
     rng:
         Randomness source (fresh default generator when omitted).
     candidate_set:
@@ -166,9 +105,30 @@ def build_private_counting_structure(
         responsible for having built it privately (used by ablation
         benchmarks and tests).
     """
+    return _run_construction(
+        database,
+        params,
+        rng,
+        candidate_set,
+        candidates=build_candidate_set,
+        finish=_finish_structure_array,
+    )
+
+
+def _run_construction(
+    database: StringDatabase,
+    params: ConstructionParams,
+    rng: np.random.Generator | None,
+    candidate_set: CandidateSet | None,
+    *,
+    candidates: Callable[..., CandidateSet],
+    finish: Callable[..., PrivateCountingTrie],
+) -> PrivateCountingTrie:
+    """The budget split, accountant and trace of a Theorem 1/2 build around
+    its candidate stage (``candidates``) and steps 2-6 (``finish``); the
+    reference pipeline (:mod:`repro.core.reference`) passes its own two."""
     if rng is None:
         rng = np.random.default_rng()
-    backend = params.resolve_build_backend()
 
     ell = params.resolve_max_length(database.max_length)
     delta_cap = params.resolve_delta_cap(ell)
@@ -190,42 +150,29 @@ def build_private_counting_structure(
         remaining_fraction = 0.5
     stage_budget = params.budget.scaled(remaining_fraction)
 
-    with obs.trace("construction", build_backend=backend) as root:
+    with obs.trace("construction") as root:
         # --------------------------------------------------------------
         # Step 1: candidate set.
         # --------------------------------------------------------------
         if candidate_set is None:
             with obs.span("candidates"):
-                candidate_set = build_candidate_set(
+                candidate_set = candidates(
                     database, params, budget=candidate_budget, rng=rng
                 )
             for record in candidate_set.accountant.records:
                 accountant.spend(record.label, record.epsilon, record.delta)
 
-        if backend == "array":
-            structure = _finish_structure_array(
-                database,
-                params,
-                rng,
-                candidate_set,
-                stage_budget=stage_budget,
-                accountant=accountant,
-                ell=ell,
-                delta_cap=delta_cap,
-                beta_stage=beta_stage,
-            )
-        else:
-            structure = _finish_structure_object(
-                database,
-                params,
-                rng,
-                candidate_set,
-                stage_budget=stage_budget,
-                accountant=accountant,
-                ell=ell,
-                delta_cap=delta_cap,
-                beta_stage=beta_stage,
-            )
+        structure = finish(
+            database,
+            params,
+            rng,
+            candidate_set,
+            stage_budget=stage_budget,
+            accountant=accountant,
+            ell=ell,
+            delta_cap=delta_cap,
+            beta_stage=beta_stage,
+        )
     if root is not None:
         structure.profile = obs.BuildProfile(root)
     return structure
@@ -247,9 +194,9 @@ def _assemble_metadata_report(
     sums_error: float,
     prune_threshold: float,
 ) -> tuple[StructureMetadata, dict]:
-    """Metadata and report shared verbatim by both pipelines (every value is
-    derived from the same deterministic quantities, so the two backends
-    produce identical payloads and digests)."""
+    """Metadata and report shared verbatim with the reference pipeline
+    (every value is derived from the same deterministic quantities, so the
+    two produce identical payloads and digests)."""
     alpha_counts = roots_error + sums_error
     construction_name = (
         "theorem-1 (pure DP)" if params.is_pure else "theorem-2 (approx DP)"
@@ -265,7 +212,9 @@ def _assemble_metadata_report(
         error_bound=alpha_counts,
         threshold=prune_threshold,
         construction=construction_name,
-        count_backend=params.count_backend,
+        # The value heavy-path releases have always recorded by default;
+        # kept for digest stability.
+        count_backend=AUTO_BACKEND,
     )
     report = {
         "candidate_size": candidate_set.size,
@@ -286,138 +235,6 @@ def _assemble_metadata_report(
     return metadata, report
 
 
-def _finish_structure_object(
-    database: StringDatabase,
-    params: ConstructionParams,
-    rng: np.random.Generator,
-    candidate_set: CandidateSet,
-    *,
-    stage_budget: PrivacyBudget,
-    accountant: PrivacyAccountant,
-    ell: int,
-    delta_cap: int,
-    beta_stage: float,
-) -> PrivateCountingTrie:
-    """Steps 2-6 on the linked-object reference pipeline."""
-    # ------------------------------------------------------------------
-    # Step 2: candidate trie and heavy path decomposition.
-    # ------------------------------------------------------------------
-    with obs.span("trie_build") as sp:
-        trie = Trie()
-        for pattern in sorted(candidate_set.all_strings()):
-            trie.insert(pattern)
-        if sp is not None:
-            sp.attrs["nodes"] = trie.num_nodes
-    with obs.span("annotate"):
-        annotate_trie_with_exact_counts(
-            trie, database, delta_cap, backend=params.count_backend
-        )
-    with obs.span("decomposition"):
-        decomposition = HeavyPathDecomposition(
-            trie.root, lambda node: list(node.children.values())
-        )
-    trie_size = trie.num_nodes
-    log_trie = math.floor(math.log2(max(2, trie_size))) + 1
-
-    # ------------------------------------------------------------------
-    # Step 3: noisy counts of the heavy-path roots.
-    # A document of length <= ell influences the counts of at most
-    # ell * (log|T_C| + 1) heavy-path roots in total (Lemma 10), hence the
-    # L1 sensitivity is 2 ell (log|T_C| + 1); every coordinate changes by at
-    # most Delta, so the L2 sensitivity is sqrt(L1 * Delta) (Lemma 14).
-    # ------------------------------------------------------------------
-    with obs.span("noise", paths=len(decomposition.paths)):
-        roots_mechanism = _stage_mechanism(stage_budget, params.noiseless)
-        roots = decomposition.path_roots()
-        roots_l1 = 2.0 * ell * log_trie
-        roots_l2 = math.sqrt(roots_l1 * delta_cap)
-        root_values = np.array([node.count for node in roots], dtype=np.float64)
-        noisy_roots = roots_mechanism.randomize(
-            root_values, l1_sensitivity=roots_l1, l2_sensitivity=roots_l2, rng=rng
-        )
-        accountant.spend(
-            "heavy-path roots",
-            roots_mechanism.epsilon if not params.noiseless else 0.0,
-            roots_mechanism.delta if not params.noiseless else 0.0,
-        )
-        roots_error = roots_mechanism.sup_error_bound(
-            max(1, len(roots)),
-            beta_stage,
-            l1_sensitivity=roots_l1,
-            l2_sensitivity=roots_l2,
-        )
-
-        # --------------------------------------------------------------
-        # Step 4: noisy prefix sums of the difference sequences along every
-        # heavy path (binary-tree mechanism; Lemmas 11/18).
-        # --------------------------------------------------------------
-        sums_mechanism = _stage_mechanism(stage_budget, params.noiseless)
-        sequences = decomposition.difference_sequences(lambda node: node.count)
-        max_sequence_length = max(1, max((len(seq) for seq in sequences), default=0))
-        prefix_mechanism = PrefixSumMechanism(
-            sums_mechanism,
-            total_l1_sensitivity=2.0 * ell * log_trie,
-            per_sequence_l1_sensitivity=2.0 * delta_cap,
-            max_length=max_sequence_length,
-        )
-        noisy_sums = prefix_mechanism.release_many(sequences, rng)
-        accountant.spend(
-            "difference-sequence prefix sums",
-            sums_mechanism.epsilon if not params.noiseless else 0.0,
-            sums_mechanism.delta if not params.noiseless else 0.0,
-        )
-        sums_error = prefix_mechanism.sup_error_bound(
-            max(1, len(sequences)), beta_stage
-        )
-
-        # --------------------------------------------------------------
-        # Step 5: combine into per-node noisy counts.
-        # --------------------------------------------------------------
-        for path, root_estimate, sums in zip(
-            decomposition.paths, noisy_roots, noisy_sums
-        ):
-            for offset, node in enumerate(path.nodes):
-                if offset == 0:
-                    node.noisy_count = float(root_estimate)
-                else:
-                    node.noisy_count = float(root_estimate) + sums.prefix(offset)
-
-    alpha_counts = roots_error + sums_error
-    prune_threshold = (
-        params.threshold if params.threshold is not None else 2.0 * alpha_counts
-    )
-
-    # ------------------------------------------------------------------
-    # Step 6: prune subtrees with small noisy counts (post-processing).
-    # ------------------------------------------------------------------
-    nodes_before_pruning = trie.num_nodes
-    with obs.span("prune") as sp:
-        _prune(trie, prune_threshold)
-        if sp is not None:
-            sp.attrs["removed"] = nodes_before_pruning - trie.num_nodes
-
-    metadata, report = _assemble_metadata_report(
-        database=database,
-        params=params,
-        ell=ell,
-        delta_cap=delta_cap,
-        accountant=accountant,
-        candidate_set=candidate_set,
-        nodes_before=nodes_before_pruning,
-        nodes_after=trie.num_nodes,
-        num_paths=len(decomposition.paths),
-        max_path_length=decomposition.max_path_length(),
-        roots_error=roots_error,
-        sums_error=sums_error,
-        prune_threshold=prune_threshold,
-    )
-    with obs.span("materialize"):
-        structure = PrivateCountingTrie.from_counts(
-            _noisy_counts(trie), metadata, report
-        )
-    return structure
-
-
 def _finish_structure_array(
     database: StringDatabase,
     params: ConstructionParams,
@@ -430,9 +247,9 @@ def _finish_structure_array(
     delta_cap: int,
     beta_stage: float,
 ) -> PrivateCountingTrie:
-    """Steps 2-6 on the array-native pipeline — bit-identical to the object
-    finisher (same candidate trie, same heavy-path order, same RNG draws,
-    same float operations), with every intermediate a flat numpy array."""
+    """Steps 2-6 with every intermediate a flat numpy array — bit-identical
+    to the reference finisher (same candidate trie, same heavy-path order,
+    same RNG draws, same float operations)."""
     # ------------------------------------------------------------------
     # Step 2: radix-build the candidate trie over the sorted candidate
     # matrix, then decompose it.
@@ -441,22 +258,15 @@ def _finish_structure_array(
         codec = SortJoinCounter.shared(database).codec
         matrix, row_lengths, row_keys = _candidate_matrix(candidate_set, codec)
         trie, node_row = build_array_trie(matrix, row_lengths)
+        # The sorted candidate matrix is the largest array of the build;
+        # annotation needs only its row keys.
+        del matrix, row_lengths
         if sp is not None:
             sp.attrs["nodes"] = trie.num_nodes
     with obs.span("annotate"):
-        counts = annotate_counts_array(
-            trie,
-            matrix,
-            row_keys,
-            node_row,
-            database,
-            delta_cap,
-            count_backend=params.count_backend,
-        )
-        # Only the topology outlives annotation: the sorted candidate
-        # matrix, its keys and its row map are the largest arrays of the
-        # build.
-        del matrix, row_lengths, row_keys, node_row
+        counts = annotate_counts_array(trie, row_keys, node_row, database, delta_cap)
+        # Only the topology outlives annotation.
+        del row_keys, node_row
     with obs.span("decomposition"):
         decomposition = FlatHeavyPathDecomposition(trie.parents, trie.depths)
     trie_size = trie.num_nodes
@@ -464,7 +274,7 @@ def _finish_structure_array(
 
     # ------------------------------------------------------------------
     # Steps 3-5: noisy roots, noisy prefix sums, combine — one vectorized
-    # pass each, drawing noise in exactly the object pipeline's order
+    # pass each, drawing noise in exactly the reference pipeline's order
     # (roots vector first, then the per-path interval draws path-major).
     # ------------------------------------------------------------------
     with obs.span("noise", paths=int(decomposition.num_paths)):
@@ -574,11 +384,11 @@ def _candidate_matrix(
     its row lengths and row keys under ``codec``.
 
     Reuses the per-length matrices the array candidate stage attached and
-    sorts their rows by packed key; caller-supplied candidate sets
+    sorts their rows by packed key; candidate sets built from strings
     (ablations, tests) fall back to one bulk encode of the sorted string
     union.  Rows are distinct (per-length matrices are deduplicated and
     lengths never collide), so the radix trie build sees exactly the
-    object pipeline's ``sorted(all_strings())`` insertions.
+    reference pipeline's ``sorted(all_strings())`` insertions.
     """
     if candidate_set.matrices is None:
         matrix, lengths = pack_strings(sorted(candidate_set.all_strings()))
@@ -606,30 +416,3 @@ def _candidate_matrix(
         lengths[rows] = block.shape[1]
         cursor += block.shape[0]
     return matrix, lengths, keys[order]
-
-
-def _noisy_counts(trie: Trie) -> dict[str, float]:
-    """Every node's noisy count keyed by the string it spells (the root's
-    under the empty pattern) — the released part of the candidate trie."""
-    counts: dict[str, float] = {}
-    stack: list[tuple[TrieNode, str]] = [(trie.root, "")]
-    while stack:
-        node, prefix = stack.pop()
-        counts[prefix] = node.noisy_count
-        for char, child in node.children.items():
-            stack.append((child, prefix + char))
-    return counts
-
-
-def _prune(trie: Trie, threshold: float) -> None:
-    """Remove every subtree whose root has a noisy count below the threshold
-    (the trie root itself is never removed)."""
-    stack = [trie.root]
-    while stack:
-        node = stack.pop()
-        for child in list(node.children.values()):
-            noisy = child.noisy_count if child.noisy_count is not None else -math.inf
-            if noisy < threshold:
-                trie.delete_subtree(child)
-            else:
-                stack.append(child)

@@ -3,14 +3,15 @@
 :class:`ConstructionParams` bundles everything a construction algorithm needs
 besides the database itself: the privacy budget, the failure probability of
 the accuracy guarantee, the contribution cap ``Delta`` and a handful of
-engineering knobs (threshold override, noiseless testing mode).
+engineering knobs (threshold override, noiseless testing mode).  None of
+them selects how a build runs: every construction takes one code path, so
+its release depends only on the data, these parameters and the RNG.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.counting import AUTO_BACKEND, BACKENDS
 from repro.dp.composition import PrivacyBudget
 from repro.exceptions import PrivacyParameterError
 
@@ -18,8 +19,6 @@ __all__ = [
     "ConstructionParams",
     "DOCUMENT_COUNT",
     "SUBSTRING_COUNT",
-    "BUILD_BACKENDS",
-    "AUTO_BUILD_BACKEND",
 ]
 
 #: Contribution cap selecting Document Count semantics (``Delta = 1``).
@@ -27,16 +26,6 @@ DOCUMENT_COUNT = 1
 
 #: Sentinel meaning "cap at the maximum document length" (Substring Count).
 SUBSTRING_COUNT = None
-
-#: Concrete construction pipelines: the linked-object reference pipeline and
-#: the array-native (numpy) fast path.  Both produce bit-identical structures
-#: (same noisy counts, same RNG draw order, same digests); the knob is purely
-#: a matter of construction speed — see docs/PERFORMANCE.md.
-BUILD_BACKENDS = ("object", "array")
-
-#: The default selector; resolves to the array pipeline (never slower on
-#: anything beyond toy inputs, identical output everywhere).
-AUTO_BUILD_BACKEND = "auto"
 
 
 @dataclass(frozen=True)
@@ -72,21 +61,6 @@ class ConstructionParams:
         Fraction of the budget spent on the candidate-set stage; the
         remainder is split evenly between heavy-path roots and prefix sums.
         The paper uses 1/3.
-    count_backend:
-        Which :mod:`repro.counting` engine computes the exact counts the
-        mechanisms then randomize: ``"auto"`` (per-batch selection),
-        ``"naive"``, ``"suffix-array"`` or ``"aho-corasick"``.  Every
-        backend returns identical counts, so this knob affects construction
-        speed only — never privacy or accuracy.
-    build_backend:
-        Which construction pipeline runs: ``"object"`` (the linked
-        ``TrieNode`` reference pipeline), ``"array"`` (the numpy-native fast
-        path that keeps candidates, the candidate trie, heavy paths and
-        noise application in flat arrays) or ``"auto"`` (resolves to
-        ``"array"``).  The two pipelines are bit-identical — same noisy
-        counts, same RNG draw order, same prune set, same
-        ``content_digest()`` — so this knob affects construction speed only;
-        see docs/PERFORMANCE.md.
     """
 
     budget: PrivacyBudget
@@ -96,8 +70,6 @@ class ConstructionParams:
     threshold: float | None = None
     noiseless: bool = False
     candidate_budget_fraction: float = 1.0 / 3.0
-    count_backend: str = AUTO_BACKEND
-    build_backend: str = AUTO_BUILD_BACKEND
 
     def __post_init__(self) -> None:
         if not 0 < self.beta < 1:
@@ -109,20 +81,6 @@ class ConstructionParams:
         if not 0 < self.candidate_budget_fraction < 1:
             raise PrivacyParameterError(
                 "candidate_budget_fraction must lie in (0, 1)"
-            )
-        if self.count_backend != AUTO_BACKEND and self.count_backend not in BACKENDS:
-            raise PrivacyParameterError(
-                f"count_backend must be one of {(AUTO_BACKEND,) + BACKENDS}, "
-                f"got {self.count_backend!r}"
-            )
-        if (
-            self.build_backend != AUTO_BUILD_BACKEND
-            and self.build_backend not in BUILD_BACKENDS
-        ):
-            raise PrivacyParameterError(
-                f"build_backend must be one of "
-                f"{(AUTO_BUILD_BACKEND,) + BUILD_BACKENDS}, "
-                f"got {self.build_backend!r}"
             )
 
     # ------------------------------------------------------------------
@@ -159,13 +117,6 @@ class ConstructionParams:
                 )
             return self.max_length
         return max(1, observed_max_length)
-
-    def resolve_build_backend(self) -> str:
-        """The concrete construction pipeline: ``"object"`` or ``"array"``
-        (``"auto"`` resolves to the array fast path)."""
-        if self.build_backend == AUTO_BUILD_BACKEND:
-            return "array"
-        return self.build_backend
 
     def resolve_delta_cap(self, ell: int) -> int:
         """The numeric contribution cap ``Delta`` for documents of length at

@@ -113,8 +113,9 @@ class StructureMetadata:
     qgram_length: int | None = None
     #: free-form name of the construction that produced the structure.
     construction: str = ""
-    #: repro.counting backend that produced the exact counts the mechanisms
-    #: randomized ("" for structures predating the engine layer).
+    #: fixed counting label of the kind: "auto" for heavy-path and
+    #: qgram-t3, "suffix-array" for qgram-t4, "" for the baseline and for
+    #: structures predating the engine layer; kept for digest stability.
     count_backend: str = ""
 
 

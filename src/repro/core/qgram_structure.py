@@ -96,9 +96,8 @@ def theorem3_qgram_structure(
     accountant = PrivacyAccountant()
 
     half_budget = params.budget.split(2)
-    build_backend = params.resolve_build_backend()
 
-    with obs.trace("construction", build_backend=build_backend, q=q) as trace_root:
+    with obs.trace("construction", q=q) as trace_root:
         # Phase 1: doubling candidate sets up to 2^{floor(log2 q)}, then
         # complete to candidate q-grams C_q (the completion is
         # post-processing).
@@ -133,9 +132,7 @@ def theorem3_qgram_structure(
         threshold = params.threshold if params.threshold is not None else 2.0 * alpha
 
         with obs.span("counts", patterns=len(candidate_qgrams)):
-            exact = _candidate_qgram_counts(
-                database, params, candidate_qgrams, delta_cap
-            )
+            exact = _candidate_qgram_counts(database, candidate_qgrams, delta_cap)
         with obs.span("noise"):
             if len(candidate_qgrams):
                 noisy = mechanism.randomize(
@@ -174,7 +171,9 @@ def theorem3_qgram_structure(
         threshold=threshold,
         qgram_length=q,
         construction="theorem-3 (pure DP q-grams)",
-        count_backend=params.count_backend,
+        # The value qgram-t3 releases have always recorded by default;
+        # kept for digest stability.
+        count_backend=AUTO_BACKEND,
     )
     report = {
         "candidate_size": len(candidate_qgrams),
@@ -192,30 +191,22 @@ def theorem3_qgram_structure(
 
 def _candidate_qgram_counts(
     database: StringDatabase,
-    params: ConstructionParams,
     candidate_qgrams: list[str],
     delta_cap: int,
 ) -> np.ndarray:
     """Exact counts of the candidate q-grams as a float64 vector.
 
-    The array pipeline with an ``"auto"`` counting backend routes the
-    uniform-length batch through the sort-join counter (one window sort
-    instead of a per-batch automaton); every other combination keeps the
-    engine-layer ``count_many``.  Counts are integers either way, so the
-    choice never changes a released value.
+    A uniform-length batch (every batch the candidate stage produces) is
+    one sort-join count; a caller-supplied batch of mixed lengths goes
+    through the engine layer's ``count_many``.  Counts are integers either
+    way.
     """
-    if (
-        candidate_qgrams
-        and params.resolve_build_backend() == "array"
-        and params.count_backend == AUTO_BACKEND
-    ):
+    if candidate_qgrams:
         matrix, lengths = pack_strings(candidate_qgrams)
         if (lengths == lengths[0]).all():
             counter = SortJoinCounter.shared(database)
             return counter.counts(matrix, delta_cap).astype(np.float64)
-    return database.count_many(
-        candidate_qgrams, delta_cap, backend=params.count_backend
-    ).astype(np.float64)
+    return database.count_many(candidate_qgrams, delta_cap).astype(np.float64)
 
 
 # ----------------------------------------------------------------------
@@ -283,9 +274,7 @@ def theorem4_qgram_structure(
         )
         return float(value[0])
 
-    # The suffix-tree walk has no array/object split; "object" keeps the
-    # profile's backend attribute uniform across structure kinds.
-    with obs.trace("construction", build_backend="object", q=q) as trace_root:
+    with obs.trace("construction", q=q) as trace_root:
         # Phase 0: mark the 1-minimal nodes whose noisy count reaches the
         # threshold.
         marked: set[int] = set()

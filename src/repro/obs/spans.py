@@ -1,8 +1,8 @@
-"""Tracing spans: nested wall+CPU timings for the construction pipelines.
+"""Tracing spans: nested wall+CPU timings for the constructions.
 
 A *span* is one timed region with a name, free-form attributes and
 children; a *trace* is a tree of spans.  The construction entry points open
-a trace (``with obs.trace("construction", build_backend=...) as root``) and
+a trace (``with obs.trace("construction") as root``) and
 every stage — candidates (per doubling level), counting, trie build, heavy
 paths, noise, prune, materialize — opens a child ``span(...)``.  The tree
 replaces the old flat ``stage_seconds`` dict: same totals, but nested, with
@@ -210,10 +210,6 @@ class BuildProfile:
     def total_seconds(self) -> float:
         return self.root.wall_seconds
 
-    @property
-    def build_backend(self) -> str:
-        return str(self.root.attrs.get("build_backend", ""))
-
     def stages(self) -> dict[str, float]:
         """Top-level stage durations, aggregated by name in first-seen
         order."""
@@ -232,9 +228,7 @@ class BuildProfile:
 
         def emit(node: Span, depth: int) -> None:
             label = node.name
-            detail = " ".join(
-                f"{key}={value}" for key, value in node.attrs.items() if key != "build_backend"
-            )
+            detail = " ".join(f"{key}={value}" for key, value in node.attrs.items())
             if detail:
                 label = f"{label} [{detail}]"
             share = 100.0 * node.wall_seconds / total

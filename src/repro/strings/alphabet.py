@@ -48,6 +48,13 @@ class Alphabet:
                 raise InvalidDocumentError(
                     f"alphabet symbols must be single characters, got {symbol!r}"
                 )
+            # A lone surrogate is not a Unicode scalar value: the strict
+            # UTF-32 encode of the corpus that every build runs rejects it.
+            if "\ud800" <= symbol <= "\udfff":
+                raise InvalidDocumentError(
+                    f"alphabet symbols must be Unicode scalar values, got the "
+                    f"surrogate {symbol!r}"
+                )
         object.__setattr__(
             self, "_index", {symbol: code for code, symbol in enumerate(self.symbols)}
         )

@@ -228,8 +228,9 @@ class FlatHeavyPathDecomposition:
     children are numbered after every light child of the nodes that DFS
     visits before it), and identical per-path node offsets.  The array
     construction pipeline relies on this to draw its noise in exactly the
-    object pipeline's RNG order; ``tests/core/test_build_backends.py``
-    asserts the equivalence on random tries.
+    linked-object reference pipeline's RNG order;
+    ``tests/core/test_build_backends.py`` asserts the equivalence on random
+    tries.
 
     Everything is computed one level at a time — subtree sizes and light
     edge counts bottom-up, path ids and offsets top-down — so no pass holds

@@ -31,7 +31,6 @@ class TestFluentConfiguration:
             .with_beta(0.2)
             .with_contribution_cap(1)
             .with_threshold(7.0)
-            .with_count_backend("naive")
             .noiseless()
         )
         params = dataset.params
@@ -39,7 +38,6 @@ class TestFluentConfiguration:
         assert params.beta == 0.2
         assert params.delta_cap == 1
         assert params.threshold == 7.0
-        assert params.count_backend == "naive"
         assert params.noiseless
 
     def test_from_documents_builds_a_database(self):

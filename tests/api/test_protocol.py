@@ -13,6 +13,7 @@ import pytest
 
 from repro.api import CorpusStream, Dataset, PrivateCounter, default_registry
 from repro.core.private_trie import PrivateCountingTrie
+from repro.core.reference import reference_counting_structure
 from repro.serving import CompiledTrie, QueryService, ReleaseStore
 from repro.strings.trie import TrieNode
 
@@ -119,21 +120,25 @@ def _reachable(root: object) -> Iterator[object]:
 
 
 @pytest.mark.parametrize(
-    "kind, backend",
+    "kind, pipeline",
     [(kind, "array") for kind in sorted(KIND_KWARGS)] + [("heavy-path", "object")],
 )
-def test_release_holds_no_exact_counts(kind, backend):
+def test_release_holds_no_exact_counts(kind, pipeline):
     """A built counter keeps the released noisy counts only: no candidate
-    trie node, and so no exact count, is reachable from it."""
-    counter = (
+    trie node, and so no exact count, is reachable from it — from every
+    kind's build, and from the linked-object reference too."""
+    dataset = (
         Dataset.from_documents(DOCUMENTS)
         .with_budget(2.0, 1e-6)
         .with_beta(0.1)
         .noiseless()
         .with_threshold(1.0)
-        .with_build_backend(backend)
-        .build(kind, rng=np.random.default_rng(7), **KIND_KWARGS[kind])
     )
+    rng = np.random.default_rng(7)
+    if pipeline == "object":
+        counter = reference_counting_structure(dataset.database, dataset.params, rng=rng)
+    else:
+        counter = dataset.build(kind, rng=rng, **KIND_KWARGS[kind])
     assert counter.num_stored_patterns > 0
     reached = list(_reachable(counter))
     assert not [obj for obj in reached if isinstance(obj, TrieNode)]

@@ -1,28 +1,27 @@
-"""Property tests: the object and array construction pipelines are
-bit-identical.
+"""Property tests: the array construction pipeline is bit-identical to the
+linked-object reference pipeline (:mod:`repro.core.reference`).
 
-``ConstructionParams.build_backend`` is a speed knob, nothing else: for any
-documents, any structure kind, any seed and any budget flavour the two
-pipelines must produce identical noisy counts, identical metadata and
-report, identical prune sets and identical release digests — and they must
-abort identically when a candidate level overflows.  These tests pin that
-contract, plus the array primitives' own equivalences (sort-join counting
-vs the engine layer, the flat heavy-path decomposition vs the object one,
-the flat prefix-sum release vs the per-sequence one).
+For any documents, any seed and any budget flavour the production build
+and the reference must produce identical noisy counts, identical metadata
+and report, identical prune sets and identical release digests — and they
+must abort identically when a candidate level overflows.  The candidate
+stage is compared alone as well, in both call shapes (the heavy-path one and
+the q-gram one).  These tests pin that contract, plus the array
+primitives' own equivalences (sort-join counting vs the engine layer, the
+flat heavy-path decomposition vs the object one, the flat prefix-sum
+release vs the per-sequence one).
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.api import Dataset
 from repro.core import construction
 from repro.core.array_build import SortJoinCounter, pack_strings
 from repro.core.candidate_set import build_candidate_set
@@ -30,9 +29,9 @@ from repro.core.construction import build_private_counting_structure
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
 from repro.core.private_trie import PrivateCountingTrie
-from repro.core.qgram_structure import (
-    theorem3_qgram_structure,
-    theorem4_qgram_structure,
+from repro.core.reference import (
+    reference_candidate_set,
+    reference_counting_structure,
 )
 from repro.counting import make_engine
 from repro.dp import prefix_sums
@@ -55,7 +54,12 @@ BUSHY_DOCS = st.lists(
     st.text(alphabet="abcde", min_size=1, max_size=6), min_size=1, max_size=12
 )
 SEEDS = st.integers(min_value=0, max_value=2**16)
-BUDGETS = st.sampled_from(["noiseless", "pure", "approx"])
+#: The noisy flavours also run at threshold 1: on corpora this small the
+#: default threshold (2 alpha) prunes most builds to the bare root, while the
+#: override keeps real noise on nontrivial tries and lets levels overflow.
+BUDGETS = st.sampled_from(
+    ["noiseless", "pure", "approx", "pure tau=1", "approx tau=1"]
+)
 
 
 #: ``None`` keeps the production block sizes.
@@ -78,17 +82,20 @@ def block_sizes(block: int | None):
 def base_params(budget: str) -> ConstructionParams:
     if budget == "noiseless":
         return ConstructionParams.pure(1.0, beta=0.1, noiseless=True, threshold=1.0)
-    if budget == "pure":
-        return ConstructionParams.pure(8.0, beta=0.1)
-    return ConstructionParams.approximate(8.0, 1e-6, beta=0.1)
+    threshold = 1.0 if budget.endswith("tau=1") else None
+    if budget.startswith("pure"):
+        return ConstructionParams.pure(8.0, beta=0.1, threshold=threshold)
+    return ConstructionParams.approximate(8.0, 1e-6, beta=0.1, threshold=threshold)
 
 
-def run_both(build, params):
-    """Run a builder under both backends; abort outcomes count as results."""
+def run_both(reference, production, *args, seed, **kwargs):
+    """Run the reference and the production builder on the same arguments,
+    each from a fresh rng seeded with ``seed``; abort outcomes count as
+    results."""
     outcomes = []
-    for backend in ("object", "array"):
+    for build in (reference, production):
         try:
-            outcomes.append(build(replace(params, build_backend=backend)))
+            outcomes.append(build(*args, rng=np.random.default_rng(seed), **kwargs))
         except ConstructionAborted as error:
             outcomes.append(("aborted", str(error), error.level))
     return outcomes
@@ -108,7 +115,9 @@ def assert_identical_structures(first, second) -> None:
 
 class TestPipelineEquivalence:
     @given(DOCS, SEEDS, BUDGETS)
-    @settings(max_examples=30, deadline=None)
+    @example(docs=["abbaab"], seed=11457, budget="pure tau=1")  # aborts at P_4
+    @example(docs=["babbaabb"], seed=33057, budget="approx tau=1")  # aborts at P_8
+    @settings(max_examples=50, deadline=None)
     def test_heavy_path_bit_identical(self, docs, seed, budget):
         """Identical at the production block sizes and at blocks of 1 and
         3, so release and combine blocks end mid-trie."""
@@ -116,97 +125,65 @@ class TestPipelineEquivalence:
         for block in BLOCK_SIZES:
             with block_sizes(block):
                 first, second = run_both(
-                    lambda params: build_private_counting_structure(
-                        database, params, rng=np.random.default_rng(seed)
-                    ),
+                    reference_counting_structure,
+                    build_private_counting_structure,
+                    database,
                     base_params(budget),
+                    seed=seed,
                 )
             assert_identical_structures(first, second)
 
     @given(WIDE_DOCS, SEEDS, BUDGETS)
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=25, deadline=None)
     def test_heavy_path_bit_identical_wide_alphabet(self, docs, seed, budget):
         database = StringDatabase(docs)
         first, second = run_both(
-            lambda params: build_private_counting_structure(
-                database, params, rng=np.random.default_rng(seed)
-            ),
+            reference_counting_structure,
+            build_private_counting_structure,
+            database,
             base_params(budget),
+            seed=seed,
         )
         assert_identical_structures(first, second)
 
-    @given(DOCS, SEEDS, BUDGETS, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=25, deadline=None)
-    def test_qgram_t3_bit_identical(self, docs, seed, budget, q):
+    @given(DOCS, SEEDS, BUDGETS, st.one_of(st.none(), st.integers(1, 4)))
+    @settings(max_examples=60, deadline=None)
+    def test_candidate_sets_identical(self, docs, seed, budget, q):
+        """``q=None`` is the heavy-path call; otherwise the q-gram one
+        (doubling up to ``q``, completing ``C_q`` only, on a budget
+        share)."""
         database = StringDatabase(docs)
-        q = min(q, database.max_length)
+        params = base_params(budget)
+        shape = {}
+        if q is not None:
+            q = min(q, database.max_length)
+            shape = {
+                "doubling_limit": q,
+                "lengths": [q],
+                "budget": params.budget.split(2),
+            }
         first, second = run_both(
-            lambda params: theorem3_qgram_structure(
-                database, q, params, rng=np.random.default_rng(seed)
-            ),
-            base_params(budget),
+            reference_candidate_set,
+            build_candidate_set,
+            database,
+            params,
+            seed=seed,
+            **shape,
         )
-        assert_identical_structures(first, second)
-
-    @given(DOCS, SEEDS, st.integers(min_value=1, max_value=4))
-    @settings(max_examples=15, deadline=None)
-    def test_qgram_t4_bit_identical(self, docs, seed, q):
-        database = StringDatabase(docs)
-        q = min(q, database.max_length)
-        first, second = run_both(
-            lambda params: theorem4_qgram_structure(
-                database, q, params, rng=np.random.default_rng(seed)
-            ),
-            base_params("approx"),
-        )
-        assert_identical_structures(first, second)
-
-    @given(DOCS, SEEDS, BUDGETS)
-    @settings(max_examples=25, deadline=None)
-    def test_candidate_sets_identical(self, docs, seed, budget):
-        database = StringDatabase(docs)
-        results = []
-        for backend in ("object", "array"):
-            params = replace(base_params(budget), build_backend=backend)
-            try:
-                results.append(
-                    build_candidate_set(
-                        database, params, rng=np.random.default_rng(seed)
-                    )
-                )
-            except ConstructionAborted as error:
-                results.append(("aborted", str(error), error.level))
-        first, second = results
         if isinstance(first, tuple) or isinstance(second, tuple):
             assert first == second
             return
         assert first.levels == second.levels
         assert first.by_length == second.by_length
-        assert first.noisy_counts == second.noisy_counts
+        assert first.size == second.size
         assert first.alpha == second.alpha
         assert first.threshold == second.threshold
-
-    def test_dataset_backend_knob_round_trips(self, small_db):
-        build = lambda backend: (  # noqa: E731 - tiny local factory
-            Dataset.from_database(small_db)
-            .with_budget(5.0)
-            .with_beta(0.1)
-            .with_build_backend(backend)
-            .build("heavy-path", rng=np.random.default_rng(3))
-        )
-        array_counter = build("array")
-        object_counter = build("object")
-        assert array_counter.content_digest() == object_counter.content_digest()
-        probes = object_counter.patterns() + ["", "ab", "zz"]
-        assert np.array_equal(
-            array_counter.query_many(probes), object_counter.query_many(probes)
-        )
+        assert first.accountant.records == second.accountant.records
 
     def test_timings_are_diagnostics_not_payload(self, small_db, rng):
         params = ConstructionParams.pure(5.0, beta=0.1)
         structure = build_private_counting_structure(small_db, params, rng=rng)
         assert structure.profile is not None
-        assert structure.profile.build_backend == "array"
         assert structure.profile.total_seconds > 0
         assert "candidates" in structure.profile.stages()
         payload = structure.to_dict()
@@ -218,7 +195,7 @@ class TestPipelineEquivalence:
         """The array pipeline's counter and the one the pattern -> count
         factory rebuilds from its payload share one layout, column for
         column — every producer of the single counter class agrees."""
-        params = ConstructionParams.pure(5.0, beta=0.1, build_backend="array")
+        params = ConstructionParams.pure(5.0, beta=0.1)
         structure = build_private_counting_structure(
             small_db, params, rng=np.random.default_rng(9)
         )

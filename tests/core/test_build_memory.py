@@ -62,9 +62,7 @@ def genome_database() -> StringDatabase:
 
 
 def array_params() -> ConstructionParams:
-    return ConstructionParams.pure(
-        50.0, beta=0.1, threshold=30.0, build_backend="array"
-    )
+    return ConstructionParams.pure(50.0, beta=0.1, threshold=30.0)
 
 
 def traced_peak(run):

@@ -166,11 +166,3 @@ class TestPrivacyAccounting:
             example_db, params, budget=params.budget.scaled(1.0 / 3.0), rng=rng
         )
         assert candidates.accountant.total_epsilon <= 1.0 + 1e-9
-
-    def test_noisy_counts_only_for_kept_strings(self, example_db, rng):
-        params = ConstructionParams.pure(epsilon=1.0, beta=0.1)
-        candidates = build_onestep_candidate_set(example_db, params, rng=rng)
-        kept = set()
-        for strings in candidates.levels.values():
-            kept.update(strings)
-        assert set(candidates.noisy_counts) == kept

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.candidate_set import build_candidate_set
-from repro.core.construction import annotate_trie_with_exact_counts
+from repro.core.reference import annotate_trie_with_exact_counts
 from repro.core.database import StringDatabase
 from repro.core.params import ConstructionParams
 from repro.strings.naive import all_substrings, count_delta, count_occurrences

@@ -3,9 +3,9 @@
 The unified counting layer's contract is that every backend returns
 bitwise-identical ``count_many`` vectors on every input — the backend choice
 may only ever change speed, never a single count.  These tests enforce that
-contract on hand-picked corpora, on property-based random corpora, and
-through the ``StringDatabase.count_many`` front door the construction
-algorithms use.
+contract on hand-picked corpora, on property-based random corpora, through
+the ``StringDatabase.count_many`` front door, and against the noiseless
+releases of the constructions, which count with their own sort-join counter.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.counting import (
     make_engine,
     resolve_backend,
 )
-from repro.exceptions import PrivacyParameterError
 from repro.strings.naive import all_substrings
 
 DOC = st.text(alphabet="abc", min_size=1, max_size=10)
@@ -146,32 +145,51 @@ class TestDatabaseFrontDoor:
         with pytest.raises(ValueError):
             example_db.engine(AUTO_BACKEND)
 
-    def test_params_validate_backend(self):
-        params = ConstructionParams.pure(1.0, count_backend="aho-corasick")
-        assert params.count_backend == "aho-corasick"
-        with pytest.raises(PrivacyParameterError):
-            ConstructionParams.pure(1.0, count_backend="suffix-tree")
-
 
 class TestBackendRecordedInReleases:
     def test_construction_records_backend(self, small_db, rng):
+        """Every build records the value its kind has always recorded, so
+        no release digest moved when the engine choice stopped being a
+        parameter."""
         from repro.core.construction import build_private_counting_structure
-
-        params = ConstructionParams.pure(
-            2.0, beta=0.1, count_backend="aho-corasick"
+        from repro.core.qgram_structure import (
+            theorem3_qgram_structure,
+            theorem4_qgram_structure,
         )
-        structure = build_private_counting_structure(small_db, params, rng=rng)
-        assert structure.metadata.count_backend == "aho-corasick"
-        assert structure.to_dict()["metadata"]["count_backend"] == "aho-corasick"
+
+        pure = ConstructionParams.pure(2.0, beta=0.1)
+        approx = ConstructionParams.approximate(2.0, 1e-6, beta=0.1)
+        recorded = {
+            "heavy-path pure": build_private_counting_structure(
+                small_db, pure, rng=rng
+            ),
+            "heavy-path approx": build_private_counting_structure(
+                small_db, approx, rng=rng
+            ),
+            "qgram-t3": theorem3_qgram_structure(small_db, 2, pure, rng=rng),
+            "qgram-t4": theorem4_qgram_structure(small_db, 2, approx, rng=rng),
+        }
+        assert {
+            name: (
+                structure.metadata.count_backend,
+                structure.to_dict()["metadata"]["count_backend"],
+            )
+            for name, structure in recorded.items()
+        } == {
+            "heavy-path pure": ("auto", "auto"),
+            "heavy-path approx": ("auto", "auto"),
+            "qgram-t3": ("auto", "auto"),
+            "qgram-t4": ("suffix-array", "suffix-array"),
+        }
 
     def test_serialization_roundtrip_keeps_backend(self, small_db, rng):
         from repro.core.construction import build_private_counting_structure
         from repro.core.private_trie import PrivateCountingTrie
 
-        params = ConstructionParams.pure(2.0, beta=0.1, count_backend="naive")
+        params = ConstructionParams.pure(2.0, beta=0.1)
         structure = build_private_counting_structure(small_db, params, rng=rng)
         restored = PrivateCountingTrie.from_json(structure.to_json())
-        assert restored.metadata.count_backend == "naive"
+        assert restored.metadata.count_backend == "auto"
         assert restored.content_digest() == structure.content_digest()
 
     def test_legacy_payload_without_backend_still_loads(self, small_db, rng):
@@ -190,37 +208,67 @@ class TestBackendRecordedInReleases:
 
 
 class TestConstructionBackendEquivalence:
-    """With noiseless params the whole pipeline must be backend-invariant."""
+    """Noiseless builds release exactly what every engine counts.
+
+    Builds count with the sort-join counter of :mod:`repro.core.array_build`,
+    not through the engine layer; with the noise off and ``threshold=1`` the
+    released sets and values follow from the exact counts alone, so each
+    backend is an independent oracle for them.
+    """
 
     @pytest.mark.parametrize("backend", (AUTO_BACKEND,) + BACKENDS)
     def test_noiseless_candidate_sets_match(self, example_db, backend):
         from repro.core.candidate_set import build_candidate_set
 
-        params = ConstructionParams.pure(
-            1.0, beta=0.1, noiseless=True, threshold=1.0, count_backend=backend
-        )
-        reference = build_candidate_set(
-            example_db,
-            ConstructionParams.pure(1.0, beta=0.1, noiseless=True, threshold=1.0),
-        )
+        params = ConstructionParams.pure(1.0, beta=0.1, noiseless=True, threshold=1.0)
         candidates = build_candidate_set(example_db, params)
-        assert candidates.levels == reference.levels
-        assert candidates.by_length == reference.by_length
+        ell = params.resolve_max_length(example_db.max_length)
+        substrings = sorted(all_substrings(list(example_db)))
+        counts = example_db.count_many(
+            substrings, params.resolve_delta_cap(ell), backend=backend
+        )
+        frequent = [s for s, count in zip(substrings, counts) if count >= 1]
+        # A count never grows as its string does, so P_{2^k} holds every
+        # frequent string of length 2^k.
+        levels = {
+            length: [s for s in frequent if len(s) == length] for length in (1, 2, 4)
+        }
+        assert dict(candidates.levels) == levels
+
+        def completed(m):
+            power = 1 << (m.bit_length() - 1)
+            overlap = 2 * power - m
+            return sorted(
+                {
+                    left + right[overlap:]
+                    for left in levels[power]
+                    for right in levels[power]
+                    if left[power - overlap :] == right[:overlap]
+                }
+            )
+
+        assert dict(candidates.by_length) == {
+            m: completed(m) for m in range(1, ell + 1)
+        }
+        for m in range(1, ell + 1):
+            assert {s for s in frequent if len(s) == m} <= set(candidates.by_length[m])
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_noiseless_structures_answer_identically(self, small_db, backend):
         from repro.core.construction import build_private_counting_structure
 
-        reference = build_private_counting_structure(
-            small_db,
-            ConstructionParams.pure(1.0, beta=0.1, noiseless=True, threshold=1.0),
-            rng=np.random.default_rng(0),
-        )
+        params = ConstructionParams.pure(1.0, beta=0.1, noiseless=True, threshold=1.0)
         structure = build_private_counting_structure(
-            small_db,
-            ConstructionParams.pure(
-                1.0, beta=0.1, noiseless=True, threshold=1.0, count_backend=backend
-            ),
-            rng=np.random.default_rng(0),
+            small_db, params, rng=np.random.default_rng(0)
         )
-        assert dict(structure.items()) == dict(reference.items())
+        delta_cap = params.resolve_delta_cap(
+            params.resolve_max_length(small_db.max_length)
+        )
+        substrings = sorted(all_substrings(list(small_db)))
+        counts = small_db.count_many(substrings, delta_cap, backend=backend)
+        assert dict(structure.items()) == dict(zip(substrings, counts.tolist()))
+        probes = substrings + ["", "zz", "ababab"]
+        assert np.array_equal(
+            structure.query_many(probes),
+            small_db.count_many(probes, delta_cap, backend=backend),
+        )

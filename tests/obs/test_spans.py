@@ -14,6 +14,7 @@ import pytest
 from repro import obs
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
+from repro.core.reference import reference_counting_structure
 from repro.obs.spans import _state
 
 
@@ -34,7 +35,7 @@ class TestSpanNesting:
         assert obs.current_span() is None
 
     def test_trace_records_a_tree(self):
-        with obs.trace("build", build_backend="array") as root:
+        with obs.trace("build", q=3) as root:
             with obs.span("outer", level=1) as outer:
                 assert obs.current_span() is outer
                 with obs.span("inner"):
@@ -42,7 +43,7 @@ class TestSpanNesting:
             with obs.span("outer", level=2):
                 pass
         assert root.name == "build"
-        assert root.attrs == {"build_backend": "array"}
+        assert root.attrs == {"q": 3}
         assert [child.name for child in root.children] == ["outer", "outer"]
         assert [child.name for child in root.children[0].children] == ["inner"]
         assert root.wall_seconds >= root.children[0].wall_seconds >= 0.0
@@ -139,7 +140,7 @@ class TestThreadIsolation:
 
 class TestBuildProfile:
     def _profile(self) -> obs.BuildProfile:
-        with obs.trace("construction", build_backend="array") as root:
+        with obs.trace("construction") as root:
             with obs.span("candidates"):
                 with obs.span("level", length=1):
                     pass
@@ -158,9 +159,8 @@ class TestBuildProfile:
         )
         assert stages["noise"] == pytest.approx(noise_total)
 
-    def test_backend_and_total_views(self):
+    def test_total_view(self):
         profile = self._profile()
-        assert profile.build_backend == "array"
         assert profile.total_seconds == profile.root.wall_seconds
 
     def test_render_mentions_every_span(self):
@@ -188,7 +188,7 @@ class TestBuildProfile:
 
     def test_error_status_exported(self):
         with pytest.raises(RuntimeError):
-            with obs.trace("construction", build_backend="object") as root:
+            with obs.trace("construction") as root:
                 with obs.span("prune"):
                     raise RuntimeError("died")
         profile = obs.BuildProfile(root)
@@ -205,12 +205,16 @@ def _descendants(node):
 
 
 class TestPeakRss:
-    @pytest.mark.parametrize("backend", ["object", "array"])
-    def test_every_stage_span_of_a_build_carries_it(self, small_db, backend):
+    @pytest.mark.parametrize(
+        "build",
+        [reference_counting_structure, build_private_counting_structure],
+        ids=["object", "array"],
+    )
+    def test_every_stage_span_of_a_build_carries_it(self, small_db, build):
         pytest.importorskip("resource")
-        structure = build_private_counting_structure(
+        structure = build(
             small_db,
-            ConstructionParams.pure(5.0, beta=0.1, build_backend=backend),
+            ConstructionParams.pure(5.0, beta=0.1),
             rng=np.random.default_rng(3),
         )
         profile = structure.profile

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core.database import StringDatabase
 from repro.exceptions import InvalidDocumentError, InvalidPatternError
 from repro.strings.alphabet import Alphabet, infer_alphabet
 
@@ -27,6 +28,21 @@ class TestAlphabetBasics:
     def test_multicharacter_symbols_rejected(self):
         with pytest.raises(InvalidDocumentError):
             Alphabet(("ab",))
+
+    @pytest.mark.parametrize(
+        "surrogate",
+        ["\ud800", "\udbff", "\udc00", "\udfff"],
+        ids=lambda symbol: f"U+{ord(symbol):04X}",
+    )
+    def test_surrogate_symbols_rejected(self, surrogate):
+        """Rejected up front: a database holding one used to be accepted
+        and then crash every build mid-way with a raw Unicode error."""
+        with pytest.raises(InvalidDocumentError, match="surrogate"):
+            Alphabet(("a", surrogate))
+        with pytest.raises(InvalidDocumentError, match="surrogate"):
+            StringDatabase([f"a{surrogate}b", f"ab{surrogate}", "ba"])
+        # the code points around the surrogate block are ordinary symbols
+        assert Alphabet(("\ud7ff", "\ue000", "\U0001f600")).size == 3
 
     def test_code_and_symbol_roundtrip(self):
         alphabet = Alphabet(("x", "y", "z"))

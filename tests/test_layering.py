@@ -1,5 +1,7 @@
 """The package layering holds: nothing in the substrates or the core imports
-the layers built on top of them (docs/ARCHITECTURE.md).
+the layers built on top of them (docs/ARCHITECTURE.md), and nothing but
+:mod:`repro.analysis` imports the reference pipeline
+(:mod:`repro.core.reference`), which exists for tests and E24 only.
 
 The check parses the source instead of importing it: ``import repro.core``
 runs the top-level package, which loads ``repro.serving`` and everything
@@ -17,25 +19,46 @@ import pytest
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 LOWER = ("strings", "counting", "dp", "trees", "obs", "faults", "core")
 UPPER = ("serving", "api", "analysis", "cli")
+REFERENCE = "repro.core.reference"
 
 
-def upward_imports(path: Path) -> list[tuple[int, str]]:
-    """``(line, module)`` of every import of an upper layer in ``path``."""
+def matching_imports(path: Path, wanted) -> list[tuple[int, str]]:
+    """``(line, module)`` of every import in ``path`` of a module for which
+    ``wanted(module)`` holds.  ``from a import b`` imports ``a`` or, when
+    ``a`` itself is not wanted, possibly the submodule ``a.b``."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
             modules = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             modules = [node.module]
-            if node.module == "repro":
-                modules = [f"repro.{alias.name}" for alias in node.names]
+            if not wanted(node.module):
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
         else:
             continue
-        for module in modules:
-            parts = module.split(".")
-            if parts[0] == "repro" and len(parts) > 1 and parts[1] in UPPER:
-                found.append((node.lineno, module))
+        found.extend((node.lineno, module) for module in modules if wanted(module))
     return sorted(found)
+
+
+def is_upper(module: str) -> bool:
+    parts = module.split(".")
+    return parts[0] == "repro" and len(parts) > 1 and parts[1] in UPPER
+
+
+def upward_imports(path: Path) -> list[tuple[int, str]]:
+    """``(line, module)`` of every import of an upper layer in ``path``."""
+    return matching_imports(path, is_upper)
+
+
+def reference_importers(package: Path) -> dict[str, list[tuple[int, str]]]:
+    """The modules of ``package`` outside ``analysis`` that import the
+    reference pipeline, with the offending imports."""
+    return {
+        str(path.relative_to(package)): found
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package).parts[0] != "analysis"
+        and (found := matching_imports(path, lambda module: module == REFERENCE))
+    }
 
 
 @pytest.mark.parametrize("layer", LOWER)
@@ -68,3 +91,25 @@ def test_the_check_sees_every_import_form(tmp_path):
         (5, "repro.analysis"),
         (7, "repro.cli"),
     ]
+
+
+def test_only_analysis_imports_the_reference_pipeline():
+    assert reference_importers(PACKAGE) == {}
+
+
+def test_the_reference_check_sees_a_planted_import(tmp_path):
+    for layer in ("analysis", "core", "serving"):
+        (tmp_path / layer).mkdir()
+    (tmp_path / "analysis" / "experiments.py").write_text(
+        "from repro.core.reference import reference_counting_structure\n"
+    )
+    (tmp_path / "core" / "construction.py").write_text(
+        "from repro.core import candidate_set, reference\n"
+    )
+    (tmp_path / "serving" / "store.py").write_text(
+        "import json\nimport repro.core.reference as ref\n"
+    )
+    assert reference_importers(tmp_path) == {
+        "core/construction.py": [(1, REFERENCE)],
+        "serving/store.py": [(2, REFERENCE)],
+    }
