@@ -82,22 +82,14 @@ def pack_strings(strings: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     return matrix, lengths
 
 
-def decode_rows(matrix: np.ndarray, lengths: np.ndarray | None = None) -> list[str]:
-    """Decode code-matrix rows back into strings with one bulk UTF-32 decode.
-
-    ``lengths`` gives each row's true length; omitted means every row spans
-    the full matrix width (no padding).
-    """
+def decode_rows(matrix: np.ndarray) -> list[str]:
+    """Decode code-matrix rows, each spanning the full matrix width (no
+    padding), back into strings with one bulk UTF-32 decode."""
     k, width = matrix.shape
     if k == 0:
         return []
-    if lengths is None:
-        joined = matrix.astype("<u4").tobytes().decode("utf-32-le")
-        return [joined[i * width : (i + 1) * width] for i in range(k)]
-    mask = np.arange(width)[None, :] < np.asarray(lengths)[:, None]
-    joined = matrix[mask].astype("<u4").tobytes().decode("utf-32-le")
-    bounds = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    return [joined[bounds[i] : bounds[i + 1]] for i in range(k)]
+    joined = matrix.astype("<u4").tobytes().decode("utf-32-le")
+    return [joined[i * width : (i + 1) * width] for i in range(k)]
 
 
 class PackedKeys:

@@ -33,7 +33,7 @@ class as :class:`repro.serving.CompiledTrie`; it is the same class object.
 
 Thread safety
 -------------
-A counter is served concurrently by ``ThreadingHTTPServer`` handler
+A counter is served concurrently by thread-per-connection server handler
 threads, so it guarantees an *immutable snapshot*: every shared numpy array
 is marked read-only after construction (:meth:`PrivateCountingTrie.
 assert_immutable` verifies this) and query paths only allocate thread-local

@@ -28,12 +28,16 @@ walk one dense transition table.
     the next store version and hot-reload the serving tier
     (``dpsc epochs run/status``; see ``docs/CONTINUAL.md``).
 ``server`` / ``client``
-    A stdlib ``ThreadingHTTPServer`` JSON API (``/query``, ``/batch``,
-    ``/mine``, ``/releases``, ``/healthz``) with request micro-batching and
-    per-release routing, plus a client that pools keep-alive
-    ``http.client`` connections.  ``/batch`` answers raw little-endian
-    float64 instead of JSON when ``Accept`` names
-    ``application/x-dpsc-f64``, as the client asks it to.
+    A thread-per-connection JSON API (``/query``, ``/batch``, ``/mine``,
+    ``/releases``, ``/healthz``) with request micro-batching and
+    per-release routing, plus a client that pools keep-alive connections.
+    ``/batch`` answers raw little-endian float64 instead of JSON when
+    ``Accept`` names ``application/x-dpsc-f64``, as the client asks it to.
+``wire``
+    The one HTTP/1.1 subset every hop speaks — server, client, router
+    relay and worker heartbeat: ``GET``/``POST``, ``Content-Length``
+    bodies, keep-alive, strict heads and JSON protocol errors, one write
+    per message.
 ``loadtest``
     A deterministic concurrency harness: seeded mixed workloads replayed
     from barrier-started threads — or spawned client *processes*

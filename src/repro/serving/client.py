@@ -1,11 +1,13 @@
-"""A resilient stdlib HTTP client for the ``dpsc`` query server.
+"""A resilient HTTP client for the ``dpsc`` query server.
 
 Analysts talk to a running server (``dpsc serve``) through this class or
 plain ``curl``; the wire format is the JSON API documented in
-:mod:`repro.serving.server`.  The transport is :mod:`http.client`, so the
-client works anywhere the library does.  ``/batch`` asks for the raw
-float64 answer (``Accept: application/x-dpsc-f64``) and decodes it with
-numpy; a 2xx ``/batch`` answer in any other format is malformed.
+:mod:`repro.serving.server`.  The transport is :class:`wire.Connection`,
+the client half of the HTTP/1.1 subset every hop of the tier speaks: one
+write per request, the answer's body read by ``Content-Length``.
+``/batch`` asks for the raw float64 answer (``Accept:
+application/x-dpsc-f64``) and decodes it with numpy; a 2xx ``/batch``
+answer in any other format is malformed.
 
 Transport:
 
@@ -20,10 +22,10 @@ Transport:
   used.
 * **Stale re-send.**  A server may close a keep-alive connection while it
   sits idle in the pool.  A request that fails on a *reused* connection
-  with ``RemoteDisconnected``, ``ConnectionResetError`` or
-  ``BrokenPipeError`` is re-sent once, at once, on a new connection within
-  the same attempt: no backoff sleep, no ``retries`` budget spent.  Every
-  other failure goes through the retry loop below.
+  with ``ConnectionResetError`` (:class:`wire.RemoteDisconnected` among
+  them) or ``BrokenPipeError`` is re-sent once, at once, on a new
+  connection within the same attempt: no backoff sleep, no ``retries``
+  budget spent.  Every other failure goes through the retry loop below.
 
 Resilience (docs/RESILIENCE.md):
 
@@ -34,7 +36,8 @@ Resilience (docs/RESILIENCE.md):
   wire as ``X-DPSC-Deadline`` so routers and workers can refuse work nobody
   is waiting for, and each attempt's socket timeout is the time remaining,
   on new and reused connections alike.
-* **Retries with seeded backoff.**  Connection-level failures and HTTP 5xx
+* **Retries with seeded backoff.**  Connection-level failures, answers
+  outside the subset (:class:`wire.ProtocolError`) and HTTP 5xx
   responses are retried (every endpoint is an idempotent read) up to
   ``retries`` times within the deadline, sleeping decorrelated-jitter
   delays from a seeded :class:`~repro.serving.resilience.BackoffPolicy` —
@@ -48,7 +51,6 @@ Resilience (docs/RESILIENCE.md):
 
 from __future__ import annotations
 
-import http.client
 import itertools
 import json
 import threading
@@ -57,6 +59,7 @@ from typing import Callable, Mapping, Sequence
 
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
+from repro.serving import wire
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
 from repro.serving.server import F64_MEDIA_TYPE, decode_f64, names_f64
 
@@ -86,22 +89,23 @@ DEFAULT_TIMEOUT = 30.0
 #: an idempotent read.  4xx means the request itself is wrong — never retry.
 _RETRYABLE_STATUSES = range(500, 600)
 
-_CONNECTION_CLASSES = {
-    "http": http.client.HTTPConnection,
-    "https": http.client.HTTPSConnection,
-}
+#: scheme -> (TLS, default port)
+_SCHEMES = {"http": (False, 80), "https": (True, 443)}
 
 #: how a reused connection fails when the server closed it while it sat
-#: idle in the pool (``http.client.RemoteDisconnected`` is a
+#: idle in the pool (:class:`wire.RemoteDisconnected` is a
 #: ``ConnectionResetError``).
 _STALE_ERRORS = (ConnectionResetError, BrokenPipeError)
 
+#: answer headers as :class:`wire.Connection` returns them (lowercased names)
+Headers = Mapping[str, str]
 
-def _json_body(headers: http.client.HTTPMessage, body: bytes):
+
+def _json_body(headers: Headers, body: bytes):
     return json.loads(body.decode("utf-8"))
 
 
-def _text_body(headers: http.client.HTTPMessage, body: bytes) -> str:
+def _text_body(headers: Headers, body: bytes) -> str:
     return body.decode("utf-8")
 
 
@@ -167,13 +171,13 @@ class ServingClient:
     ) -> None:
         self.base_url = base_url.rstrip("/")
         scheme, separator, rest = self.base_url.partition("://")
-        connection_class = _CONNECTION_CLASSES.get(scheme.lower())
         netloc, _, prefix = rest.partition("/")
-        if not separator or connection_class is None or not netloc:
+        if not separator or scheme.lower() not in _SCHEMES or not netloc:
             raise ValueError(
                 f"base_url must be an http:// or https:// URL, got {base_url!r}"
             )
-        self._connection_class = connection_class
+        self._tls, default_port = _SCHEMES[scheme.lower()]
+        self._host, self._port = wire.parse_netloc(netloc, default_port)
         self._netloc = netloc
         #: a path in the base URL prefixes every request path
         self._path_prefix = f"/{prefix}" if prefix else ""
@@ -205,7 +209,7 @@ class ServingClient:
         self._sequence = itertools.count()
         #: idle keep-alive connections; a call pops the most recently
         #: returned one (the likeliest to still be open) or opens a new one.
-        self._idle: list[http.client.HTTPConnection] = []
+        self._idle: list[wire.Connection] = []
         self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -235,35 +239,34 @@ class ServingClient:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _connect(self, timeout: float) -> http.client.HTTPConnection:
-        connection = self._connection_class(self._netloc, timeout=timeout)
-        connection.connect()
+    def _connect(self, timeout: float) -> wire.Connection:
+        connection = wire.Connection(
+            self._host, self._port, timeout, tls=self._tls, authority=self._netloc
+        )
         self._connections_opened.inc()
         return connection
 
     def _round_trip(
         self,
-        connection: http.client.HTTPConnection,
+        connection: wire.Connection,
         method: str,
         path: str,
         body: bytes | None,
         headers: dict[str, str],
-    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    ) -> tuple[int, Headers, bytes]:
         """One request and its whole response; the connection goes back to
         the pool unless the response (or a failure) ended it."""
         try:
-            connection.request(method, path, body=body, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
+            answer = connection.request(method, path, body, headers)
         except BaseException:
             connection.close()
             raise
-        if response.will_close:
+        if connection.will_close:
             connection.close()
         else:
             with self._idle_lock:
                 self._idle.append(connection)
-        return response.status, response.headers, data
+        return answer
 
     def _exchange(
         self,
@@ -272,7 +275,7 @@ class ServingClient:
         body: bytes | None,
         headers: dict[str, str],
         timeout: float,
-    ) -> tuple[int, http.client.HTTPMessage, bytes]:
+    ) -> tuple[int, Headers, bytes]:
         """One attempt: over an idle pooled connection when there is one,
         re-sent once on a new connection if that one turns out stale."""
         with self._idle_lock:
@@ -292,7 +295,7 @@ class ServingClient:
         *,
         timeout: float | None = None,
         accept: str = "application/json",
-        decode: Callable[[http.client.HTTPMessage, bytes], object] = _json_body,
+        decode: Callable[[Headers, bytes], object] = _json_body,
     ):
         """One API call: its 2xx answer passed through ``decode(headers,
         body)``, or :class:`ServingClientError`.  A ``ValueError`` from
@@ -329,7 +332,7 @@ class ServingClient:
                 status, response_headers, body = self._exchange(
                     method, self._path_prefix + path, data, headers, remaining
                 )
-            except (OSError, http.client.HTTPException) as error:
+            except (OSError, wire.ProtocolError) as error:
                 # refused/reset connections, socket timeouts, bad responses
                 last_status = 0
                 last_payload = None
@@ -363,7 +366,7 @@ class ServingClient:
                         attempts=attempts,
                     ) from None
                 last_failure = f"HTTP {status}: {message}"
-                retry_after = _parse_retry_after(response_headers.get("Retry-After"))
+                retry_after = _parse_retry_after(response_headers.get("retry-after"))
             if attempts > self.retries:
                 raise ServingClientError(
                     f"{endpoint} failed after {attempts} attempt(s); "
@@ -401,8 +404,8 @@ class ServingClient:
         if release is not None:
             payload["release"] = release
 
-        def decode(headers: http.client.HTTPMessage, body: bytes) -> list[float]:
-            content_type = headers.get("Content-Type")
+        def decode(headers: Headers, body: bytes) -> list[float]:
+            content_type = headers.get("content-type")
             if not names_f64(content_type):
                 raise ValueError(f"Content-Type {content_type!r}, not {F64_MEDIA_TYPE}")
             return decode_f64(body, len(payload["patterns"])).tolist()

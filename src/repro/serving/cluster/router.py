@@ -1,6 +1,7 @@
 """The public-port router of the multi-process serving tier.
 
-One ``ThreadingHTTPServer`` that owns no release data at all: every count
+One thread-per-connection server, speaking the HTTP/1.1 subset of
+:mod:`repro.serving.wire`, that owns no release data at all: every count
 comes from a worker, and the router decides only which worker answers.  It
 relays every request except ``GET /healthz``, ``GET /metrics`` and
 ``POST /admin/reload`` to one worker as received — method, path with query
@@ -12,11 +13,12 @@ error, is the single-process answer by construction.  Nothing on the relay
 path parses a body: a ``/batch`` counts its patterns from the worker's
 ``X-DPSC-Patterns`` answer header.
 
-Worker connections are keep-alive and pooled: a forward takes an idle
-connection to its worker or opens one, and hands it back afterwards.  The
-pool keeps at most :data:`MAX_IDLE_PER_WORKER` idle connections per worker,
-each of which holds a worker handler thread, and none to workers that have
-left the table (hot reload, respawn): those would otherwise sit in
+Worker connections are keep-alive :class:`wire.Connection` objects and
+pooled: a forward takes an idle connection to its worker or opens one, and
+hands it back afterwards.  The pool keeps at most
+:data:`MAX_IDLE_PER_WORKER` idle connections per worker, each of which
+holds a worker handler thread, and none to workers that have left the
+table (hot reload, respawn): those would otherwise sit in
 ``CLOSE_WAIT`` for the router's lifetime.
 
 Failure policy: every endpoint is an idempotent read (queries are
@@ -39,18 +41,16 @@ the load test's exact counter-delta checks meaningful for the whole tier.
 from __future__ import annotations
 
 import contextlib
-import http.client
 import itertools
 import json
-import socket
 import threading
 import time
-from http.server import ThreadingHTTPServer
 from typing import Mapping
 from urllib.parse import quote
 
 from repro import faults
 from repro.obs import MetricsRegistry, merge_snapshots
+from repro.serving import wire
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
 from repro.serving.resilience import (
     DEADLINE_HEADER,
@@ -62,16 +62,18 @@ from repro.serving.server import PATTERNS_HEADER, JSONHandler
 
 __all__ = ["Router", "RouterHTTPError", "create_router_server"]
 
-#: one worker answer: status, body and response headers.
-Answer = tuple[int, bytes, http.client.HTTPMessage]
+#: one worker answer: status, body and response headers (lowercased names).
+Answer = tuple[int, bytes, dict[str, str]]
 
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
 #: the relayed endpoints whose 200 answers the router-edge counters count.
 _COUNTED = ("query", "batch", "mine")
 #: the only request headers a relay forwards.
 RELAYED_HEADERS = ("Content-Type", "Accept", DEADLINE_HEADER)
-#: request-target characters ``http.client`` sends as they are; a relay
-#: percent-escapes any other byte of the client's target.
+_DEADLINE = DEADLINE_HEADER.lower()
+_PATTERNS = PATTERNS_HEADER.lower()
+#: request-target characters a relay sends as they are; it percent-escapes
+#: any other byte of the client's target.
 _TARGET_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 #: idle keep-alive connections the router keeps per worker; each holds a
 #: worker handler thread, so a burst of concurrent forwards closes its
@@ -79,7 +81,7 @@ _TARGET_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 MAX_IDLE_PER_WORKER = 16
 #: connection-level failures worth retrying on another worker; an HTTP
 #: *error response* is not among them — that is the worker answering.
-_RETRYABLE = (OSError, http.client.HTTPException)
+_RETRYABLE = (OSError, wire.ProtocolError)
 
 #: what :meth:`Router.forward_any` retries: the connection-level failures
 #: plus injected faults from the ``router.relay`` failpoint (whatever their
@@ -218,7 +220,7 @@ class Router:
         self._rr = itertools.count()
         #: idle keep-alive connections to workers, by port; a forward takes
         #: one or opens one, so no two requests ever share a socket.
-        self._idle: dict[int, list[http.client.HTTPConnection]] = {}
+        self._idle: dict[int, list[wire.Connection]] = {}
         self._idle_lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -229,16 +231,7 @@ class Router:
         versions = self.table.versions
         return sorted(versions)[0] if versions else None
 
-    @staticmethod
-    def _new_connection(port: int, timeout: float) -> http.client.HTTPConnection:
-        conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-        conn.connect()
-        # Nagle + the peer's delayed ACK costs ~40ms per request on a
-        # reused keep-alive connection; queries are sub-millisecond.
-        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return conn
-
-    def _checkout(self, port: int) -> http.client.HTTPConnection:
+    def _checkout(self, port: int) -> wire.Connection:
         """An idle pooled connection to ``port``, or a new one.
 
         Before opening one, the idle connections to ports no longer in the
@@ -254,9 +247,9 @@ class Router:
         for connections in stale:
             for conn in connections:
                 conn.close()
-        return self._new_connection(port, self.worker_timeout)
+        return wire.Connection("127.0.0.1", port, self.worker_timeout)
 
-    def _checkin(self, port: int, conn: http.client.HTTPConnection) -> None:
+    def _checkin(self, port: int, conn: wire.Connection) -> None:
         """Pool ``conn`` after a complete exchange, or close it when its
         worker has left the table or ``port`` already holds
         :data:`MAX_IDLE_PER_WORKER` idle connections (the surplus of a burst
@@ -286,27 +279,25 @@ class Router:
         back to the pool only after a complete exchange, so concurrent
         forwards never contend on a socket.  Unpooled mode is for scrapes,
         which want a short timeout instead of the batch-sized one.
-        ``headers`` go out on top of the ones ``http.client`` adds itself.
+        ``headers`` go out after ``Host``, and ``Content-Length`` after them.
         """
         _FP_RELAY.hit()
         if pooled:
             conn = self._checkout(worker.port)
         else:
-            conn = self._new_connection(
-                worker.port, timeout or self.scrape_timeout
+            conn = wire.Connection(
+                "127.0.0.1", worker.port, timeout or self.scrape_timeout
             )
         try:
-            conn.request(method, path, body=body, headers=headers or {})
-            response = conn.getresponse()
-            data = response.read()
+            status, reply, data = conn.request(method, path, body, headers)
         except BaseException:
             conn.close()
             raise
-        if pooled and not response.will_close:
+        if pooled and not conn.will_close:
             self._checkin(worker.port, conn)
         else:
             conn.close()
-        return response.status, data, response.msg
+        return status, data, reply
 
     def _breaker(self, worker: WorkerHandle) -> CircuitBreaker:
         """The circuit breaker guarding one worker (keyed by port, so a
@@ -443,20 +434,27 @@ class Router:
         """One client request, forwarded as received through
         :meth:`forward_any`: its status, body and ``Content-Type``.
 
-        Only :data:`RELAYED_HEADERS` go along.  A ``/query``, ``/batch`` or
-        ``/mine`` counts at the router edge once its worker answered 200.
+        ``headers`` names are lowercased, as :func:`wire.read_headers`
+        returns them.  Only :data:`RELAYED_HEADERS` go along.  A ``/query``,
+        ``/batch`` or ``/mine`` counts at the router edge once its worker
+        answered 200.
         """
         if not (target.isascii() and target.isprintable()):
-            # http.client refuses control and non-ASCII bytes in a target
+            # a control byte must not reach the worker's request line, where
+            # a CR or LF would end it early and a space would split it
             target = quote(target.encode("latin-1"), safe=_TARGET_SAFE)
-        forwarded = {name: headers[name] for name in RELAYED_HEADERS if name in headers}
+        forwarded = {
+            name: headers[name.lower()]
+            for name in RELAYED_HEADERS
+            if name.lower() in headers
+        }
         started = time.perf_counter()
         with self.admission():
             status, data, reply = self.forward_any(
                 method,
                 target,
                 body,
-                deadline=Deadline.from_header(headers.get(DEADLINE_HEADER)),
+                deadline=Deadline.from_header(headers.get(_DEADLINE)),
                 headers=forwarded,
             )
         endpoint = target.partition("?")[0][1:]
@@ -464,8 +462,8 @@ class Router:
             self._requests[endpoint].inc()
             self._latency[endpoint].observe(time.perf_counter() - started)
             if endpoint == "batch":
-                self._batch_patterns.inc(int(reply.get(PATTERNS_HEADER, 0)))
-        return status, data, reply.get("Content-Type", "application/json")
+                self._batch_patterns.inc(int(reply.get(_PATTERNS, 0)))
+        return status, data, reply.get("content-type", "application/json")
 
     def health(self) -> dict:
         self._requests["healthz"].inc()
@@ -541,13 +539,11 @@ class _RouterHandler(JSONHandler):
     def router(self) -> Router:
         return self.server.router  # type: ignore[attr-defined]
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+    def do_GET(self) -> None:  # noqa: N802 - the handler's method names
         self._handle(None)
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        body = self._read_body()
-        if body is not None:
-            self._handle(body)
+    def do_POST(self) -> None:  # noqa: N802 - the handler's method names
+        self._handle(self.body)
 
     def _handle(self, body: bytes | None) -> None:
         path, _, query = self.path.partition("?")
@@ -581,11 +577,10 @@ def create_router_server(
     port: int = 0,
     *,
     verbose: bool = False,
-) -> ThreadingHTTPServer:
+) -> wire.Server:
     """A ready-to-run public-port server bound to ``host:port`` (port 0
     picks a free port; read it back from ``server.server_address``)."""
-    server = ThreadingHTTPServer((host, port), _RouterHandler)
+    server = wire.Server((host, port), _RouterHandler)
     server.router = router  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
-    server.daemon_threads = True
     return server

@@ -37,11 +37,10 @@ import multiprocessing
 import os
 import threading
 import time
-import urllib.error
-import urllib.request
 from typing import Mapping
 
 from repro.exceptions import ReproError
+from repro.serving import wire
 
 __all__ = ["WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"]
 
@@ -147,21 +146,20 @@ class WorkerHandle:
     def pid(self) -> int | None:
         return self.process.pid
 
-    @property
-    def base_url(self) -> str:
-        return f"http://127.0.0.1:{self.port}"
-
     def is_alive(self) -> bool:
         return self.process.is_alive()
 
     def heartbeat(self, timeout: float = 2.0) -> bool:
-        """One HTTP liveness probe (``/healthz`` answers and parses)."""
+        """One HTTP liveness probe (``/healthz`` answers 200 and parses),
+        sent straight to the worker's port: no environment proxy applies."""
         try:
-            with urllib.request.urlopen(
-                f"{self.base_url}/healthz", timeout=timeout
-            ) as response:
-                return json.loads(response.read().decode("utf-8")).get("status") == "ok"
-        except (urllib.error.URLError, OSError, ValueError):
+            connection = wire.Connection("127.0.0.1", self.port, timeout)
+            try:
+                status, _, body = connection.request("GET", "/healthz")
+            finally:
+                connection.close()
+            return status == 200 and json.loads(body.decode("utf-8")).get("status") == "ok"
+        except (OSError, wire.ProtocolError, ValueError):
             return False
 
     def stop(self, timeout: float = 10.0) -> None:

@@ -2,8 +2,10 @@
 
 Because every query against a released structure is post-processing, the
 server can answer arbitrary traffic — any number of clients, any patterns,
-any mining thresholds — with zero privacy accounting.  The implementation is
-stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
+any mining thresholds — with zero privacy accounting.  The server runs one
+thread per connection and speaks the HTTP/1.1 subset of
+:mod:`repro.serving.wire` (``GET`` and ``POST``, ``Content-Length``
+bodies, keep-alive; docs/SERVING.md):
 
 * ``GET  /healthz``          liveness, uptime, request and micro-batch counters
 * ``GET  /metrics``          Prometheus text exposition (``?format=json`` for
@@ -18,9 +20,9 @@ stdlib-only (:mod:`http.server` with :class:`ThreadingHTTPServer`):
 A 200 ``/batch`` answer, in either format, carries its pattern count in
 the :data:`PATTERNS_HEADER` response header, which the tier's router
 counts without parsing a body.  :class:`JSONHandler` holds what this
-server's handler and the router's share: keep-alive with Nagle off, JSON
-answers and errors, ``/metrics`` as text or JSON, and the 400 answer to an
-unusable ``Content-Length``.
+server's handler and the router's share: the request loop of a connection,
+JSON answers and errors (protocol errors included), and ``/metrics`` as
+text or JSON.
 
 Every operational number lives in the service's
 :class:`repro.obs.MetricsRegistry` (request counters, per-endpoint latency
@@ -45,9 +47,10 @@ from __future__ import annotations
 import json
 import math
 import signal
+import socketserver
+import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Mapping, Sequence
 from urllib.parse import parse_qs, urlparse
 
@@ -57,6 +60,7 @@ from repro import faults
 from repro.core.private_trie import PrivateCountingTrie
 from repro.exceptions import ReleaseNotFoundError, ReproError
 from repro.obs import MetricsRegistry, log_buckets, render_snapshot
+from repro.serving import wire
 from repro.serving.resilience import DEADLINE_HEADER, Deadline
 from repro.serving.store import ReleaseStore
 
@@ -70,6 +74,9 @@ __all__ = [
 
 #: endpoints that carry request counters and latency histograms.
 _ENDPOINTS = ("query", "batch", "mine", "healthz")
+
+#: the deadline header as :attr:`JSONHandler.headers` names it.
+_DEADLINE = DEADLINE_HEADER.lower()
 
 #: micro-batch flush sizes are small integers; powers of two up to the
 #: default ``max_batch`` resolve them exactly enough.
@@ -454,9 +461,6 @@ F64_MEDIA_TYPE = "application/x-dpsc-f64"
 #: parsing a body.
 PATTERNS_HEADER = "X-DPSC-Patterns"
 
-#: the 400 answer to an unusable ``Content-Length`` (router and server).
-BAD_CONTENT_LENGTH = "Content-Length must be a non-negative integer"
-
 
 def names_f64(value: str | None) -> bool:
     """True when an ``Accept`` or ``Content-Type`` header value names
@@ -505,20 +509,50 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class JSONHandler(BaseHTTPRequestHandler):
-    """What the worker and router handlers share: HTTP/1.1 keep-alive,
-    quiet logs unless the server is verbose, JSON answers and errors,
-    ``/metrics`` as text or JSON, and the ``Content-Length`` 400."""
+class JSONHandler(socketserver.StreamRequestHandler):
+    """What the worker and router handlers share: one loop per connection
+    over :mod:`repro.serving.wire`, JSON answers and errors, ``/metrics``
+    as text or JSON, and one log line per answer when the server is
+    verbose.
 
-    protocol_version = "HTTP/1.1"
-    #: headers and body go out as separate writes; on a keep-alive
-    #: connection Nagle holds the second until the peer's delayed ACK
-    #: (~40ms), which would dwarf every sub-ms query.
+    Each pass reads one request (:func:`wire.read_request`), sets
+    :attr:`command`, :attr:`path`, :attr:`headers` (lowercased names) and
+    :attr:`body`, and calls ``do_GET`` or ``do_POST``, which answer through
+    :meth:`_send`: status line, headers and body in one write.  A request
+    outside the subset is answered with its JSON error and ends the
+    connection, as does an HTTP/1.0 or ``Connection: close`` request.
+    """
+
+    #: the ``Server`` header of every answer
+    server_version = "repro-dpsc"
+    #: an answer is one write, but one larger than a segment would still
+    #: wait for a keep-alive peer's delayed ACK (~40ms) under Nagle
     disable_nagle_algorithm = True
 
-    def log_message(self, format, *args):  # noqa: A002 - BaseHTTPRequestHandler API
-        if getattr(self.server, "verbose", False):  # pragma: no cover
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        try:
+            while True:
+                try:
+                    request = wire.read_request(self.rfile, self.wfile)
+                except wire.ProtocolError as error:
+                    self.requestline = "-"
+                    self.close_connection = True
+                    self._error(str(error), error.status)
+                    return
+                if request is None:
+                    return
+                self.command, self.path = request.method, request.target
+                self.requestline = f"{request.method} {request.target} {request.version}"
+                self.headers, self.body = request.headers, request.body
+                self.close_connection = not request.keep_alive
+                if request.method == "GET":
+                    self.do_GET()
+                else:
+                    self.do_POST()
+                if self.close_connection:
+                    return
+        except OSError:
+            return  # the peer reset the connection or a write timed out
 
     def _send(
         self,
@@ -527,15 +561,23 @@ class JSONHandler(BaseHTTPRequestHandler):
         content_type: str,
         headers: Mapping[str, str] | None = None,
     ) -> None:
-        """One answer; ``headers`` adds e.g. ``Retry-After`` or
-        ``Connection: close`` (which also ends the keep-alive loop)."""
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        """One answer; ``headers`` adds e.g. ``Retry-After``.  An answer on
+        a connection that ends after it says ``Connection: close``."""
+        self.wfile.write(
+            wire.encode_answer(
+                status,
+                body,
+                content_type,
+                headers,
+                server=self.server_version,
+                close=self.close_connection,
+            )
+        )
+        if getattr(self.server, "verbose", False):  # pragma: no cover
+            sys.stderr.write(
+                f'{self.client_address[0]} - - [{time.strftime("%d/%b/%Y %H:%M:%S")}] '
+                f'"{self.requestline}" {status} -\n'
+            )
 
     def _respond(
         self, payload: dict, status: int = 200, headers: Mapping[str, str] | None = None
@@ -555,18 +597,6 @@ class JSONHandler(BaseHTTPRequestHandler):
         else:
             body = render_snapshot(snapshot()).encode("utf-8")
             self._send(200, body, "text/plain; version=0.0.4; charset=utf-8")
-
-    def _read_body(self) -> bytes | None:
-        """The request body, or ``None`` once a ``Content-Length`` that is
-        not a non-negative decimal integer has been answered with 400: such
-        a body cannot be delimited (``rfile.read(-1)`` blocks until the peer
-        hangs up), so the answer also closes the connection."""
-        value = self.headers.get("Content-Length", "0").strip()
-        if not (value.isascii() and value.isdigit()):
-            self._error(BAD_CONTENT_LENGTH, 400, {"Connection": "close"})
-            return None
-        length = int(value)
-        return self.rfile.read(length) if length else b""
 
 
 class _Handler(JSONHandler):
@@ -588,7 +618,7 @@ class _Handler(JSONHandler):
         instead of burning worker time (the client's retry, if any budget
         remains, carries a fresh deadline).
         """
-        deadline = Deadline.from_header(self.headers.get(DEADLINE_HEADER))
+        deadline = Deadline.from_header(self.headers.get(_DEADLINE))
         if deadline is not None and deadline.expired():
             self.service.note_deadline_exceeded()
             self._error("deadline expired before the server began handling", 504)
@@ -605,7 +635,7 @@ class _Handler(JSONHandler):
         return False
 
     # ------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+    def do_GET(self) -> None:  # noqa: N802 - the handler's method names
         parsed = urlparse(self.path)
         try:
             if parsed.path == "/healthz":
@@ -638,10 +668,8 @@ class _Handler(JSONHandler):
         except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
             self._error(f"internal error: {error}", 500)
 
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        body = self._read_body()
-        if body is None:
-            return
+    def do_POST(self) -> None:  # noqa: N802 - the handler's method names
+        body = self.body
         try:
             payload = json.loads(body.decode("utf-8")) if body else {}
         except (ValueError, UnicodeDecodeError):
@@ -680,7 +708,7 @@ class _Handler(JSONHandler):
                     return
                 counts = self.service.batch_counts(patterns, release)
                 counted = {PATTERNS_HEADER: str(len(patterns))}
-                if names_f64(self.headers.get("Accept")):
+                if names_f64(self.headers.get("accept")):
                     self._send(200, encode_f64(counts), F64_MEDIA_TYPE, counted)
                 else:
                     self._respond(
@@ -737,13 +765,12 @@ def create_server(
     port: int = 0,
     *,
     verbose: bool = False,
-) -> ThreadingHTTPServer:
-    """A ready-to-run threading HTTP server bound to ``host:port`` (port 0
-    picks a free port; read it back from ``server.server_address``)."""
-    server = ThreadingHTTPServer((host, port), _Handler)
+) -> wire.Server:
+    """A ready-to-run thread-per-connection server bound to ``host:port``
+    (port 0 picks a free port; read it back from ``server.server_address``)."""
+    server = wire.Server((host, port), _Handler)
     server.service = service  # type: ignore[attr-defined]
     server.verbose = verbose  # type: ignore[attr-defined]
-    server.daemon_threads = True
     return server
 
 

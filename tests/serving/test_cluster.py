@@ -10,15 +10,17 @@ acceptance contract:
 * every answer the tier gets only from a worker — malformed bodies,
   unknown releases and paths, ``GET /query`` — has the single-process
   status, ``Content-Type`` and body;
-* a request-target byte ``http.client`` cannot send is escaped by the
-  relay, not retried as a connection failure;
+* a control byte in a request target is escaped by the relay, so it never
+  reaches a worker's request line, and the forward is not retried as a
+  connection failure;
 * the router's ``/healthz`` counters advance by exactly the traffic sent
   (``/batch`` patterns from the worker's ``X-DPSC-Patterns``, in both
   answer formats), and its merged ``/metrics`` passes the exposition
   validator with gauges per-worker-labelled (never summed);
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
   live sibling and the supervisor respawns the dead one;
-* killing the router process leaves **no orphan workers**;
+* killing the router process leaves **no orphan workers**, and an
+  ``http_proxy`` in the environment fails no heartbeat of a healthy one;
 * hot reload swaps worker generations without dropping a request, and the
   router keeps no connection to a retired worker;
 * a ``/query`` reaches its worker carrying the client's
@@ -705,6 +707,49 @@ class TestWorkerConnectionPool:
             for worker in workers:
                 worker.shutdown()
                 worker.server_close()
+
+
+#: a healthy worker's HTTP heartbeat, and a one-worker tier probed every
+#: 0.2 s, under an ``http_proxy`` that refuses every connection
+_PROXIED_HEARTBEAT = """
+import sys, threading, time
+from repro.serving import Cluster, QueryService, ReleaseStore, create_server
+from repro.serving.cluster import WorkerHandle
+
+class Running:
+    pid = None
+
+    def is_alive(self):
+        return True
+
+store = ReleaseStore(sys.argv[1])
+service = QueryService.from_store(store, micro_batch=False)
+server = create_server(service)
+threading.Thread(target=server.serve_forever, daemon=True).start()
+probe = WorkerHandle("w0", 1, Running(), None, server.server_address[1]).heartbeat()
+with Cluster(store, workers=1, http_heartbeat_interval=0.2, heartbeat_misses=2) as cluster:
+    time.sleep(1.5)
+    respawns = cluster.respawns
+print(probe, respawns)
+"""
+
+
+def test_an_http_proxy_does_not_fail_healthy_heartbeats(store):
+    """The heartbeat goes straight to the worker's port.  Run in a
+    subprocess: a proxy-reading client caches the environment's proxies
+    per process."""
+    env = {k: v for k, v in os.environ.items() if k.lower() not in ("no_proxy", "http_proxy")}
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env.update(http_proxy="http://127.0.0.1:9", HTTP_PROXY="http://127.0.0.1:9")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    result = subprocess.run(
+        [sys.executable, "-c", _PROXIED_HEARTBEAT, str(store.root)],
+        capture_output=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr.decode(errors="replace")
+    assert result.stdout.split() == [b"True", b"0"]
 
 
 class TestShutdown:

@@ -1,7 +1,10 @@
 """The package layering holds: nothing in the substrates or the core imports
-the layers built on top of them (docs/ARCHITECTURE.md), and nothing but
+the layers built on top of them (docs/ARCHITECTURE.md), nothing but
 :mod:`repro.analysis` imports the reference pipeline
-(:mod:`repro.core.reference`), which exists for tests and E24 only.
+(:mod:`repro.core.reference`), which exists for tests and E24 only, and
+nothing in :mod:`repro.serving` imports a standard-library HTTP stack:
+every hop speaks :mod:`repro.serving.wire` (``repro.analysis`` keeps its
+``http.client`` probes as independent clients).
 
 The check parses the source instead of importing it: ``import repro.core``
 runs the top-level package, which loads ``repro.serving`` and everything
@@ -20,6 +23,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "repro"
 LOWER = ("strings", "counting", "dp", "trees", "obs", "faults", "core")
 UPPER = ("serving", "api", "analysis", "cli")
 REFERENCE = "repro.core.reference"
+#: the standard-library HTTP stacks repro.serving does without
+HTTP_STACKS = ("http.server", "http.client", "urllib.request", "email")
 
 
 def matching_imports(path: Path, wanted) -> list[tuple[int, str]]:
@@ -112,4 +117,46 @@ def test_the_reference_check_sees_a_planted_import(tmp_path):
     assert reference_importers(tmp_path) == {
         "core/construction.py": [(1, REFERENCE)],
         "serving/store.py": [(2, REFERENCE)],
+    }
+
+
+def is_http_stack(module: str) -> bool:
+    return any(module == stack or module.startswith(f"{stack}.") for stack in HTTP_STACKS)
+
+
+def http_stack_importers(package: Path) -> dict[str, list[tuple[int, str]]]:
+    """The modules under ``serving`` in ``package`` that import one of
+    :data:`HTTP_STACKS`, with the offending imports."""
+    return {
+        str(path.relative_to(package)): found
+        for path in sorted((package / "serving").rglob("*.py"))
+        if (found := matching_imports(path, is_http_stack))
+    }
+
+
+def test_serving_imports_no_stdlib_http_stack():
+    assert http_stack_importers(PACKAGE) == {}
+
+
+def test_the_http_stack_check_sees_a_planted_import(tmp_path):
+    (tmp_path / "serving" / "cluster").mkdir(parents=True)
+    (tmp_path / "analysis").mkdir()
+    (tmp_path / "serving" / "client.py").write_text(
+        "import http.client\nfrom http import HTTPStatus\n"
+    )
+    (tmp_path / "serving" / "cluster" / "router.py").write_text(
+        "from http import server\n"
+        "import email.utils\n"
+        "def probe():\n"
+        "    from urllib.request import urlopen\n"
+        "from urllib.parse import quote\n"
+    )
+    (tmp_path / "analysis" / "experiments.py").write_text("import http.client\n")
+    assert http_stack_importers(tmp_path) == {
+        "serving/client.py": [(1, "http.client")],
+        "serving/cluster/router.py": [
+            (1, "http.server"),
+            (2, "email.utils"),
+            (4, "urllib.request"),
+        ],
     }
