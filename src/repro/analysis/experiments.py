@@ -2591,7 +2591,7 @@ def run_chaos_drill(
     not assumed:
 
     * **zero client-visible errors** — every injected fault and the crash
-      are absorbed by retries, breakers and respawn; every answer is
+      are absorbed by retries and respawn; every answer is
       bit-identical to the in-process reference;
     * **bounded tail latency** — client p99 stays under the per-request
       deadline (nothing hung on a dead worker);

@@ -118,9 +118,6 @@ class CandidateSet:
             return sum(block.shape[0] for block in self.matrices.values())
         return sum(len(strings) for strings in self.by_length.values())
 
-    def max_level_length(self) -> int:
-        return max(self.levels, default=0)
-
 
 def candidate_alpha(
     database_size: int,

@@ -51,11 +51,13 @@ walk one dense transition table.
     aggregation (``dpsc serve --workers N``, E27).
 ``resilience``
     The failure-handling primitives the tier composes end to end: seeded
-    decorrelated-jitter :class:`BackoffPolicy`, per-worker
-    :class:`CircuitBreaker`, propagated per-request :class:`Deadline`
-    (:data:`DEADLINE_HEADER`), :class:`AdmissionGate` load shedding and
-    :func:`call_with_retries` — exercised under seeded fault injection
-    (:mod:`repro.faults`) by the chaos drill (E29; ``docs/RESILIENCE.md``).
+    decorrelated-jitter :class:`BackoffPolicy`, propagated per-request
+    :class:`Deadline` (:data:`DEADLINE_HEADER`), :class:`AdmissionGate`
+    load shedding and :func:`call_with_retries` — exercised under seeded
+    fault injection (:mod:`repro.faults`) by the chaos drill (E29;
+    ``docs/RESILIENCE.md``).  The router's retry rule lives in
+    :mod:`repro.serving.cluster.router`: a failed request goes at once to
+    the next live worker.
 
 Everything above is safe under the concurrency it advertises: counters
 are immutable snapshots whose lazy views are built once under a lock, and
@@ -79,7 +81,6 @@ from repro.serving.resilience import (
     DEADLINE_HEADER,
     AdmissionGate,
     BackoffPolicy,
-    CircuitBreaker,
     Deadline,
     call_with_retries,
 )
@@ -113,7 +114,6 @@ __all__ = [
     "DEADLINE_HEADER",
     "AdmissionGate",
     "BackoffPolicy",
-    "CircuitBreaker",
     "Deadline",
     "call_with_retries",
     "BudgetLedger",

@@ -11,7 +11,8 @@ mmap'd ``.dpsb`` release (~one resident copy regardless of worker count).
 * :mod:`repro.serving.cluster.router` — relays every request but
   ``/healthz``, ``/metrics`` and ``/admin/reload`` to one worker as
   received and writes back the worker's status, ``Content-Type`` and body
-  unchanged; retry-on-crash, tier-wide ``/metrics`` and ``/healthz``;
+  unchanged; a request a worker failed goes at once to the next live
+  worker; load shedding, tier-wide ``/metrics`` and ``/healthz``;
 * :mod:`repro.serving.cluster.supervisor` — :class:`Cluster`: lifecycle,
   heartbeat monitoring, crash respawn, atomic hot reload, graceful drain.
 

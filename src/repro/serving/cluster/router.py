@@ -22,10 +22,14 @@ table (hot reload, respawn): those would otherwise sit in
 ``CLOSE_WAIT`` for the router's lifetime.
 
 Failure policy: every endpoint is an idempotent read (queries are
-post-processing; the only server-side state is counters), so a connection
-failure mid-request is retried on another live worker until
-``retry_timeout`` — a ``kill -9`` mid-batch costs latency, never a lost or
-wrong answer.  Failures also wake the supervisor immediately
+post-processing; the only server-side state is counters), so any live
+worker answers a request bit-identically, and "try another live worker" is
+the whole rule (:meth:`Router.forward_any`).  A request that failed on a
+worker — a connection failure or a 5xx answer — goes at once to the next
+live worker it has not failed on, and waits :data:`RETRY_WAIT` only once
+every live worker has failed it, until :data:`RETRY_TIMEOUT`.  A
+``kill -9`` mid-batch costs latency, never a lost or wrong answer.
+Connection failures also wake the supervisor immediately
 (:meth:`WorkerTable.note_failure`) so the respawn races the retry deadline.
 
 Observability: the router keeps its own registry under ``dpsc_router_*``
@@ -52,12 +56,7 @@ from repro import faults
 from repro.obs import MetricsRegistry, merge_snapshots
 from repro.serving import wire
 from repro.serving.cluster.workers import WorkerHandle, WorkerTable
-from repro.serving.resilience import (
-    DEADLINE_HEADER,
-    AdmissionGate,
-    CircuitBreaker,
-    Deadline,
-)
+from repro.serving.resilience import DEADLINE_HEADER, AdmissionGate, Deadline
 from repro.serving.server import PATTERNS_HEADER, JSONHandler
 
 __all__ = ["Router", "RouterHTTPError", "create_router_server"]
@@ -79,6 +78,20 @@ _TARGET_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 #: worker handler thread, so a burst of concurrent forwards closes its
 #: surplus instead of pooling it.
 MAX_IDLE_PER_WORKER = 16
+#: how long one request keeps looking for a live worker that answers it;
+#: the supervisor's respawn of a crashed worker races this.
+RETRY_TIMEOUT = 15.0
+#: the pause after every live worker has failed one request, before it
+#: tries them all again.
+RETRY_WAIT = 0.05
+#: the socket timeout of a relayed round trip (a large ``/batch`` included).
+WORKER_TIMEOUT = 60.0
+#: the socket timeout of one worker's ``/metrics`` scrape.
+SCRAPE_TIMEOUT = 5.0
+#: requests in flight at the router past which it sheds with 503.
+MAX_INFLIGHT = 256
+#: the ``Retry-After`` of a shed request, in seconds.
+SHED_RETRY_AFTER = 0.25
 #: connection-level failures worth retrying on another worker; an HTTP
 #: *error response* is not among them — that is the worker answering.
 _RETRYABLE = (OSError, wire.ProtocolError)
@@ -89,8 +102,8 @@ _RETRYABLE = (OSError, wire.ProtocolError)
 _RELAY_RETRYABLE = (*_RETRYABLE, faults.FaultInjected, faults.FaultDropConnection)
 
 #: chaos-drill injection site: fires before each router -> worker HTTP
-#: round-trip, so injected connection errors exercise the exact retry /
-#: circuit-breaker path a crashed worker would.
+#: round-trip, so injected connection errors exercise the exact retry path
+#: a crashed worker would.
 _FP_RELAY = faults.failpoint(
     "router.relay", "Entry of every router -> worker HTTP round-trip."
 )
@@ -117,29 +130,8 @@ class Router:
     """Relays tier traffic to the workers of a :class:`WorkerTable`; owns
     no releases."""
 
-    def __init__(
-        self,
-        table: WorkerTable,
-        *,
-        worker_timeout: float = 60.0,
-        retry_timeout: float = 15.0,
-        retry_wait: float = 0.05,
-        scrape_timeout: float = 5.0,
-        max_inflight: int | None = 256,
-        shed_retry_after: float = 0.25,
-        breaker_threshold: int = 5,
-        breaker_recovery: float = 1.0,
-        breaker_probes: int = 1,
-    ) -> None:
+    def __init__(self, table: WorkerTable) -> None:
         self.table = table
-        self.worker_timeout = worker_timeout
-        self.retry_timeout = retry_timeout
-        self.retry_wait = retry_wait
-        self.scrape_timeout = scrape_timeout
-        self.shed_retry_after = shed_retry_after
-        self.breaker_threshold = breaker_threshold
-        self.breaker_recovery = breaker_recovery
-        self.breaker_probes = breaker_probes
         self.started_at = time.time()
         #: set by the supervisor once it exists; ``/admin/reload`` is a 503
         #: until then (a bare router has nothing to reload).
@@ -168,7 +160,7 @@ class Router:
         )
         self._retries = self.metrics.counter(
             "dpsc_router_retries_total",
-            "Forward attempts that failed at the connection level and were retried.",
+            "Forward attempts that failed: a connection failure or a 5xx answer.",
         )
         self._scrape_failures = self.metrics.counter(
             "dpsc_router_scrape_failures_total",
@@ -182,29 +174,11 @@ class Router:
             "dpsc_router_deadline_exceeded_total",
             "Requests refused or abandoned because their deadline expired.",
         )
-        self._breaker_transitions = {
-            state: self.metrics.counter(
-                "dpsc_router_breaker_transitions_total",
-                "Per-worker circuit-breaker state transitions, by new state.",
-                {"to": state},
-            )
-            for state in (
-                CircuitBreaker.CLOSED,
-                CircuitBreaker.OPEN,
-                CircuitBreaker.HALF_OPEN,
-            )
-        }
-        #: one breaker per worker *port* (ports are unique per spawn, so a
-        #: respawned worker always starts with a fresh closed breaker).
-        self._breakers: dict[int, CircuitBreaker] = {}
-        self._breaker_lock = threading.Lock()
-        self._gate = AdmissionGate(max_inflight) if max_inflight else None
-        if self._gate is not None:
-            gate = self._gate
-            self.metrics.gauge(
-                "dpsc_router_inflight",
-                "Requests currently admitted and in flight at the router.",
-            ).set_function(lambda: float(gate.inflight))
+        self._gate = gate = AdmissionGate(MAX_INFLIGHT)
+        self.metrics.gauge(
+            "dpsc_router_inflight",
+            "Requests currently admitted and in flight at the router.",
+        ).set_function(lambda: float(gate.inflight))
         self.metrics.gauge(
             "dpsc_router_uptime_seconds", "Seconds since the router started."
         ).set_function(lambda: time.time() - self.started_at)
@@ -247,7 +221,7 @@ class Router:
         for connections in stale:
             for conn in connections:
                 conn.close()
-        return wire.Connection("127.0.0.1", port, self.worker_timeout)
+        return wire.Connection("127.0.0.1", port, WORKER_TIMEOUT)
 
     def _checkin(self, port: int, conn: wire.Connection) -> None:
         """Pool ``conn`` after a complete exchange, or close it when its
@@ -270,7 +244,6 @@ class Router:
         body: bytes | None = None,
         *,
         pooled: bool = True,
-        timeout: float | None = None,
         headers: dict[str, str] | None = None,
     ) -> Answer:
         """One HTTP round-trip to one worker; raises on connection failure.
@@ -278,16 +251,14 @@ class Router:
         Pooled connections are keep-alive (workers speak HTTP/1.1) and go
         back to the pool only after a complete exchange, so concurrent
         forwards never contend on a socket.  Unpooled mode is for scrapes,
-        which want a short timeout instead of the batch-sized one.
+        which want :data:`SCRAPE_TIMEOUT` instead of the batch-sized one.
         ``headers`` go out after ``Host``, and ``Content-Length`` after them.
         """
         _FP_RELAY.hit()
         if pooled:
             conn = self._checkout(worker.port)
         else:
-            conn = wire.Connection(
-                "127.0.0.1", worker.port, timeout or self.scrape_timeout
-            )
+            conn = wire.Connection("127.0.0.1", worker.port, SCRAPE_TIMEOUT)
         try:
             status, reply, data = conn.request(method, path, body, headers)
         except BaseException:
@@ -299,46 +270,21 @@ class Router:
             conn.close()
         return status, data, reply
 
-    def _breaker(self, worker: WorkerHandle) -> CircuitBreaker:
-        """The circuit breaker guarding one worker (keyed by port, so a
-        respawned worker always starts with a fresh closed breaker)."""
-        with self._breaker_lock:
-            breaker = self._breakers.get(worker.port)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    failure_threshold=self.breaker_threshold,
-                    recovery_time=self.breaker_recovery,
-                    half_open_max_probes=self.breaker_probes,
-                    on_transition=lambda old, new: (
-                        self._breaker_transitions[new].inc()
-                    ),
-                )
-                self._breakers[worker.port] = breaker
-                self.metrics.gauge(
-                    "dpsc_router_breaker_state",
-                    "Per-worker breaker state (0 closed, 1 half-open, 2 open).",
-                    {"worker": worker.worker_id},
-                ).set_function(lambda b=breaker: b.state_code)
-            return breaker
-
     @contextlib.contextmanager
     def admission(self):
         """Admission control around one client request (load shedding).
 
-        When more than ``max_inflight`` requests are already inside, the
-        request is shed immediately with ``503 + Retry-After`` instead of
-        queueing behind work the tier cannot absorb.
+        When :data:`MAX_INFLIGHT` requests are already inside, the request
+        is shed immediately with ``503 + Retry-After`` instead of queueing
+        behind work the tier cannot absorb.
         """
         gate = self._gate
-        if gate is None:
-            yield
-            return
         if not gate.try_enter():
             self._shed.inc()
             raise RouterHTTPError(
                 503,
                 f"router at capacity ({gate.limit} requests in flight)",
-                retry_after=self.shed_retry_after,
+                retry_after=SHED_RETRY_AFTER,
             )
         try:
             yield
@@ -354,22 +300,25 @@ class Router:
         deadline: Deadline | None = None,
         headers: dict[str, str] | None = None,
     ) -> Answer:
-        """Forward to some admitted live worker, retrying on failure.
+        """Forward to some live worker, retrying on failure.
 
         Safe because every endpoint is an idempotent read: re-executing a
         query on a second worker after the first died mid-response returns
-        the same deterministic counts.  Candidates pass through their
-        per-worker circuit breaker (an open breaker skips a worker that has
-        recently failed repeatedly, instead of burning a timeout on it);
-        worker 5xx responses count as breaker failures and are retried
-        elsewhere, with the freshest 5xx relayed if retries run out.
-        Blocks (bounded by ``retry_timeout``) while no worker is admitted,
-        which is exactly the crash-respawn window — the supervisor races
-        this deadline.  An expired request ``deadline`` stops the loop
-        early with 504: nobody is waiting for the answer any more.
+        the same deterministic counts.  One rule: the round-robin start is
+        drawn once per request, and after a failed attempt (a connection
+        failure or a 5xx answer) the next one goes at once to the next
+        live worker this request has not failed on.  Only once every live
+        worker has failed it does the request wait :data:`RETRY_WAIT` and
+        go round them all again, until :data:`RETRY_TIMEOUT`; the freshest
+        5xx is relayed if that runs out.  So one failing worker costs a
+        request at most one extra round trip, and a request keeps waiting
+        through the crash-respawn window the supervisor races.  An expired
+        request ``deadline`` stops the loop early with 504: nobody is
+        waiting for the answer any more.
         """
-        retry_deadline = time.monotonic() + self.retry_timeout
-        tried: set[int] = set()
+        give_up = time.monotonic() + RETRY_TIMEOUT
+        start = next(self._rr)
+        failed: set[int] = set()
         last_error: Answer | None = None
         while True:
             if deadline is not None and deadline.expired():
@@ -377,56 +326,28 @@ class Router:
                 raise RouterHTTPError(
                     504, f"deadline expired while forwarding {method} {path}"
                 )
-            worker = None
-            breaker = None
-            workers = self.table.live()
-            pool = [w for w in workers if w.port not in tried] or workers
-            if pool:
-                start = next(self._rr)
-                for offset in range(len(pool)):
-                    candidate = pool[(start + offset) % len(pool)]
-                    candidate_breaker = self._breaker(candidate)
-                    if candidate_breaker.try_acquire():
-                        worker, breaker = candidate, candidate_breaker
-                        break
+            live = self.table.live()
+            ring = [live[(start + offset) % len(live)] for offset in range(len(live))]
+            worker = next((w for w in ring if w.port not in failed), None)
             if worker is None:
-                # nothing live, or every live worker's breaker is open
-                if time.monotonic() >= retry_deadline:
+                # nothing live, or every live worker failed this request
+                if time.monotonic() >= give_up:
                     if last_error is not None:
                         return last_error
-                    raise RouterHTTPError(503, "no live workers to forward to")
-                time.sleep(self.retry_wait)
+                    raise RouterHTTPError(503, f"no live worker answered {method} {path}")
+                time.sleep(RETRY_WAIT)
+                failed.clear()
                 continue
             try:
                 answer = self.forward(worker, method, path, body, headers=headers)
             except _RELAY_RETRYABLE:
-                breaker.record_failure()
-                tried.add(worker.port)
-                self._retries.inc()
                 self.table.note_failure(worker)
-                if time.monotonic() >= retry_deadline:
-                    if last_error is not None:
-                        return last_error
-                    raise RouterHTTPError(
-                        503,
-                        f"workers unavailable after retries on {method} {path}",
-                    ) from None
-                time.sleep(self.retry_wait)
-                continue
-            if answer[0] >= 500:
-                # the worker answered, but with a server-side failure on an
-                # idempotent read — count it against the breaker and retry
-                # elsewhere; keep the freshest body in case retries run out.
-                breaker.record_failure()
+            else:
+                if answer[0] < 500:
+                    return answer
                 last_error = answer
-                tried.add(worker.port)
-                self._retries.inc()
-                if time.monotonic() >= retry_deadline:
-                    return last_error
-                time.sleep(self.retry_wait)
-                continue
-            breaker.record_success()
-            return answer
+            failed.add(worker.port)
+            self._retries.inc()
 
     def relay(
         self, method: str, target: str, body: bytes | None, headers: Mapping[str, str]
@@ -572,15 +493,10 @@ class _RouterHandler(JSONHandler):
 
 
 def create_router_server(
-    router: Router,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    *,
-    verbose: bool = False,
+    router: Router, host: str = "127.0.0.1", port: int = 0
 ) -> wire.Server:
     """A ready-to-run public-port server bound to ``host:port`` (port 0
     picks a free port; read it back from ``server.server_address``)."""
     server = wire.Server((host, port), _RouterHandler)
     server.router = router  # type: ignore[attr-defined]
-    server.verbose = verbose  # type: ignore[attr-defined]
     return server

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
+import traceback
 from pathlib import Path
 from typing import Sequence
 
@@ -50,6 +51,9 @@ from repro.serving.server import install_graceful_shutdown
 from repro.serving.store import ReleaseStore
 
 __all__ = ["Cluster"]
+
+#: the socket timeout of one HTTP ``/healthz`` heartbeat.
+HEARTBEAT_TIMEOUT = 5.0
 
 
 class Cluster:
@@ -68,14 +72,6 @@ class Cluster:
         heartbeat_interval: float = 0.25,
         http_heartbeat_interval: float = 2.0,
         heartbeat_misses: int = 3,
-        heartbeat_timeout: float = 5.0,
-        spawn_timeout: float = 60.0,
-        retry_timeout: float = 15.0,
-        max_inflight: int | None = 256,
-        shed_retry_after: float = 0.25,
-        breaker_threshold: int = 5,
-        breaker_recovery: float = 1.0,
-        verbose: bool = False,
     ) -> None:
         if workers < 1:
             raise ReproError("a cluster needs at least one worker")
@@ -84,26 +80,12 @@ class Cluster:
         self.num_workers = workers
         self.host = host
         self.requested_port = port
-        self.verbose = verbose
         self.heartbeat_interval = heartbeat_interval
         self.http_heartbeat_interval = http_heartbeat_interval
         self.heartbeat_misses = heartbeat_misses
-        self.heartbeat_timeout = heartbeat_timeout
-        self._pool = WorkerPool(
-            self.store.root,
-            host="127.0.0.1",
-            mmap=mmap,
-            spawn_timeout=spawn_timeout,
-        )
+        self._pool = WorkerPool(self.store.root, mmap=mmap)
         self.table = WorkerTable()
-        self.router = Router(
-            self.table,
-            retry_timeout=retry_timeout,
-            max_inflight=max_inflight,
-            shed_retry_after=shed_retry_after,
-            breaker_threshold=breaker_threshold,
-            breaker_recovery=breaker_recovery,
-        )
+        self.router = Router(self.table)
         self._server = None
         self._serve_thread: threading.Thread | None = None
         self._monitor_thread: threading.Thread | None = None
@@ -136,9 +118,7 @@ class Cluster:
         self.router.reload_fn = self.reload
         self.router.respawns_fn = lambda: self._respawns
         self.table.on_failure = self._note_failure
-        self._server = create_router_server(
-            self.router, self.host, self.requested_port, verbose=self.verbose
-        )
+        self._server = create_router_server(self.router, self.host, self.requested_port)
         self._serve_thread = threading.Thread(
             target=self._server.serve_forever,
             name="repro-cluster-router",
@@ -188,10 +168,7 @@ class Cluster:
             try:
                 self._check_workers()
             except Exception:  # noqa: BLE001 - the monitor must survive
-                if self.verbose:  # pragma: no cover
-                    import traceback
-
-                    traceback.print_exc()
+                traceback.print_exc()  # to stderr: a failing pass leaves a trace
 
     def _check_workers(self) -> None:
         now = time.monotonic()
@@ -205,7 +182,7 @@ class Cluster:
             if now - last < self.http_heartbeat_interval:
                 continue
             self._last_probe[worker.worker_id] = now
-            if worker.heartbeat(timeout=self.heartbeat_timeout):
+            if worker.heartbeat(timeout=HEARTBEAT_TIMEOUT):
                 worker.missed_heartbeats = 0
             else:
                 worker.missed_heartbeats += 1

@@ -47,6 +47,8 @@ __all__ = ["WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"]
 #: Workers are spawned, never forked: a forked child would inherit the
 #: supervisor's lock and socket state at an arbitrary instant.
 SPAWN = multiprocessing.get_context("spawn")
+#: how long a generation's workers may take to report ready, in seconds.
+SPAWN_TIMEOUT = 60.0
 
 
 def _watch_control(conn, server) -> None:
@@ -73,8 +75,8 @@ def worker_main(config: dict, conn) -> None:
     """Entry point of one spawned worker process.
 
     ``config`` is a plain picklable dict: ``store_root``, ``versions``
-    (name -> pinned version), ``mmap``, ``host``.  ``conn`` is the child
-    end of the control pipe.
+    (name -> pinned version) and ``mmap``.  ``conn`` is the child end of
+    the control pipe.  The worker listens on an ephemeral localhost port.
     """
     # Imports happen in the child (spawn re-imports the world anyway); kept
     # inside the function so importing this module stays cheap.
@@ -94,7 +96,7 @@ def worker_main(config: dict, conn) -> None:
             mmap=bool(config.get("mmap", True)),
             micro_batch=False,
         )
-        server = create_server(service, config.get("host", "127.0.0.1"), 0)
+        server = create_server(service, "127.0.0.1", 0)
     except Exception as error:  # noqa: BLE001 - reported to the supervisor
         try:
             conn.send(("error", f"{type(error).__name__}: {error}"))
@@ -198,18 +200,9 @@ class WorkerHandle:
 class WorkerPool:
     """Spawns workers over one release store; owns no routing policy."""
 
-    def __init__(
-        self,
-        store_root,
-        *,
-        host: str = "127.0.0.1",
-        mmap: bool = True,
-        spawn_timeout: float = 60.0,
-    ) -> None:
+    def __init__(self, store_root, *, mmap: bool = True) -> None:
         self.store_root = str(store_root)
-        self.host = host
         self.mmap = mmap
-        self.spawn_timeout = spawn_timeout
         self._sequence = 0
         self._lock = threading.Lock()
 
@@ -224,7 +217,6 @@ class WorkerPool:
             "store_root": self.store_root,
             "versions": {name: int(v) for name, v in versions.items()},
             "mmap": self.mmap,
-            "host": self.host,
         }
 
     def spawn_worker(
@@ -259,13 +251,13 @@ class WorkerPool:
                 child_conn.close()  # parent copy; EOF detection needs it gone
                 started.append((worker_id, process, parent_conn))
             handles = []
-            deadline = time.monotonic() + self.spawn_timeout
+            deadline = time.monotonic() + SPAWN_TIMEOUT
             for worker_id, process, parent_conn in started:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0 or not parent_conn.poll(remaining):
                     raise ReproError(
                         f"worker {worker_id} did not become ready within "
-                        f"{self.spawn_timeout:.0f}s"
+                        f"{SPAWN_TIMEOUT:.0f}s"
                     )
                 message = parent_conn.recv()
                 if message[0] != "ready":

@@ -1,6 +1,6 @@
-"""Resilience primitives: backoff, circuit breaking, deadlines, admission.
+"""Resilience primitives: backoff, deadlines, admission.
 
-Four small, independently testable pieces the serving stack composes into
+Three small, independently testable pieces the serving stack composes into
 its failure-handling story (``docs/RESILIENCE.md``):
 
 :class:`BackoffPolicy`
@@ -9,14 +9,6 @@ its failure-handling story (``docs/RESILIENCE.md``):
     retry storms decorrelate across clients while every schedule stays
     within ``[base, cap]``.  Seeded — a fixed seed replays the exact delay
     sequence (the chaos drill and the hypothesis suite both rely on this).
-:class:`CircuitBreaker`
-    The classic closed → open → half-open machine, per worker in the
-    router: ``failure_threshold`` consecutive failures trip it open, after
-    ``recovery_time`` it admits up to ``half_open_max_probes`` probe
-    requests, one probe success recloses it, one probe failure re-opens.
-    ``try_acquire`` is the only mutating admission call (probe slots are
-    accounted); every acquire must be matched by ``record_success`` or
-    ``record_failure``.
 :class:`Deadline`
     An absolute wall-clock budget carried end to end: the client stamps
     ``X-DPSC-Deadline`` (:data:`DEADLINE_HEADER`) with ``time.time() +
@@ -47,7 +39,6 @@ from typing import Callable, Iterator
 __all__ = [
     "DEADLINE_HEADER",
     "BackoffPolicy",
-    "CircuitBreaker",
     "Deadline",
     "AdmissionGate",
     "call_with_retries",
@@ -92,114 +83,6 @@ class BackoffPolicy:
         """The first ``attempts`` delays of :meth:`iter_delays`."""
         delays = self.iter_delays(seed)
         return [next(delays) for _ in range(attempts)]
-
-
-class CircuitBreaker:
-    """Closed → open → half-open breaker with probe accounting.
-
-    ``clock`` is injectable for deterministic state-machine tests.  Every
-    ``try_acquire() == True`` must be paired with exactly one
-    ``record_success``/``record_failure`` — in half-open state the acquire
-    takes a probe slot that only the matching record releases.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half_open"
-    _STATE_CODES = {CLOSED: 0.0, HALF_OPEN: 1.0, OPEN: 2.0}
-
-    def __init__(
-        self,
-        *,
-        failure_threshold: int = 5,
-        recovery_time: float = 1.0,
-        half_open_max_probes: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-        on_transition: Callable[[str, str], None] | None = None,
-    ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("'failure_threshold' must be >= 1")
-        if recovery_time < 0:
-            raise ValueError("'recovery_time' must be >= 0")
-        if half_open_max_probes < 1:
-            raise ValueError("'half_open_max_probes' must be >= 1")
-        self.failure_threshold = int(failure_threshold)
-        self.recovery_time = float(recovery_time)
-        self.half_open_max_probes = int(half_open_max_probes)
-        self._clock = clock
-        self._on_transition = on_transition
-        self._lock = threading.Lock()
-        self._state = self.CLOSED
-        self._failures = 0
-        self._opened_at = 0.0
-        self._probes = 0
-
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> str:
-        with self._lock:
-            return self._state
-
-    @property
-    def state_code(self) -> float:
-        """0 closed, 1 half-open, 2 open (the ``dpsc_router_breaker_state``
-        gauge encoding)."""
-        with self._lock:
-            return self._STATE_CODES[self._state]
-
-    def _transition(self, new: str) -> None:
-        old, self._state = self._state, new
-        if old != new and self._on_transition is not None:
-            self._on_transition(old, new)
-
-    # ------------------------------------------------------------------
-    def try_acquire(self) -> bool:
-        """Admit one call?  Mutating: an admission in half-open state takes
-        a probe slot that ``record_success``/``record_failure`` releases."""
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.OPEN:
-                if self._clock() - self._opened_at >= self.recovery_time:
-                    self._transition(self.HALF_OPEN)
-                    self._probes = 1
-                    return True
-                return False
-            if self._probes < self.half_open_max_probes:
-                self._probes += 1
-                return True
-            return False
-
-    def would_allow(self) -> bool:
-        """Non-mutating preview of :meth:`try_acquire` (no probe is taken)."""
-        with self._lock:
-            if self._state == self.CLOSED:
-                return True
-            if self._state == self.OPEN:
-                return self._clock() - self._opened_at >= self.recovery_time
-            return self._probes < self.half_open_max_probes
-
-    def record_success(self) -> None:
-        with self._lock:
-            if self._state == self.HALF_OPEN:
-                self._probes = max(0, self._probes - 1)
-                self._transition(self.CLOSED)
-            self._failures = 0
-
-    def record_failure(self) -> None:
-        with self._lock:
-            if self._state == self.HALF_OPEN:
-                self._probes = max(0, self._probes - 1)
-                self._opened_at = self._clock()
-                self._transition(self.OPEN)
-                self._failures = 0
-                return
-            if self._state == self.CLOSED:
-                self._failures += 1
-                if self._failures >= self.failure_threshold:
-                    self._opened_at = self._clock()
-                    self._transition(self.OPEN)
-                    self._failures = 0
 
 
 class Deadline:

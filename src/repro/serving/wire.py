@@ -15,7 +15,9 @@ write of its answer:
   :class:`ProtocolError`.  ``Expect: 100-continue`` gets an interim
   ``HTTP/1.1 100 Continue`` before the body is read.
 * **Limits.**  A request line over :data:`MAX_LINE` bytes is 414; a longer
-  header line, or more than :data:`MAX_HEADERS` header lines, is 431.
+  header line, or more than :data:`MAX_HEADERS` header lines, is 431.  A
+  declared body over :data:`MAX_BODY` bytes is 413, answered before any
+  ``100 Continue`` and without reading the body.
 * **Strict heads.**  A request line that is not three words, a header line
   without a colon, with whitespace before it (RFC 9112 §5.1), with a
   control byte in its value or folded onto the next line, and two
@@ -43,6 +45,7 @@ from typing import Mapping
 
 __all__ = [
     "BAD_CONTENT_LENGTH",
+    "MAX_BODY",
     "MAX_HEADERS",
     "MAX_LINE",
     "METHODS",
@@ -62,6 +65,10 @@ __all__ = [
 MAX_LINE = 65536
 #: the most header lines one request or answer may carry.
 MAX_HEADERS = 100
+#: the largest request body accepted, in bytes: far above any batch the
+#: clients send (a 4096-pattern ``/batch`` is tens of KiB), far below what
+#: one handler thread can hold in memory.
+MAX_BODY = 64 * 1024 * 1024
 #: the methods the subset serves; any other is answered 501.
 METHODS = frozenset({"GET", "POST"})
 #: the 400 answer to an unusable ``Content-Length``.
@@ -126,8 +133,14 @@ def _closes(headers: Mapping[str, str]) -> bool:
 
 
 def _content_length(headers: Mapping[str, str]) -> int | None:
+    """The ``Content-Length``, or ``None`` when it is not a non-negative
+    integer.  Past 18 significant digits it reads as ``10**18``, beyond
+    any body: ``int`` refuses a long enough digit string outright."""
     value = headers.get("content-length", "0")
-    return int(value) if value.isascii() and value.isdigit() else None
+    if not (value.isascii() and value.isdigit()):
+        return None
+    digits = value.lstrip("0")
+    return int(digits or "0") if len(digits) <= 18 else 10**18
 
 
 class Request:
@@ -174,6 +187,8 @@ def read_request(rfile, wfile) -> Request | None:
     length = _content_length(headers)
     if length is None:
         raise ProtocolError(BAD_CONTENT_LENGTH)
+    if length > MAX_BODY:
+        raise ProtocolError(f"a request body is limited to {MAX_BODY} bytes", 413)
     keep_alive = version == "HTTP/1.1"
     if keep_alive and headers.get("expect", "").lower() == "100-continue":
         wfile.write(_CONTINUE)

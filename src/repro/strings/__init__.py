@@ -1,7 +1,7 @@
 """String-algorithm substrate: alphabets, suffix structures, tries.
 
 This subpackage contains every classic string data structure the paper builds
-on — suffix arrays, LCP/LCE structures, (generalized) suffix trees, tries,
+on — suffix arrays with LCP arrays, (generalized) suffix trees, tries,
 compacted tries and an Aho-Corasick automaton — implemented from scratch on
 top of numpy and the standard library.
 """
@@ -10,7 +10,6 @@ from repro.strings.alphabet import Alphabet, infer_alphabet
 from repro.strings.aho_corasick import AhoCorasick
 from repro.strings.documents import ConcatenatedText, concatenate_documents
 from repro.strings.generalized_index import GeneralizedSuffixIndex, MergeSortTree
-from repro.strings.lce import CollectionLCE, LCEIndex
 from repro.strings.naive import (
     all_substrings,
     count_capped,
@@ -28,7 +27,6 @@ from repro.strings.qgrams import (
     qgram_document_counts,
     qgram_substring_counts,
 )
-from repro.strings.rmq import SparseTableRMQ
 from repro.strings.suffix_array import SuffixArray, build_lcp_array, build_suffix_array
 from repro.strings.suffix_tree import SuffixTree, SuffixTreeNode
 from repro.strings.trie import CompactedTrie, Trie, TrieNode
@@ -41,8 +39,6 @@ __all__ = [
     "concatenate_documents",
     "GeneralizedSuffixIndex",
     "MergeSortTree",
-    "CollectionLCE",
-    "LCEIndex",
     "all_substrings",
     "count_capped",
     "count_delta",
@@ -56,7 +52,6 @@ __all__ = [
     "qgram_capped_counts",
     "qgram_document_counts",
     "qgram_substring_counts",
-    "SparseTableRMQ",
     "SuffixArray",
     "build_lcp_array",
     "build_suffix_array",

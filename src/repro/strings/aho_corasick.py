@@ -65,10 +65,6 @@ class AhoCorasick:
     def num_patterns(self) -> int:
         return len(self.patterns)
 
-    @property
-    def num_states(self) -> int:
-        return len(self._children)
-
     def add_pattern(self, pattern: str) -> int:
         """Add a non-empty pattern; returns its index.  Duplicate patterns
         share an index."""
@@ -142,20 +138,6 @@ class AhoCorasick:
     # ------------------------------------------------------------------
     # Matching
     # ------------------------------------------------------------------
-    def _step(self, state: int, char: str) -> int:
-        while state and char not in self._children[state]:
-            state = self._fail[state]
-        return self._children[state].get(char, 0)
-
-    def _visit_counts(self, text: str) -> list[int]:
-        """Number of times each state is visited while scanning ``text``."""
-        visits = [0] * len(self._children)
-        state = 0
-        for char in text:
-            state = self._step(state, char)
-            visits[state] += 1
-        return visits
-
     def pattern_counts(self, text: str) -> np.ndarray:
         """Occurrences of every pattern in ``text`` as an int64 vector
         indexed by pattern index (one pass over ``text``)."""

@@ -221,10 +221,6 @@ class GeneralizedSuffixIndex:
         lo, hi = self.pattern_interval(pattern)
         return hi - lo
 
-    def substring_count_of_interval(self, lo: int, hi: int) -> int:
-        """Substring count given a precomputed SA interval."""
-        return hi - lo
-
     def document_count(self, pattern: str) -> int:
         """``count_1(P, D)`` — number of documents containing ``P``."""
         if pattern == "":

@@ -189,11 +189,6 @@ class SuffixTree:
         node = self.nodes[node_id]
         return int(self._sa.sa[node.sa_lo])
 
-    def node_prefix(self, node_id: int, length: int) -> np.ndarray:
-        """The first ``length`` character codes of ``str(v)``."""
-        start = self.node_prefix_start(node_id)
-        return self.text[start : start + length]
-
     # ------------------------------------------------------------------
     # x-minimal nodes
     # ------------------------------------------------------------------
@@ -268,9 +263,6 @@ class SuffixTree:
     # ------------------------------------------------------------------
     # Compacted-trie style statistics (for the storage-size claims)
     # ------------------------------------------------------------------
-    def internal_nodes(self) -> list[int]:
-        return [node.node_id for node in self.nodes if not node.is_leaf]
-
     def height(self) -> int:
         """Number of edges on the longest root-to-leaf path."""
         depth = {0: 0}

@@ -3,7 +3,8 @@
 For a length ``m`` that is not a power of two, ``C_m`` contains every string
 of length ``m`` whose length-``2^k`` prefix and suffix (``k = floor(log2 m)``)
 both belong to ``P_{2^k}``; the implementation finds them through
-suffix/prefix overlaps on the ``CollectionLCE`` structure.  With noiseless
+suffix/prefix overlaps, binary-searching packed suffix keys into the
+sorted prefix keys.  With noiseless
 counts and threshold 1, ``P_{2^k}`` is exactly the set of occurring
 ``2^k``-substrings, so the completion can be checked end to end against the
 naive ``all_substrings`` enumeration: every occurring ``m``-substring must be

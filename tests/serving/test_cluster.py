@@ -24,9 +24,14 @@ acceptance contract:
 * hot reload swaps worker generations without dropping a request, and the
   router keeps no connection to a retired worker;
 * a ``/query`` reaches its worker carrying the client's
-  ``X-DPSC-Deadline``, and a burst of concurrent forwards leaves at most
-  ``MAX_IDLE_PER_WORKER`` idle router connections per worker (both checked
-  against in-process stand-in workers, not spawned ones).
+  ``X-DPSC-Deadline``; a worker that answers every request 500 costs a
+  request at most one retry and no ``RETRY_WAIT``; past ``MAX_INFLIGHT``
+  the router sheds with ``503 + Retry-After``, which ``ServingClient``
+  honours; and a burst of concurrent forwards leaves at most
+  ``MAX_IDLE_PER_WORKER`` idle router connections per worker (all checked
+  against in-process stand-in workers, not spawned ones);
+* the supervisor's monitor writes the traceback of a failing pass to
+  stderr and keeps running.
 
 ``ServingClient`` asks ``/batch`` for raw float64 answers, so every
 ``client.batch`` here runs the f64 path; the raw-bytes parity test covers
@@ -35,6 +40,7 @@ the JSON answer too.
 
 from __future__ import annotations
 
+import contextlib
 import http.client
 import json
 import os
@@ -67,7 +73,7 @@ from repro.serving.cluster import (
     WorkerTable,
     create_router_server,
 )
-from repro.serving.resilience import DEADLINE_HEADER, Deadline
+from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
 from repro.serving.server import F64_MEDIA_TYPE, encode_f64
 from tests.serving.test_server import post_with_content_length
 
@@ -255,8 +261,8 @@ def test_relayed_answers_match_the_single_process(cluster, single_url, case):
 
 
 #: client inputs a worker once failed with a 500, which the router retried
-#: on every worker until its retry timeout, opening their breakers: (path,
-#: body, the single-process status).
+#: on every worker until its retry timeout: (path, body, the single-process
+#: status).
 CLIENT_FAULTS = {
     "release-a-list": ("/query", b'{"pattern": "A", "release": [1]}', 400),
     "release-an-object": ("/batch", b'{"patterns": ["A"], "release": {}}', 400),
@@ -276,10 +282,6 @@ def test_a_client_fault_is_answered_at_once_without_retries(
     assert answer[0] == status
     assert answer == exchange(single_url, "POST", path, body)
     assert client.healthz()["retries"] == retries
-    router = cluster.router
-    assert all(
-        router._breaker(worker).state == "closed" for worker in router.table.live()
-    )
 
 
 def raw_get(url: str, target: bytes) -> tuple[bytes, bytes]:
@@ -536,15 +538,16 @@ def close_wait_peer_ports() -> list[int]:
 
 class _QueryHandler(BaseHTTPRequestHandler):
     """Stand-in worker ``/query``: records the deadline header it received
-    and answers a fixed count."""
+    and answers ``server.status`` with a fixed count."""
 
     protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True  # headers and body go out in two writes
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self.rfile.read(int(self.headers["Content-Length"]))
         self.server.deadlines.append(self.headers.get(DEADLINE_HEADER))
         body = json.dumps({"release": "demo", "count": 1.5}).encode("utf-8")
-        self.send_response(200)
+        self.send_response(self.server.status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -554,46 +557,108 @@ class _QueryHandler(BaseHTTPRequestHandler):
         pass
 
 
-def test_router_query_carries_the_client_deadline_to_the_worker():
+class _Running:
+    pid = None
+
+    @staticmethod
+    def is_alive() -> bool:
+        return True
+
+
+def _query_worker(status: int = 200) -> ThreadingHTTPServer:
+    """A started stand-in worker whose ``/query`` answers ``status``."""
     worker = ThreadingHTTPServer(("127.0.0.1", 0), _QueryHandler)
     worker.daemon_threads = True
+    worker.status = status
     worker.deadlines = []
     threading.Thread(target=worker.serve_forever, daemon=True).start()
+    return worker
+
+
+@contextlib.contextmanager
+def _router_over(workers: list[ThreadingHTTPServer]):
+    """A started router over running stand-in ``workers``: the router and
+    its URL.  Stops the router and the workers on exit."""
     table = WorkerTable()
     table.swap(
-        [WorkerHandle("w0", 1, _Running(), None, worker.server_address[1])],
+        [
+            WorkerHandle(f"w{i}", 1, _Running(), None, worker.server_address[1])
+            for i, worker in enumerate(workers)
+        ],
         1,
         {"demo": 1},
     )
     router = Router(table)
     server = create_router_server(router)
     threading.Thread(target=server.serve_forever, daemon=True).start()
-    deadline = Deadline.after(30.0).header_value()
-    conn = http.client.HTTPConnection("127.0.0.1", server.server_address[1], timeout=10)
     try:
-        conn.request(
-            "POST",
-            "/query",
-            body=json.dumps({"pattern": "ab"}).encode("utf-8"),
-            headers={"Content-Type": "application/json", DEADLINE_HEADER: deadline},
-        )
-        response = conn.getresponse()
-        assert response.status == 200
-        assert json.loads(response.read())["count"] == 1.5
-        assert worker.deadlines == [deadline]
+        yield router, f"http://127.0.0.1:{server.server_address[1]}"
     finally:
-        conn.close()
         server.shutdown()
         server.server_close()
         router.close()
-        worker.shutdown()
-        worker.server_close()
+        for worker in workers:
+            worker.shutdown()
+            worker.server_close()
+
+
+def _post(url: str, path: str, payload: dict, headers: dict | None = None):
+    """One ``POST`` over ``http.client``: the answer's status, headers and
+    decoded JSON body."""
+    conn = http.client.HTTPConnection(url.split("//", 1)[1], timeout=10)
+    try:
+        conn.request(
+            "POST",
+            path,
+            body=json.dumps(payload).encode("utf-8"),
+            headers={"Content-Type": "application/json", **(headers or {})},
+        )
+        response = conn.getresponse()
+        return response.status, response.headers, json.loads(response.read())
+    finally:
+        conn.close()
+
+
+def test_router_query_carries_the_client_deadline_to_the_worker():
+    worker = _query_worker()
+    with _router_over([worker]) as (_, url):
+        deadline = Deadline.after(30.0).header_value()
+        status, _, answer = _post(url, "/query", {"pattern": "ab"}, {DEADLINE_HEADER: deadline})
+        assert status == 200
+        assert answer["count"] == 1.5
+        assert worker.deadlines == [deadline]
+
+
+def test_a_failing_worker_costs_a_request_one_retry_and_no_wait(monkeypatch):
+    """One of two workers answers every request 500.  A request that drew
+    it goes at once to the other one, so every answer is a 200 after at
+    most one router retry, and no request waits ``RETRY_WAIT``: that pause
+    comes only after every live worker has failed one request."""
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_WAIT", 3.0)
+    failing = _query_worker(500)
+    with _router_over([failing, _query_worker()]) as (router, url):
+        conn = http.client.HTTPConnection(url.split("//", 1)[1], timeout=10)
+        retries = []
+        started = time.monotonic()
+        try:
+            for _ in range(20):  # sequential keep-alive requests
+                before = router.health()["retries"]
+                conn.request("POST", "/query", body=b'{"pattern": "ab"}')
+                response = conn.getresponse()
+                assert (response.status, json.loads(response.read())["count"]) == (200, 1.5)
+                retries.append(router.health()["retries"] - before)
+        finally:
+            conn.close()
+        elapsed = time.monotonic() - started
+    assert max(retries) == 1
+    assert sum(retries) == len(failing.deadlines)  # one retry per 500
+    assert elapsed < 1.5  # well inside one RETRY_WAIT
 
 
 class _BurstHandler(BaseHTTPRequestHandler):
-    """Stand-in worker ``/batch``: zeros as float64, answered only once every
-    request of the burst has arrived (``server.arrived``) and the test has
-    set ``server.release``."""
+    """Stand-in worker ``/batch``: zeros as float64, answered only once
+    ``server.arrived`` lets it pass (a barrier: every request of a burst has
+    arrived) and the test has set ``server.release``."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True
@@ -618,7 +683,9 @@ class _BurstWorker(ThreadingHTTPServer):
 
     daemon_threads = True
 
-    def __init__(self, arrived: threading.Barrier, release: threading.Event) -> None:
+    def __init__(
+        self, arrived: threading.Barrier | threading.Event, release: threading.Event
+    ) -> None:
         super().__init__(("127.0.0.1", 0), _BurstHandler)
         self.arrived = arrived
         self.release = release
@@ -638,14 +705,6 @@ class _BurstWorker(ThreadingHTTPServer):
             self.open -= 1
 
 
-class _Running:
-    pid = None
-
-    @staticmethod
-    def is_alive() -> bool:
-        return True
-
-
 class TestWorkerConnectionPool:
     CLIENTS = 6
     IDLE_CAP = 2  # the router keeps this many idle connections per worker
@@ -663,50 +722,82 @@ class TestWorkerConnectionPool:
         workers = [_BurstWorker(arrived, release) for _ in range(2)]
         for worker in workers:
             threading.Thread(target=worker.serve_forever, daemon=True).start()
-        handles = [
-            WorkerHandle(f"w{i}", 1, _Running(), None, worker.server_address[1])
-            for i, worker in enumerate(workers)
-        ]
-        table = WorkerTable()
-        table.swap(handles, 1, {"demo": 1})
-        router = Router(table)
-        server = create_router_server(router)
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
         results: list[list[float]] = []
+        with _router_over(workers) as (router, url):
 
-        def call() -> None:
-            with ServingClient(url, timeout=20) as client:
-                results.append(client.batch(["ab", "ba"]))
+            def call() -> None:
+                with ServingClient(url, timeout=20) as client:
+                    results.append(client.batch(["ab", "ba"]))
 
-        threads = [threading.Thread(target=call) for _ in range(self.CLIENTS)]
-        try:
-            for thread in threads:
-                thread.start()
-            arrived.wait(timeout=10)  # every request is inside a worker
-            if retire:
-                table.swap(handles[1:], 2, {"demo": 1})
-            release.set()
-            for thread in threads:
-                thread.join(timeout=20)
-            assert results == [[0.0, 0.0]] * self.CLIENTS
-            assert sum(worker.accepted for worker in workers) == self.CLIENTS
-            limits = [0 if retire else self.IDLE_CAP, self.IDLE_CAP]
-            deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and any(
-                worker.open > limit for worker, limit in zip(workers, limits)
-            ):
-                time.sleep(0.02)
-            still_open = [worker.open for worker in workers]
-            assert all(n <= limit for n, limit in zip(still_open, limits)), still_open
-        finally:
-            release.set()
-            server.shutdown()
-            server.server_close()
-            router.close()
-            for worker in workers:
-                worker.shutdown()
-                worker.server_close()
+            threads = [threading.Thread(target=call) for _ in range(self.CLIENTS)]
+            try:
+                for thread in threads:
+                    thread.start()
+                arrived.wait(timeout=10)  # every request is inside a worker
+                if retire:
+                    router.table.swap(router.table.workers()[1:], 2, {"demo": 1})
+                release.set()
+                for thread in threads:
+                    thread.join(timeout=20)
+                assert results == [[0.0, 0.0]] * self.CLIENTS
+                assert sum(worker.accepted for worker in workers) == self.CLIENTS
+                limits = [0 if retire else self.IDLE_CAP, self.IDLE_CAP]
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline and any(
+                    worker.open > limit for worker, limit in zip(workers, limits)
+                ):
+                    time.sleep(0.02)
+                still_open = [worker.open for worker in workers]
+                assert all(n <= limit for n, limit in zip(still_open, limits)), still_open
+            finally:
+                release.set()
+
+
+def test_the_router_sheds_past_max_inflight_and_the_client_comes_back(monkeypatch):
+    """With ``MAX_INFLIGHT`` 1 and one request held inside its worker, the
+    next request gets ``503 + Retry-After`` with a JSON error and counts as
+    a shed; a ``ServingClient`` call shed the same way succeeds once it has
+    waited the ``Retry-After``, far sooner than its backoff would."""
+    monkeypatch.setattr("repro.serving.cluster.router.MAX_INFLIGHT", 1)
+    arrived, release = threading.Event(), threading.Event()
+    arrived.set()  # each request waits for ``release`` only
+    worker = _BurstWorker(arrived, release)
+    threading.Thread(target=worker.serve_forever, daemon=True).start()
+    results: dict[str, object] = {}
+
+    def call(name: str, client: ServingClient) -> None:
+        started = time.monotonic()
+        with client:
+            results[name] = client.batch(["ab", "ba"])
+        results[f"{name}_seconds"] = time.monotonic() - started
+        results[f"{name}_retries"] = client.num_retries
+
+    with _router_over([worker]) as (router, url):
+        held = threading.Thread(target=call, args=("held", ServingClient(url, timeout=20)))
+        held.start()
+        deadline = time.monotonic() + 10
+        while worker.accepted < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)  # the held request is admitted and inside the worker
+        status, headers, answer = _post(url, "/batch", {"patterns": ["ab"]})
+        assert status == 503
+        assert headers["Retry-After"] == "0.25"
+        assert "capacity" in answer["error"]
+        assert router.health()["sheds"] == 1
+        slow_backoff = BackoffPolicy(base=5.0, cap=5.0)
+        shed = ServingClient(url, timeout=20, backoff=slow_backoff)
+        comes_back = threading.Thread(target=call, args=("shed", shed))
+        comes_back.start()
+        while router.health()["sheds"] < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert router.health()["sheds"] == 2
+        release.set()
+        for thread in (held, comes_back):
+            thread.join(timeout=20)
+            assert not thread.is_alive()
+    assert results["held"] == results["shed"] == [0.0, 0.0]
+    assert results["held_retries"] == 0
+    assert results["shed_retries"] >= 1
+    assert 0.25 <= results["shed_seconds"] < 5.0
 
 
 #: a healthy worker's HTTP heartbeat, and a one-worker tier probed every
@@ -750,6 +841,34 @@ def test_an_http_proxy_does_not_fail_healthy_heartbeats(store):
     )
     assert result.returncode == 0, result.stderr.decode(errors="replace")
     assert result.stdout.split() == [b"True", b"0"]
+
+
+def test_the_monitor_reports_a_failing_pass_and_keeps_running(store, capfd):
+    """A pass of the supervisor's monitor that raises leaves its traceback
+    on stderr, and the next pass still runs.  No worker is spawned."""
+    cluster = Cluster(store, workers=1, heartbeat_interval=0.01)
+    passes: list[int] = []
+    second = threading.Event()
+
+    def check_workers() -> None:
+        passes.append(len(passes))
+        if len(passes) == 1:
+            raise RuntimeError("injected monitor failure")
+        second.set()
+
+    cluster._check_workers = check_workers
+    monitor = threading.Thread(target=cluster._monitor, daemon=True)
+    monitor.start()
+    try:
+        assert second.wait(timeout=10)
+    finally:
+        cluster._stopping.set()
+        cluster._wake.set()
+        monitor.join(timeout=10)
+    assert not monitor.is_alive()
+    err = capfd.readouterr().err
+    assert "Traceback" in err
+    assert "RuntimeError: injected monitor failure" in err
 
 
 class TestShutdown:

@@ -1,17 +1,15 @@
 """Tests for the resilience primitives and the resilient client.
 
-:mod:`repro.serving.resilience` is deliberately four small, independently
-testable machines — seeded decorrelated-jitter backoff, the circuit
-breaker, wall-clock deadlines, the admission gate — plus the retry loop
-that composes them.  The properties proven here (delays bounded by
-``[base, cap]`` and replayable from the seed; the breaker's exact
-closed → open → half-open transitions with probe accounting; deadline
-headers round-tripping bit-exactly) are what the chaos drill (E29)
-assumes when it verifies whole-cluster runs.  The client tests drive a
-scripted stub HTTP server so every retry decision — 5xx retried, 4xx
-surfaced immediately with the server's payload, ``Retry-After``
-overriding backoff, the total deadline cutting off retries — is observed
-on the wire.
+:mod:`repro.serving.resilience` is deliberately three small, independently
+testable machines — seeded decorrelated-jitter backoff, wall-clock
+deadlines, the admission gate — plus the retry loop that composes them.
+The properties proven here (delays bounded by ``[base, cap]`` and
+replayable from the seed; deadline headers round-tripping bit-exactly) are
+what the chaos drill (E29) assumes when it verifies whole-cluster runs.
+The client tests drive a scripted stub HTTP server so every retry
+decision — 5xx retried, 4xx surfaced immediately with the server's
+payload, ``Retry-After`` overriding backoff, the total deadline cutting
+off retries — is observed on the wire.
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ from repro.serving.resilience import (
     DEADLINE_HEADER,
     AdmissionGate,
     BackoffPolicy,
-    CircuitBreaker,
     Deadline,
     call_with_retries,
 )
@@ -152,123 +149,6 @@ class TestCallWithRetries:
                 sleep=lambda _d: None,
             )
         assert len(calls) == 1  # attempts remain, but the budget is gone
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker
-# ----------------------------------------------------------------------
-class TestCircuitBreaker:
-    def make(self, **kwargs):
-        clock = FakeClock()
-        transitions: list[tuple[str, str]] = []
-        breaker = CircuitBreaker(
-            failure_threshold=kwargs.pop("failure_threshold", 3),
-            recovery_time=kwargs.pop("recovery_time", 10.0),
-            clock=clock,
-            on_transition=lambda old, new: transitions.append((old, new)),
-            **kwargs,
-        )
-        return breaker, clock, transitions
-
-    def test_stays_closed_below_the_failure_threshold(self):
-        breaker, _clock, transitions = self.make()
-        for _ in range(2):
-            assert breaker.try_acquire()
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert transitions == []
-
-    def test_success_resets_the_consecutive_failure_count(self):
-        breaker, _clock, _ = self.make()
-        for _ in range(2):
-            assert breaker.try_acquire()
-            breaker.record_failure()
-        assert breaker.try_acquire()
-        breaker.record_success()
-        # two more failures: the earlier pair must not count toward the
-        # threshold of three any more
-        for _ in range(2):
-            assert breaker.try_acquire()
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_threshold_failures_trip_it_open(self):
-        breaker, clock, transitions = self.make()
-        for _ in range(3):
-            assert breaker.try_acquire()
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert transitions == [("closed", "open")]
-        assert not breaker.try_acquire()
-        assert not breaker.would_allow()
-        clock.advance(9.9)  # just inside the recovery window
-        assert not breaker.try_acquire()
-
-    def test_recovery_admits_one_probe_whose_success_recloses(self):
-        breaker, clock, transitions = self.make()
-        for _ in range(3):
-            breaker.try_acquire()
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.would_allow()
-        assert breaker.try_acquire()  # the probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.try_acquire()  # probe slot taken (max_probes=1)
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert transitions == [
-            ("closed", "open"),
-            ("open", "half_open"),
-            ("half_open", "closed"),
-        ]
-        assert breaker.try_acquire()
-
-    def test_probe_failure_reopens_with_a_fresh_recovery_window(self):
-        breaker, clock, transitions = self.make()
-        for _ in range(3):
-            breaker.try_acquire()
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.try_acquire()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert transitions[-1] == ("half_open", "open")
-        assert not breaker.try_acquire()  # window restarted at the failure
-        clock.advance(10.0)
-        assert breaker.try_acquire()
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_slots_are_accounted(self):
-        breaker, clock, _ = self.make(half_open_max_probes=2)
-        for _ in range(3):
-            breaker.try_acquire()
-            breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.try_acquire()
-        assert breaker.try_acquire()
-        assert not breaker.try_acquire()  # both slots outstanding
-        assert not breaker.would_allow()
-        breaker.record_success()  # one probe back -> recloses
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_state_codes_match_the_gauge_encoding(self):
-        breaker, clock, _ = self.make(failure_threshold=1)
-        assert breaker.state_code == 0.0
-        breaker.try_acquire()
-        breaker.record_failure()
-        assert breaker.state_code == 2.0
-        clock.advance(10.0)
-        breaker.try_acquire()
-        assert breaker.state_code == 1.0
-
-    def test_invalid_parameters_are_rejected(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(failure_threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(recovery_time=-1.0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(half_open_max_probes=0)
 
 
 # ----------------------------------------------------------------------

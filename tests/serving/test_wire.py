@@ -2,8 +2,9 @@
 
 Each rule of the contract is checked over a raw socket on both servers
 that answer clients, ``dpsc serve`` and the tier's router (here relaying
-to an in-process ``dpsc serve`` as its one worker): the 414 and 431
-limits, 400 for a bad request line, a space before a colon and
+to an in-process ``dpsc serve`` as its one worker): the 413, 414 and 431
+limits (413 from the head alone, before any ``100 Continue``), 400 for a
+bad request line, a space before a colon and
 conflicting ``Content-Length`` values, 501 for ``Transfer-Encoding`` and
 unknown methods, every error body JSON and every error closing the
 connection.  So do keep-alive, HTTP/1.0, ``Connection: close``,
@@ -147,6 +148,10 @@ REFUSED = {
         400,
     ),
     "http-2": (b"GET /healthz HTTP/2.0\r\n\r\n", 505),
+    "content-length-of-5000-digits": (
+        b"POST /query HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n",
+        413,
+    ),
 }
 
 
@@ -169,6 +174,32 @@ def test_the_limits_admit_what_they_bound(address):
     [(line, _, body)] = until_closed(address, request)
     assert line == "HTTP/1.1 200 OK"
     assert json.loads(body)["status"] in ("ok", "degraded")
+
+
+def _head_declaring(length: int, expect: bool) -> bytes:
+    """A ``POST /batch`` head declaring a body of ``length`` bytes."""
+    expect_line = "Expect: 100-continue\r\n" if expect else ""
+    return (
+        f"POST /batch HTTP/1.1\r\nContent-Type: application/json\r\n{expect_line}"
+        f"Content-Length: {length}\r\n\r\n"
+    ).encode()
+
+
+@pytest.mark.parametrize("expect", [False, True], ids=["plain", "expect-100-continue"])
+def test_a_body_over_max_body_is_refused_from_its_head(address, expect):
+    """Nothing of the body is sent: the answer comes from the head alone,
+    and it is the 413 itself, not a ``100 Continue`` first."""
+    [(line, headers, body)] = until_closed(address, _head_declaring(wire.MAX_BODY + 1, expect))
+    assert line.startswith("HTTP/1.1 413 ")
+    assert headers["Connection"] == "close"
+    assert headers["Content-Type"] == "application/json"
+    assert str(wire.MAX_BODY) in json.loads(body)["error"]
+
+
+def test_a_body_of_max_body_is_invited(address):
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(_head_declaring(wire.MAX_BODY, expect=True))
+        assert sock.recv(65536) == b"HTTP/1.1 100 Continue\r\n\r\n"
 
 
 def test_equal_repeated_content_lengths_are_one(address):
