@@ -25,7 +25,12 @@ acceptance contract:
   router keeps no connection to a retired worker;
 * a ``/query`` reaches its worker carrying the client's
   ``X-DPSC-Deadline``; a worker that answers every request 500 costs a
-  request at most one retry and no ``RETRY_WAIT``; past ``MAX_INFLIGHT``
+  request at most one retry and no ``RETRY_WAIT``; the round-robin start
+  is drawn once per request; a request that every live worker failed
+  waits ``RETRY_WAIT`` once and goes round again, gets the freshest 5xx
+  at ``RETRY_TIMEOUT`` (a JSON 503 when no worker is live) and a 504 at
+  its deadline; a refused connection goes on to the next worker and is
+  reported to the supervisor; past ``MAX_INFLIGHT``
   the router sheds with ``503 + Retry-After``, which ``ServingClient``
   honours; and a burst of concurrent forwards leaves at most
   ``MAX_IDLE_PER_WORKER`` idle router connections per worker (all checked
@@ -538,7 +543,8 @@ def close_wait_peer_ports() -> list[int]:
 
 class _QueryHandler(BaseHTTPRequestHandler):
     """Stand-in worker ``/query``: records the deadline header it received
-    and answers ``server.status`` with a fixed count."""
+    and answers ``server.status`` with a fixed count, or 500 while
+    ``server.failures`` counts down."""
 
     protocol_version = "HTTP/1.1"
     disable_nagle_algorithm = True  # headers and body go out in two writes
@@ -546,8 +552,12 @@ class _QueryHandler(BaseHTTPRequestHandler):
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
         self.rfile.read(int(self.headers["Content-Length"]))
         self.server.deadlines.append(self.headers.get(DEADLINE_HEADER))
+        status = self.server.status
+        if self.server.failures:
+            self.server.failures -= 1
+            status = 500
         body = json.dumps({"release": "demo", "count": 1.5}).encode("utf-8")
-        self.send_response(self.server.status)
+        self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
@@ -565,14 +575,32 @@ class _Running:
         return True
 
 
-def _query_worker(status: int = 200) -> ThreadingHTTPServer:
-    """A started stand-in worker whose ``/query`` answers ``status``."""
+def _query_worker(status: int = 200, failures: int = 0) -> ThreadingHTTPServer:
+    """A started stand-in worker whose ``/query`` answers 500 to its first
+    ``failures`` requests and ``status`` after them."""
     worker = ThreadingHTTPServer(("127.0.0.1", 0), _QueryHandler)
     worker.daemon_threads = True
     worker.status = status
+    worker.failures = failures
     worker.deadlines = []
     threading.Thread(target=worker.serve_forever, daemon=True).start()
     return worker
+
+
+class _RefusingWorker:
+    """A stand-in worker whose port refuses every connection, as a crashed
+    worker's does: bound, so no one else takes it, but never listening."""
+
+    def __init__(self) -> None:
+        self.socket = socket.socket()
+        self.socket.bind(("127.0.0.1", 0))
+        self.server_address = self.socket.getsockname()
+
+    def shutdown(self) -> None:
+        pass
+
+    def server_close(self) -> None:
+        self.socket.close()
 
 
 @contextlib.contextmanager
@@ -653,6 +681,107 @@ def test_a_failing_worker_costs_a_request_one_retry_and_no_wait(monkeypatch):
     assert max(retries) == 1
     assert sum(retries) == len(failing.deadlines)  # one retry per 500
     assert elapsed < 1.5  # well inside one RETRY_WAIT
+
+
+def test_the_round_robin_start_is_drawn_once_per_request():
+    """Of three workers the first answers 500, and a request that drew it
+    goes on to the second.  So of 30 requests the failing worker and the
+    third each get 10 and the second 20: one round-robin tick per request,
+    not one per attempt."""
+    failing, second, third = _query_worker(500), _query_worker(), _query_worker()
+    with _router_over([failing, second, third]) as (router, url):
+        for _ in range(30):
+            status, _, answer = _post(url, "/query", {"pattern": "ab"})
+            assert (status, answer["count"]) == (200, 1.5)
+        retries = router.health()["retries"]
+    assert [len(worker.deadlines) for worker in (failing, second, third)] == [10, 20, 10]
+    assert retries == 10
+
+
+def test_a_request_every_live_worker_failed_waits_once_and_goes_round_again(monkeypatch):
+    """Both workers fail the request's first round.  After one
+    ``RETRY_WAIT`` it starts again at the worker it drew, which answers
+    now: two retries, and the other worker is not tried twice."""
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_WAIT", 0.2)
+    recovering, failing = _query_worker(failures=1), _query_worker(500)
+    with _router_over([recovering, failing]) as (router, url):
+        started = time.monotonic()
+        status, _, answer = _post(url, "/query", {"pattern": "ab"})
+        elapsed = time.monotonic() - started
+        retries = router.health()["retries"]
+    assert (status, answer["count"]) == (200, 1.5)
+    assert (len(recovering.deadlines), len(failing.deadlines)) == (2, 1)
+    assert retries == 2
+    assert elapsed >= 0.2
+
+
+def test_when_every_worker_keeps_failing_the_freshest_5xx_is_relayed(monkeypatch):
+    """Past ``RETRY_TIMEOUT`` the request gets the last worker answer it
+    had, as the worker sent it: the second worker's 503, since every round
+    ends there."""
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_WAIT", 0.05)
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_TIMEOUT", 0.5)
+    first, second = _query_worker(500), _query_worker(503)
+    with _router_over([first, second]) as (router, url):
+        started = time.monotonic()
+        status, _, answer = _post(url, "/query", {"pattern": "ab"})
+        elapsed = time.monotonic() - started
+        retries = router.health()["retries"]
+    assert (status, answer) == (503, {"release": "demo", "count": 1.5})
+    assert elapsed >= 0.5
+    rounds = len(first.deadlines)
+    assert rounds >= 2
+    assert len(second.deadlines) == rounds
+    assert retries == 2 * rounds
+
+
+def test_with_no_live_worker_a_request_gets_a_json_503_at_retry_timeout(monkeypatch):
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_TIMEOUT", 0.3)
+    with _router_over([]) as (router, url):
+        started = time.monotonic()
+        status, _, answer = _post(url, "/query", {"pattern": "ab"})
+        elapsed = time.monotonic() - started
+        retries = router.health()["retries"]
+    assert status == 503
+    assert answer["error"] == "no live worker answered POST /query"
+    assert elapsed >= 0.3
+    assert retries == 0  # nothing was tried
+
+
+def test_a_refused_connection_goes_to_the_next_worker_and_wakes_the_supervisor():
+    """A worker port that refuses connections costs a request that drew it
+    one retry on the next worker, and each refusal is reported through
+    ``WorkerTable.note_failure``, which wakes the supervisor."""
+    refusing = _RefusingWorker()
+    with _router_over([refusing, _query_worker()]) as (router, url):
+        noted = []
+        router.table.on_failure = noted.append
+        for _ in range(10):
+            status, _, answer = _post(url, "/query", {"pattern": "ab"})
+            assert (status, answer["count"]) == (200, 1.5)
+        retries = router.health()["retries"]
+    assert retries == 5
+    assert [worker.port for worker in noted] == [refusing.server_address[1]] * 5
+
+
+def test_an_expired_deadline_ends_the_retries_with_504(monkeypatch):
+    """A request whose only worker keeps failing stops at its client's
+    deadline, long before ``RETRY_TIMEOUT``: no one waits for its answer
+    any more."""
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_WAIT", 0.05)
+    monkeypatch.setattr("repro.serving.cluster.router.RETRY_TIMEOUT", 30.0)
+    failing = _query_worker(500)
+    with _router_over([failing]) as (router, url):
+        deadline = Deadline.after(0.4).header_value()
+        started = time.monotonic()
+        status, _, answer = _post(url, "/query", {"pattern": "ab"}, {DEADLINE_HEADER: deadline})
+        elapsed = time.monotonic() - started
+        exceeded = router.health()["deadline_exceeded"]
+    assert status == 504
+    assert answer["error"] == "deadline expired while forwarding POST /query"
+    assert 0.3 <= elapsed < 5.0
+    assert exceeded == 1
+    assert len(failing.deadlines) >= 2  # it kept retrying until then
 
 
 class _BurstHandler(BaseHTTPRequestHandler):

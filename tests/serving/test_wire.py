@@ -213,6 +213,19 @@ def test_equal_repeated_content_lengths_are_one(address):
     assert json.loads(answer)["count"] == 5.0
 
 
+def test_leading_zeros_of_a_content_length_are_not_significant(address):
+    """Only significant digits count toward the many-digit cut-off that
+    reads as too large: a padded length of a small body is that body."""
+    body = b'{"pattern": "ab"}'
+    request = (
+        b"POST /query HTTP/1.1\r\nContent-Length: %s%d\r\nConnection: close\r\n\r\n"
+        % (b"0" * 40, len(body))
+    ) + body
+    [(line, _, answer)] = until_closed(address, request)
+    assert line == "HTTP/1.1 200 OK"
+    assert json.loads(answer)["count"] == 5.0
+
+
 def test_http_1_0_closes_after_its_answer(address):
     [(line, headers, body)] = until_closed(address, b"GET /healthz HTTP/1.0\r\n\r\n")
     assert line == "HTTP/1.1 200 OK"
