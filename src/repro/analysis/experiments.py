@@ -108,8 +108,7 @@ __all__ = [
     "run_tree_strategy_comparison",
     "run_candidate_growth_ablation",
     "run_counting_engine_benchmark",
-    "run_query_many_benchmark",
-    "run_serving_throughput",
+    "run_batch_query_benchmark",
     "run_concurrent_serving",
     "run_construction_benchmark",
     "run_serving_scale",
@@ -1257,36 +1256,43 @@ def run_counting_engine_benchmark(
     return rows
 
 
-def run_query_many_benchmark(
+def run_batch_query_benchmark(
     batch_sizes: Sequence[int] = (64, 256, 512, 1024),
     *,
     n: int = 2000,
     ell: int = 16,
+    stream_length: int = 20_000,
     epsilon: float = 60.0,
     delta: float = 1e-6,
     seed: int = 19,
-    hit_fraction: float = 0.85,
     timing_reps: int = 5,
 ) -> list[dict]:
-    """E22 — batched ``query_many`` vs per-pattern ``query`` loops for every
-    registered structure kind.
+    """E20 — a counter's vectorized ``batch_query`` against its per-pattern
+    ``query`` loop, on two traffic shapes.
 
-    Builds one counter per kind through the unified ``Dataset`` façade on
-    the genome workload (per-kind parameters keep every construction
-    laptop-sized: the near-linear Theorem 4 structure carries the long
-    ``q = 12`` grams, Theorem 3 a cheaper ``q = 6``), then replays a
-    serving-style pattern mix through both query paths: ``hit_fraction``
-    stored patterns, the rest random document windows — fixed-length
-    windows for the q-gram kinds, whose traffic rides the counter's
-    uniform-length batch path.  Batched answers must be bit-for-bit equal
-    to the loop; the acceptance headline
-    (``benchmarks/bench_query_many.py``) is a >= 5x speedup at >= 512
-    patterns on the q-gram structure.  Timings take the best of
-    ``timing_reps`` runs.
+    * ``batches``: one counter per registered kind, built through the
+      ``Dataset`` façade on the genome workload (per-kind parameters keep
+      every construction laptop-sized: the near-linear Theorem 4 structure
+      carries the long ``q = 12`` grams, Theorem 3 a cheaper ``q = 6``),
+      asked batches of ``batch_sizes`` patterns: 85% stored patterns, the
+      rest random document windows — of the release's fixed length for the
+      q-gram kinds, whose uniform-length traffic rides the counter's
+      uniform-length batch path.
+    * ``stream``: the heavy-path counters of the genome and the transit
+      workload asked ``stream_length`` mixed-length patterns: 80% stored
+      patterns drawn in proportion to their length (analysts ask about the
+      longer, more informative motifs), the rest document substrings of
+      1–6 characters.
+
+    Every row holds both paths' best of ``timing_reps`` runs and whether
+    they answered bit for bit alike.  ``benchmarks/bench_serving.py``
+    asserts bit identity on every row, >= 5x at >= 512 patterns on
+    ``qgram-t4``, and >= 5x and over 1M patterns/s on the stream.
     """
     rng = np.random.default_rng(seed)
-    database = genome_with_motifs(n, ell, rng)
-    dataset = Dataset.from_database(database).with_beta(0.1)
+    genome = genome_with_motifs(n, ell, rng)
+    transit = transit_trajectories(n, ell, rng)
+    dataset = Dataset.from_database(genome).with_beta(0.1)
     builds: list[tuple[str, Dataset, dict]] = [
         ("heavy-path", dataset.with_budget(epsilon).with_threshold(30.0), {}),
         ("qgram-t3", dataset.with_budget(epsilon).with_threshold(20.0), {"q": 6}),
@@ -1305,20 +1311,22 @@ def run_query_many_benchmark(
         kind: configured.build(kind, rng=np.random.default_rng(seed + 1), **kwargs)
         for kind, configured, kwargs in builds
     }
+    transit_counter = (
+        Dataset.from_database(transit)
+        .with_budget(epsilon)
+        .with_beta(0.1)
+        .with_threshold(30.0)
+        .build("heavy-path", rng=np.random.default_rng(seed + 1))
+    )
+    documents = list(genome)
 
-    documents = list(database)
-    max_batch = max(batch_sizes)
-
-    def pattern_pool(counter) -> list[str]:
-        """Serving-style traffic for one release: mostly stored patterns
-        (the hits analysts actually ask about), padded with random document
-        windows — of the release's fixed length for q-gram structures."""
+    def batch_pool(counter) -> list[str]:
         query_rng = np.random.default_rng(seed + 2)
         stored = sorted(dict(counter.items()))
         q = counter.metadata.qgram_length
         pool: list[str] = []
-        while len(pool) < max_batch:
-            if stored and query_rng.random() < hit_fraction:
+        while len(pool) < max(batch_sizes):
+            if stored and query_rng.random() < 0.85:
                 pool.append(stored[query_rng.integers(len(stored))])
             else:
                 document = documents[query_rng.integers(len(documents))]
@@ -1327,123 +1335,57 @@ def run_query_many_benchmark(
                 pool.append(document[lo : lo + width])
         return pool
 
+    def stream(counter, database: StringDatabase) -> list[str]:
+        query_rng = np.random.default_rng(seed + 3)
+        patterns = counter.patterns()
+        lengths = np.array([len(p) for p in patterns], dtype=float)
+        picks = query_rng.choice(len(patterns), size=4096, p=lengths / lengths.sum())
+        hits = [patterns[i] for i in picks]
+        texts = list(database)
+        queries = []
+        for _ in range(stream_length):
+            if query_rng.random() < 0.8:
+                queries.append(hits[query_rng.integers(len(hits))])
+            else:
+                document = texts[query_rng.integers(len(texts))]
+                lo = query_rng.integers(len(document))
+                queries.append(document[lo : lo + 1 + query_rng.integers(6)])
+        return queries
+
     def best_seconds(run: Callable[[], object]) -> float:
         return min(_timed(run) for _ in range(timing_reps))
 
+    def row(shape: str, workload: str, kind: str, counter, patterns: list[str]) -> dict:
+        loop_counts = np.array([counter.query(p) for p in patterns])
+        batch_counts = counter.batch_query(patterns)
+        loop_seconds = best_seconds(lambda: [counter.query(p) for p in patterns])
+        batch_seconds = best_seconds(lambda: counter.batch_query(patterns))
+        return {
+            "shape": shape,
+            "workload": workload,
+            "kind": kind,
+            "patterns": len(patterns),
+            "stored_patterns": counter.num_stored_patterns,
+            "loop_seconds": loop_seconds,
+            "batch_seconds": batch_seconds,
+            "speedup": loop_seconds / batch_seconds if batch_seconds else float("inf"),
+            "patterns_per_s": len(patterns) / batch_seconds
+            if batch_seconds
+            else float("inf"),
+            "bitwise_equal": bool(np.array_equal(loop_counts, batch_counts)),
+        }
+
     rows = []
     for kind, counter in counters.items():
-        pool = pattern_pool(counter)
-        counter.query_many(pool[:1])  # build the lazy batch tables
+        pool = batch_pool(counter)
+        counter.batch_query(pool[:1])  # build the lazy batch tables
         for batch in batch_sizes:
-            patterns = pool[:batch]
-            loop_counts = np.array([counter.query(p) for p in patterns])
-            batch_counts = counter.query_many(patterns)
-            loop_seconds = best_seconds(
-                lambda: [counter.query(p) for p in patterns]
-            )
-            batch_seconds = best_seconds(lambda: counter.query_many(patterns))
-            rows.append(
-                {
-                    "kind": kind,
-                    "batch": batch,
-                    "stored_patterns": counter.num_stored_patterns,
-                    "loop_seconds": loop_seconds,
-                    "query_many_seconds": batch_seconds,
-                    "speedup": loop_seconds / batch_seconds
-                    if batch_seconds
-                    else float("inf"),
-                    "bitwise_equal": bool(np.array_equal(loop_counts, batch_counts)),
-                }
-            )
-    return rows
-
-
-def run_serving_throughput(
-    workloads: Sequence[str] = ("genome", "transit"),
-    n: int = 2000,
-    num_queries: int = 20_000,
-    epsilon: float = 60.0,
-    threshold: float = 30.0,
-    hit_fraction: float = 0.8,
-    timing_reps: int = 5,
-    seed: int = 7,
-) -> list[dict]:
-    """E20 — query-serving throughput: a per-pattern ``query`` loop vs the
-    vectorized ``batch_query`` of the same array trie.
-
-    Builds one released structure per workload (a low pruning threshold
-    keeps it serving-sized), then replays a serving-style traffic mix:
-    ``hit_fraction`` of the queries are published patterns (sampled with
-    probability proportional to length — analysts ask about the longer,
-    more informative motifs), the rest are random document substrings.
-    Both paths must answer *identical* counts (post-processing parity);
-    throughput is the best of ``timing_reps`` runs, which is robust to
-    scheduler noise.  The per-pattern loop (``qps_trie_loop``) is the
-    counter's single-pattern walk of the dense table — the one served
-    ``/query`` runs — and ``batch_speedup`` is the batch path's gain over
-    that walk.
-    """
-    ells = {"genome": 12, "transit": 16}
-    rows = []
-    for workload in workloads:
-        rng = np.random.default_rng(seed)
-        ell = ells.get(workload, 12)
-        if workload == "genome":
-            database = genome_with_motifs(n, ell, rng)
-        else:
-            database = transit_trajectories(n, ell, rng)
-        structure = (
-            Dataset.from_database(database)
-            .with_budget(epsilon)
-            .with_beta(0.1)
-            .with_threshold(threshold)
-            .build("heavy-path", rng=rng)
-        )
-
-        patterns = structure.patterns()
-        lengths = np.array([len(p) for p in patterns], dtype=float)
-        weights = lengths / lengths.sum()
-        query_rng = np.random.default_rng(seed + 1)
-        hit_pool = [
-            patterns[i]
-            for i in query_rng.choice(len(patterns), size=4096, p=weights)
-        ]
-        documents = list(database)
-        queries = []
-        for _ in range(num_queries):
-            if query_rng.random() < hit_fraction:
-                queries.append(hit_pool[query_rng.integers(len(hit_pool))])
-            else:
-                document = documents[query_rng.integers(len(documents))]
-                lo = query_rng.integers(len(document))
-                hi = min(len(document), lo + 1 + query_rng.integers(6))
-                queries.append(document[lo:hi])
-
-        def best_seconds(run: Callable[[], object]) -> float:
-            return min(
-                _timed(run) for _ in range(timing_reps)
-            )
-
-        trie_seconds = best_seconds(lambda: [structure.query(q) for q in queries])
-        batch_seconds = best_seconds(lambda: structure.batch_query(queries))
-
-        expected = [structure.query(q) for q in queries]
-        parity_ok = bool(np.array_equal(structure.batch_query(queries), expected))
-        rows.append(
-            {
-                "workload": workload,
-                "n": n,
-                "ell": ell,
-                "num_nodes": structure.num_nodes,
-                "stored_patterns": structure.num_stored_patterns,
-                "num_queries": num_queries,
-                "avg_query_len": float(np.mean([len(q) for q in queries])),
-                "qps_trie_loop": num_queries / trie_seconds,
-                "qps_compiled_batch": num_queries / batch_seconds,
-                "batch_speedup": trie_seconds / batch_seconds,
-                "parity_ok": parity_ok,
-            }
-        )
+            rows.append(row("batches", "genome", kind, counter, pool[:batch]))
+    for workload, database, counter in (
+        ("genome", genome, counters["heavy-path"]),
+        ("transit", transit, transit_counter),
+    ):
+        rows.append(row("stream", workload, "heavy-path", counter, stream(counter, database)))
     return rows
 
 

@@ -134,16 +134,12 @@ def _registry() -> dict[str, tuple[str, Callable[[], list[dict]]]]:
             lambda: experiments.run_candidate_growth_ablation([8, 16, 32]),
         ),
         "E20": (
-            "Query-serving throughput (batch vs per-pattern query loop)",
-            lambda: experiments.run_serving_throughput(),
+            "Batched queries vs per-pattern query loops (every kind; batches and a mixed stream)",
+            lambda: experiments.run_batch_query_benchmark(),
         ),
         "E21": (
             "Counting-engine equivalence and speedup (batched Aho-Corasick vs per-pattern)",
             lambda: experiments.run_counting_engine_benchmark(),
-        ),
-        "E22": (
-            "Batched query_many vs per-pattern query loops across structure kinds",
-            lambda: experiments.run_query_many_benchmark(),
         ),
         "E23": (
             "Concurrent serving: bit-identical replays and throughput vs threads",

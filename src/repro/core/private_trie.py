@@ -421,41 +421,49 @@ class PrivateCountingTrie:
         """
         if not isinstance(patterns, list):
             patterns = list(patterns)
-        m = len(patterns)
-        if m == 0:
+        if not patterns:
             return np.zeros(0, dtype=np.float64)
-        joined = self._SEPARATOR.join(patterns)
+        return self._batch_walk(self._SEPARATOR.join(patterns), patterns)
+
+    def batch_query_joined(self, joined: str) -> np.ndarray:
+        """:meth:`batch_query` of ``joined.split("\\x00")``, without the split:
+        the noisy counts of the ``joined.count("\\x00") + 1`` NUL-separated
+        patterns of ``joined`` (so ``""`` is one empty pattern).  A binary
+        ``/batch`` request arrives in this form."""
+        return self._batch_walk(joined)
+
+    def _batch_walk(self, joined: str, patterns: list[str] | None = None) -> np.ndarray:
+        """The batch walk of the NUL-separated patterns of ``joined``, or of
+        the list ``patterns`` that ``joined`` joins: then a pattern may
+        contain NUL itself, and the lengths come from the list."""
         points = np.frombuffer(
             joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32
         )
         flat_codes = self._code_table.take(points, mode="clip")
         is_separator = points == 0
+        separators = int(np.count_nonzero(is_separator))
+        m = separators + 1 if patterns is None else len(patterns)
         transitions, counts_ext, counts_zero = self._batch_tables()
-        if transitions is not None and m > 1:
+        if transitions is not None and m > 1 and separators == m - 1:
             # Uniform-length fast path: q-gram releases serve fixed-length
             # traffic, where the length sort, per-step activity cuts and the
-            # final unscramble are pure overhead.  Uniform lengths mean the
-            # joined batch carries exactly m - 1 NULs, all at the expected
-            # separator positions (which also rules out patterns containing
-            # NUL themselves); then one (L, m) gather of the codes up front
-            # and two kernels per round answer the batch.
-            length = len(patterns[0])
-            if points.size == m * (length + 1) - 1:
-                at_separators = is_separator[length :: length + 1]
-                if (
-                    at_separators.size == m - 1
-                    and bool(at_separators.all())
-                    and int(np.count_nonzero(is_separator)) == m - 1
-                ):
-                    return self._batch_query_uniform(
-                        flat_codes, length, m, transitions, counts_zero
-                    )
-        separators = np.flatnonzero(is_separator)
-        if separators.size == m - 1:
-            bounds = np.concatenate((separators, [points.size]))
-            starts = np.concatenate(([0], separators + 1))
+            # final unscramble are pure overhead.  With exactly m - 1 NULs,
+            # all of them separators, the patterns share one length when
+            # the text is m * (length + 1) - 1 code points long and every
+            # (length + 1)-th of them is a NUL; then one (L, m) gather of
+            # the codes up front and two kernels per round answer the batch.
+            length, rest = divmod(points.size + 1, m)
+            length -= 1
+            if rest == 0 and bool(is_separator[length :: length + 1].all()):
+                return self._batch_query_uniform(
+                    flat_codes, length, m, transitions, counts_zero
+                )
+        if separators == m - 1:
+            separator_at = np.flatnonzero(is_separator)
+            bounds = np.concatenate((separator_at, [points.size]))
+            starts = np.concatenate(([0], separator_at + 1))
             lengths = bounds - starts
-        else:  # some pattern contains NUL itself
+        else:  # some pattern of the list contains NUL itself
             lengths = np.fromiter(map(len, patterns), dtype=np.int64, count=m)
             starts = np.concatenate(([0], np.cumsum(lengths + 1)))[:-1]
         # Grouping by length only needs buckets, not a stable order; uint16

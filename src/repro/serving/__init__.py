@@ -32,7 +32,9 @@ walk one dense transition table.
     ``/releases``, ``/healthz``) with request micro-batching and
     per-release routing, plus a client that pools keep-alive connections.
     ``/batch`` answers raw little-endian float64 instead of JSON when
-    ``Accept`` names ``application/x-dpsc-f64``, as the client asks it to.
+    ``Accept`` names ``application/x-dpsc-f64``, and takes its patterns as
+    NUL-separated UTF-8 instead of JSON under ``Content-Type:
+    application/x-dpsc-patterns``; the client asks and sends both ways.
 ``wire``
     The one HTTP/1.1 subset every hop speaks — server, client, router
     relay and worker heartbeat: ``GET``/``POST``, ``Content-Length``

@@ -5,9 +5,11 @@ plain ``curl``; the wire format is the JSON API documented in
 :mod:`repro.serving.server`.  The transport is :class:`wire.Connection`,
 the client half of the HTTP/1.1 subset every hop of the tier speaks: one
 write per request, the answer's body read by ``Content-Length``.
-``/batch`` asks for the raw float64 answer (``Accept:
-application/x-dpsc-f64``) and decodes it with numpy; a 2xx ``/batch``
-answer in any other format is malformed.
+``/batch`` sends its patterns as NUL-separated UTF-8 (``Content-Type:
+application/x-dpsc-patterns``, the release in the query string) unless
+the batch is empty or a pattern holds NUL, which go as JSON; it asks for
+the raw float64 answer (``Accept: application/x-dpsc-f64``) and decodes
+it with numpy; a 2xx ``/batch`` answer in any other format is malformed.
 
 Transport:
 
@@ -56,12 +58,19 @@ import json
 import threading
 import time
 from typing import Callable, Mapping, Sequence
+from urllib.parse import quote
 
 from repro.exceptions import ReproError
 from repro.obs import MetricsRegistry
 from repro.serving import wire
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
-from repro.serving.server import F64_MEDIA_TYPE, decode_f64, names_f64
+from repro.serving.server import (
+    F64_MEDIA_TYPE,
+    PATTERNS_MEDIA_TYPE,
+    decode_f64,
+    encode_patterns,
+    names_media,
+)
 
 __all__ = [
     "ServingClient",
@@ -291,15 +300,18 @@ class ServingClient:
     def _request(
         self,
         path: str,
-        payload: dict | None = None,
+        payload: dict | bytes | None = None,
         *,
+        content_type: str = "application/json",
         timeout: float | None = None,
         accept: str = "application/json",
         decode: Callable[[Headers, bytes], object] = _json_body,
     ):
         """One API call: its 2xx answer passed through ``decode(headers,
-        body)``, or :class:`ServingClientError`.  A ``ValueError`` from
-        ``decode`` (a body that does not parse) is not retried."""
+        body)``, or :class:`ServingClientError`.  A ``payload`` makes it a
+        ``POST``: a dict goes as JSON, bytes as they are, under
+        ``content_type``.  A ``ValueError`` from ``decode`` (a body that
+        does not parse) is not retried."""
         endpoint = path.split("?", 1)[0]
         budget = timeout if timeout is not None else self.timeout_for(endpoint)
         deadline = Deadline.after(budget)
@@ -307,8 +319,9 @@ class ServingClient:
         method, data = "GET", None
         headers = {"Accept": accept, DEADLINE_HEADER: deadline.header_value()}
         if payload is not None:
-            method, data = "POST", json.dumps(payload).encode("utf-8")
-            headers["Content-Type"] = "application/json"
+            method = "POST"
+            data = payload if isinstance(payload, bytes) else json.dumps(payload).encode("utf-8")
+            headers["Content-Type"] = content_type
         delays = self.backoff.iter_delays(f"{self.seed}:{next(self._sequence)}")
         attempts = 0
         last_failure = "no attempt was made"
@@ -399,19 +412,35 @@ class ServingClient:
         *,
         timeout: float | None = None,
     ) -> list[float]:
-        """Noisy counts of many patterns in one round trip."""
-        payload: dict = {"patterns": list(patterns)}
-        if release is not None:
-            payload["release"] = release
+        """Noisy counts of many patterns in one round trip.
+
+        The patterns travel as :data:`PATTERNS_MEDIA_TYPE` (NUL-separated
+        UTF-8, the release in the query string), or as JSON when that
+        format cannot carry them: an empty batch, or one with a pattern
+        holding NUL."""
+        patterns = list(patterns)
+        path, content_type = "/batch", PATTERNS_MEDIA_TYPE
+        payload: dict | bytes | None = encode_patterns(patterns)
+        if payload is None:
+            payload, content_type = {"patterns": patterns}, "application/json"
+            if release is not None:
+                payload["release"] = release
+        elif release is not None:
+            path += "?release=" + quote(release, safe="", errors="surrogatepass")
 
         def decode(headers: Headers, body: bytes) -> list[float]:
-            content_type = headers.get("content-type")
-            if not names_f64(content_type):
-                raise ValueError(f"Content-Type {content_type!r}, not {F64_MEDIA_TYPE}")
-            return decode_f64(body, len(payload["patterns"])).tolist()
+            answer_type = headers.get("content-type")
+            if not names_media(answer_type, F64_MEDIA_TYPE):
+                raise ValueError(f"Content-Type {answer_type!r}, not {F64_MEDIA_TYPE}")
+            return decode_f64(body, len(patterns)).tolist()
 
         return self._request(
-            "/batch", payload, timeout=timeout, accept=F64_MEDIA_TYPE, decode=decode
+            path,
+            payload,
+            content_type=content_type,
+            timeout=timeout,
+            accept=F64_MEDIA_TYPE,
+            decode=decode,
         )
 
     def mine(

@@ -30,7 +30,10 @@ live worker it has not failed on, and waits :data:`RETRY_WAIT` only once
 every live worker has failed it, until :data:`RETRY_TIMEOUT`.  A
 ``kill -9`` mid-batch costs latency, never a lost or wrong answer.
 Connection failures also wake the supervisor immediately
-(:meth:`WorkerTable.note_failure`) so the respawn races the retry deadline.
+(:meth:`WorkerTable.note_failure`) so the respawn races the retry deadline,
+and so does a worker's ``FAILED_ANSWERS_LIMIT``-th 500 answer in a row
+(:meth:`WorkerHandle.note_answer`): the monitor replaces a worker whose
+query handler fails every request.
 
 Observability: the router keeps its own registry under ``dpsc_router_*``
 names (so tier-wide merges never double-count worker ``dpsc_*`` series) and
@@ -343,6 +346,8 @@ class Router:
             except _RELAY_RETRYABLE:
                 self.table.note_failure(worker)
             else:
+                if worker.note_answer(answer[0]):
+                    self.table.note_failure(worker)  # the monitor replaces it
                 if answer[0] < 500:
                     return answer
                 last_error = answer

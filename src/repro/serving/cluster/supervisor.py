@@ -13,7 +13,11 @@ retries onto a surviving (or freshly respawned) worker and the client sees
 a complete, bit-identical response — just slower.  Liveness is checked two
 ways: ``Process.is_alive`` (catches process death instantly) and a rate-
 limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
-``heartbeat_misses`` consecutive failures).
+``heartbeat_misses`` consecutive failures).  A worker whose last
+:data:`~repro.serving.cluster.workers.FAILED_ANSWERS_LIMIT` relayed
+answers were all 500s is replaced too: the router wakes the monitor at
+that count, so a worker whose query handler fails every request leaves
+rotation instead of costing every request that draws it a retry.
 
 **Hot reload.**  ``reload()`` resolves the store's current versions; when
 they differ from the served generation it spawns a *complete new
@@ -176,6 +180,12 @@ class Cluster:
             if worker.generation != self.table.generation:
                 continue  # an old generation draining; not ours to police
             if not worker.is_alive():
+                self._respawn(worker)
+                continue
+            if worker.failing:
+                # alive and heartbeating, but every request it answers is a
+                # 500: replace it as a wedged one
+                worker.kill()
                 self._respawn(worker)
                 continue
             last = self._last_probe.get(worker.worker_id, 0.0)

@@ -49,6 +49,10 @@ __all__ = ["WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"]
 SPAWN = multiprocessing.get_context("spawn")
 #: how long a generation's workers may take to report ready, in seconds.
 SPAWN_TIMEOUT = 60.0
+#: consecutive 500 answers after which the monitor replaces a worker: its
+#: process and ``/healthz`` may be fine while its query handler fails every
+#: request, and each request that draws it pays one failed round trip.
+FAILED_ANSWERS_LIMIT = 8
 
 
 def _watch_control(conn, server) -> None:
@@ -143,6 +147,9 @@ class WorkerHandle:
         #: respawns a worker that misses several in a row even while its
         #: process object still reports alive (wedged, not dead).
         self.missed_heartbeats = 0
+        #: consecutive 500 answers relayed from this worker
+        #: (:meth:`note_answer`); the monitor respawns a :attr:`failing` one.
+        self.failed_answers = 0
 
     @property
     def pid(self) -> int | None:
@@ -150,6 +157,22 @@ class WorkerHandle:
 
     def is_alive(self) -> bool:
         return self.process.is_alive()
+
+    def note_answer(self, status: int) -> bool:
+        """Count one relayed answer: a 500 adds one to
+        :attr:`failed_answers`, a 504 deadline refusal (the client's expiry,
+        refused before the query handler runs) leaves it, and any other
+        answer resets it.  Returns :attr:`failing`."""
+        if status == 500:
+            self.failed_answers += 1
+        elif status != 504:
+            self.failed_answers = 0
+        return self.failing
+
+    @property
+    def failing(self) -> bool:
+        """True once :data:`FAILED_ANSWERS_LIMIT` answers in a row were 500s."""
+        return self.failed_answers >= FAILED_ANSWERS_LIMIT
 
     def heartbeat(self, timeout: float = 2.0) -> bool:
         """One HTTP liveness probe (``/healthz`` answers 200 and parses),

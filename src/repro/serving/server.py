@@ -15,7 +15,17 @@ bodies, keep-alive; docs/SERVING.md):
 * ``POST /batch``            ``{"patterns": [...]}`` -> vectorized counts; a
   request whose ``Accept`` names :data:`F64_MEDIA_TYPE` gets them as raw
   little-endian float64 instead of JSON (errors are always JSON)
+* ``POST /batch?release=..`` a :data:`PATTERNS_MEDIA_TYPE` body (the
+  patterns in UTF-8, NUL-separated) -> the same counts, in either format
 * ``POST /mine``             ``{"threshold": ..., ...}`` -> frequent patterns
+
+A binary ``/batch`` request skips JSON altogether: the handler decodes
+the body once and hands the text to the trie kernel
+(:meth:`~repro.core.private_trie.PrivateCountingTrie.batch_query_joined`),
+which splits it at the NULs in the same vectorized pass that encodes it.
+A body that is not UTF-8 is a JSON 400; the body-size limit, deadline
+refusals, the ``worker.handle`` failpoint, the counters and the latency
+histogram apply as to a JSON request.
 
 A 200 ``/batch`` answer, in either format, carries its pattern count in
 the :data:`PATTERNS_HEADER` response header, which the tier's router
@@ -318,6 +328,15 @@ class QueryService:
         with self._latency["batch"].time():
             return self.release(release).batch_query(patterns)
 
+    def batch_joined_counts(self, joined: str, release: str | None = None) -> np.ndarray:
+        """:meth:`batch_counts` of the NUL-separated patterns of ``joined``
+        (``joined.count("\\x00") + 1`` of them), the text of a
+        :data:`PATTERNS_MEDIA_TYPE` request, without splitting it."""
+        self._requests["batch"].inc()
+        self._batch_patterns.inc(joined.count("\x00") + 1)
+        with self._latency["batch"].time():
+            return self.release(release).batch_query_joined(joined)
+
     def mine(
         self,
         threshold: float,
@@ -456,19 +475,41 @@ class QueryService:
 #: float repr to write or parse.  The client asks for it; the router relays it.
 F64_MEDIA_TYPE = "application/x-dpsc-f64"
 
+#: the ``/batch`` request format a request names in ``Content-Type``: its
+#: patterns in UTF-8 with one NUL byte between them (a lone surrogate as its
+#: 3-byte form), so a body of k NULs is a batch of k + 1 patterns, and the
+#: release in the query string (``/batch?release=NAME``).  The server hands
+#: the decoded text to the trie kernel as it is; the client sends every
+#: batch it can carry this way, and a batch it cannot (empty, or with a
+#: pattern holding NUL) as JSON.
+PATTERNS_MEDIA_TYPE = "application/x-dpsc-patterns"
+
 #: the response header of a 200 ``/batch`` answer that carries its pattern
 #: count, in either answer format, so the router counts patterns without
 #: parsing a body.
 PATTERNS_HEADER = "X-DPSC-Patterns"
 
 
-def names_f64(value: str | None) -> bool:
+def names_media(value: str | None, media_type: str) -> bool:
     """True when an ``Accept`` or ``Content-Type`` header value names
-    :data:`F64_MEDIA_TYPE` (parameters and case ignored)."""
+    ``media_type`` (parameters and case ignored)."""
     return value is not None and any(
-        media.split(";", 1)[0].strip().lower() == F64_MEDIA_TYPE
+        media.split(";", 1)[0].strip().lower() == media_type
         for media in value.split(",")
     )
+
+
+def encode_patterns(patterns: list[str]) -> bytes | None:
+    """The :data:`PATTERNS_MEDIA_TYPE` body of ``patterns``, or ``None``
+    when that format cannot carry them: the batch is empty, a pattern
+    holds NUL, or one is not a string."""
+    try:
+        joined = "\x00".join(patterns)
+    except TypeError:
+        return None
+    if not patterns or joined.count("\x00") != len(patterns) - 1:
+        return None
+    return joined.encode("utf-8", "surrogatepass")
 
 
 def encode_f64(counts: np.ndarray) -> bytes:
@@ -668,18 +709,43 @@ class _Handler(JSONHandler):
         except Exception as error:  # noqa: BLE001 - JSON 500, not a raw traceback
             self._error(f"internal error: {error}", 500)
 
+    def _answer_counts(self, counts: np.ndarray, release: str | None) -> None:
+        """A 200 ``/batch`` answer in the format ``Accept`` asks for."""
+        counted = {PATTERNS_HEADER: str(counts.size)}
+        if names_media(self.headers.get("accept"), F64_MEDIA_TYPE):
+            self._send(200, encode_f64(counts), F64_MEDIA_TYPE, counted)
+        else:
+            self._respond(
+                {
+                    "release": release or self.service.default_release,
+                    "counts": counts.tolist(),
+                },
+                headers=counted,
+            )
+
     def do_POST(self) -> None:  # noqa: N802 - the handler's method names
-        body = self.body
-        try:
-            payload = json.loads(body.decode("utf-8")) if body else {}
-        except (ValueError, UnicodeDecodeError):
-            self._error("request body is not valid JSON", 400)
-            return
-        if not isinstance(payload, dict):
-            # Valid JSON but not an object (e.g. a bare list or string)
-            # must be a JSON 400 too, not an unhandled AttributeError.
-            self._error("request body must be a JSON object", 400)
-            return
+        path, _, query = self.path.partition("?")
+        joined = None  # the text of a binary /batch request
+        if path == "/batch" and names_media(
+            self.headers.get("content-type"), PATTERNS_MEDIA_TYPE
+        ):
+            try:
+                joined = self.body.decode("utf-8", "surrogatepass")
+            except UnicodeDecodeError:
+                self._error("request body is not valid UTF-8", 400)
+                return
+            payload = {"release": parse_qs(query).get("release", [None])[0]}
+        else:
+            try:
+                payload = json.loads(self.body.decode("utf-8")) if self.body else {}
+            except (ValueError, UnicodeDecodeError):
+                self._error("request body is not valid JSON", 400)
+                return
+            if not isinstance(payload, dict):
+                # Valid JSON but not an object (e.g. a bare list or string)
+                # must be a JSON 400 too, not an unhandled AttributeError.
+                self._error("request body must be a JSON object", 400)
+                return
         if self._refuse_or_inject():
             return
         release = payload.get("release")
@@ -699,6 +765,10 @@ class _Handler(JSONHandler):
                         "count": self.service.query(pattern, release),
                     }
                 )
+            elif joined is not None:
+                self._answer_counts(
+                    self.service.batch_joined_counts(joined, release), release
+                )
             elif self.path == "/batch":
                 patterns = payload.get("patterns")
                 if not isinstance(patterns, list) or not all(
@@ -706,18 +776,7 @@ class _Handler(JSONHandler):
                 ):
                     self._error("'patterns' must be a list of strings", 400)
                     return
-                counts = self.service.batch_counts(patterns, release)
-                counted = {PATTERNS_HEADER: str(len(patterns))}
-                if names_f64(self.headers.get("accept")):
-                    self._send(200, encode_f64(counts), F64_MEDIA_TYPE, counted)
-                else:
-                    self._respond(
-                        {
-                            "release": release or self.service.default_release,
-                            "counts": counts.tolist(),
-                        },
-                        headers=counted,
-                    )
+                self._answer_counts(self.service.batch_counts(patterns, release), release)
             elif self.path == "/mine":
                 threshold = _finite_number(payload.get("threshold"))
                 if threshold is None:

@@ -7,8 +7,9 @@ connection (docs/RESILIENCE.md).  These tests count the connections the
 client opens (``dpsc_client_connections_opened_total``), make the server
 hang up an idle connection, stall a reused one past the deadline, share
 one client between threads, and SIGTERM a ``dpsc serve`` process while a
-pooled connection sits idle.  They also check that ``/batch`` asks for
-raw float64 only and refuses any other answer.  Every client is closed,
+pooled connection sits idle.  They also check that ``/batch`` sends its
+patterns NUL-separated (the empty batch as JSON), asks for raw float64
+only and refuses any other answer.  Every client is closed,
 so the module runs clean under ``python -X dev`` (no unclosed-socket
 warnings).
 """
@@ -30,7 +31,7 @@ import pytest
 from repro.serving import QueryService, ReleaseStore, ServingClient, create_server
 from repro.serving.client import ServingClientError
 from repro.serving.resilience import BackoffPolicy
-from repro.serving.server import F64_MEDIA_TYPE
+from repro.serving.server import F64_MEDIA_TYPE, PATTERNS_MEDIA_TYPE
 from tests.serving.test_release_format import make_structure
 
 COUNTS = {"ab": 5.0, "ba": 3.0, "abab": 1.5}
@@ -43,6 +44,14 @@ def opened(client: ServingClient) -> int:
     return int(client.telemetry.get("dpsc_client_connections_opened_total").value)
 
 
+def batch_patterns(content_type: str | None, body: bytes) -> list[str]:
+    """The patterns of a ``/batch`` request body in either request format:
+    NUL-separated UTF-8 under ``application/x-dpsc-patterns``, else JSON."""
+    if content_type == PATTERNS_MEDIA_TYPE:
+        return body.decode("utf-8", "surrogatepass").split("\x00")
+    return json.loads(body)["patterns"]
+
+
 class _EchoHandler(BaseHTTPRequestHandler):
     """Keep-alive stub: ``POST`` answers ``{"count": float(pattern)}``.
 
@@ -50,10 +59,10 @@ class _EchoHandler(BaseHTTPRequestHandler):
     ``server.hang_up`` patterns are answered and then the connection is
     closed without ``Connection: close``, as a server reaping idle
     connections does; ``server.drop`` patterns get no answer at all.
-    ``POST /batch`` answers ``[float(pattern), ...]`` as an
-    ``application/x-dpsc-f64`` body whatever the ``Accept``, one count
-    short when ``server.batch_answer`` is ``"short"``, or as JSON
-    ``{"counts": [...]}`` when it is ``"json"``.
+    ``POST /batch``, in either request format, answers
+    ``[float(pattern), ...]`` as an ``application/x-dpsc-f64`` body
+    whatever the ``Accept``, one count short when ``server.batch_answer``
+    is ``"short"``, or as JSON ``{"counts": [...]}`` when it is ``"json"``.
     """
 
     protocol_version = "HTTP/1.1"
@@ -65,7 +74,7 @@ class _EchoHandler(BaseHTTPRequestHandler):
         server = self.server
         body = self.rfile.read(int(self.headers["Content-Length"]))
         if self.path == "/batch":
-            self._batch(json.loads(body)["patterns"])
+            self._batch(batch_patterns(self.headers["Content-Type"], body))
             return
         pattern = json.loads(body)["pattern"]
         with server.lock:
@@ -86,7 +95,9 @@ class _EchoHandler(BaseHTTPRequestHandler):
     def _batch(self, patterns: list[str]) -> None:
         server = self.server
         with server.lock:
-            server.requests.append((self.path, self.headers["Accept"]))
+            server.requests.append(
+                (self.path, self.headers["Accept"], self.headers["Content-Type"])
+            )
         counts = [float(pattern) for pattern in patterns]
         if server.batch_answer == "json":
             content_type = "application/json"
@@ -271,7 +282,11 @@ class TestBatchDecoding:
         server, url = echo_server
         with ServingClient(url) as client:
             assert client.batch(["1", "2.5", "-3"]) == [1.0, 2.5, -3.0]
-        assert server.requests == [("/batch", F64_MEDIA_TYPE)]
+            assert client.batch([]) == []
+        assert server.requests == [
+            ("/batch", F64_MEDIA_TYPE, PATTERNS_MEDIA_TYPE),
+            ("/batch", F64_MEDIA_TYPE, "application/json"),  # the empty batch
+        ]
 
     def test_an_f64_body_of_the_wrong_length_fails_after_one_attempt(self, echo_server):
         server, url = echo_server

@@ -32,9 +32,11 @@ acceptance contract:
   its deadline; a refused connection goes on to the next worker and is
   reported to the supervisor; past ``MAX_INFLIGHT``
   the router sheds with ``503 + Retry-After``, which ``ServingClient``
-  honours; and a burst of concurrent forwards leaves at most
+  honours; a burst of concurrent forwards leaves at most
   ``MAX_IDLE_PER_WORKER`` idle router connections per worker (all checked
-  against in-process stand-in workers, not spawned ones);
+  against in-process stand-in workers, not spawned ones); and a worker
+  whose every answer is a 500 is replaced once ``FAILED_ANSWERS_LIMIT``
+  of them come in a row, after which requests take no retry;
 * the supervisor's monitor writes the traceback of a failing pass to
   stderr and keeps running.
 
@@ -78,8 +80,10 @@ from repro.serving.cluster import (
     WorkerTable,
     create_router_server,
 )
+from repro.serving.cluster.workers import FAILED_ANSWERS_LIMIT
 from repro.serving.resilience import DEADLINE_HEADER, BackoffPolicy, Deadline
 from repro.serving.server import F64_MEDIA_TYPE, encode_f64
+from tests.serving.test_client_transport import batch_patterns
 from tests.serving.test_server import post_with_content_length
 
 UNIFORM = ["ab", "ba", "bb", "aa", "ba"] * 4  # one length: the uniform path
@@ -785,7 +789,8 @@ def test_an_expired_deadline_ends_the_retries_with_504(monkeypatch):
 
 
 class _BurstHandler(BaseHTTPRequestHandler):
-    """Stand-in worker ``/batch``: zeros as float64, answered only once
+    """Stand-in worker ``/batch`` (either request format): zeros as float64,
+    answered only once
     ``server.arrived`` lets it pass (a barrier: every request of a burst has
     arrived) and the test has set ``server.release``."""
 
@@ -793,10 +798,11 @@ class _BurstHandler(BaseHTTPRequestHandler):
     disable_nagle_algorithm = True
 
     def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
-        patterns = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        patterns = batch_patterns(self.headers["Content-Type"], body)
         self.server.arrived.wait(timeout=10)
         self.server.release.wait(timeout=10)
-        body = encode_f64(np.zeros(len(patterns["patterns"])))
+        body = encode_f64(np.zeros(len(patterns)))
         self.send_response(200)
         self.send_header("Content-Type", F64_MEDIA_TYPE)
         self.send_header("Content-Length", str(len(body)))
@@ -927,6 +933,104 @@ def test_the_router_sheds_past_max_inflight_and_the_client_comes_back(monkeypatc
     assert results["held_retries"] == 0
     assert results["shed_retries"] >= 1
     assert 0.25 <= results["shed_seconds"] < 5.0
+
+
+class _FailingHandler(BaseHTTPRequestHandler):
+    """Stand-in worker whose ``/healthz`` is fine and whose every ``POST``
+    is answered 500, as a worker's whose query handler fails is."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self._answer(200, {"status": "ok"})
+
+    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler API
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.posts += 1
+        self._answer(500, {"error": "internal error: every request fails"})
+
+    def _answer(self, status: int, payload: dict) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+    def log_message(self, *_args) -> None:
+        pass
+
+
+class _StandInProcess:
+    """The process of an in-process stand-in worker: alive until killed,
+    which stops its server; also the no-op control pipe of its handle."""
+
+    pid = None
+
+    def __init__(self, server: ThreadingHTTPServer) -> None:
+        self.server = server
+        self.alive = True
+
+    def is_alive(self) -> bool:
+        return self.alive
+
+    def kill(self) -> None:
+        if self.alive:
+            self.alive = False
+            self.server.shutdown()
+            self.server.server_close()
+
+    terminate = kill
+
+    def join(self, timeout: float | None = None) -> None:
+        pass
+
+    def send(self, message) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+
+def test_a_worker_that_answers_every_request_500_is_replaced(store):
+    """A worker whose process and ``/healthz`` are fine but whose every
+    answer is a 500 leaves rotation: at ``FAILED_ANSWERS_LIMIT`` 500s in a
+    row the router wakes the monitor, which kills it and spawns a
+    replacement, and later requests take no router retry."""
+    failing = ThreadingHTTPServer(("127.0.0.1", 0), _FailingHandler)
+    failing.daemon_threads = True
+    failing.posts = 0
+    threading.Thread(target=failing.serve_forever, daemon=True).start()
+    process = _StandInProcess(failing)
+    with Cluster(store, workers=1) as cluster:
+        table = cluster.table
+        stand_in = WorkerHandle(
+            "failing", table.generation, process, process, failing.server_address[1]
+        )
+        table.swap([stand_in, *table.workers()], table.generation, table.versions)
+        deadline = time.monotonic() + 30
+        while cluster.respawns < 1 and time.monotonic() < deadline:
+            assert _post(cluster.url, "/query", {"pattern": "ab"})[0] == 200
+            time.sleep(0.005)
+        assert cluster.respawns == 1
+        assert not process.alive
+        assert stand_in not in cluster.workers()
+        assert failing.posts >= FAILED_ANSWERS_LIMIT
+        retries = cluster.router.health()["retries"]
+        for _ in range(20):
+            assert _post(cluster.url, "/query", {"pattern": "ab"})[0] == 200
+        assert cluster.router.health()["retries"] == retries
+
+
+def test_a_504_neither_counts_nor_clears_the_500s_in_a_row():
+    handle = WorkerHandle("w", 1, _Running(), None, 0)
+    statuses = [500] * (FAILED_ANSWERS_LIMIT - 1)
+    assert not any(handle.note_answer(status) for status in statuses)
+    assert not handle.note_answer(504)
+    assert handle.note_answer(500)  # the limit-th 500 in a row
+    assert not handle.note_answer(200)
+    assert handle.failed_answers == 0
 
 
 #: a healthy worker's HTTP heartbeat, and a one-worker tier probed every

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
@@ -267,6 +269,75 @@ class TestBatchQueryEdgeCases:
         probes = ["", "zz", built_structure.patterns()[0], "", "a", "☃", "\x00"]
         expected = [built_structure.query(p) for p in probes]
         assert compiled.batch_query(probes).tolist() == expected
+
+
+#: pattern characters: the release's own, a miss, an astral code point and a
+#: lone surrogate (no NUL: it separates the patterns of a joined batch)
+_WALK_CHARS = st.sampled_from(["a", "b", "e", "s", "z", "\U0001F600", "\ud800"])
+_UNIFORM_BATCHES = st.integers(0, 6).flatmap(
+    lambda length: st.lists(
+        st.text(_WALK_CHARS, min_size=length, max_size=length), min_size=1, max_size=40
+    )
+)
+
+
+@pytest.fixture(scope="module")
+def walks():
+    """One built release behind the dense-table walk and the sparse one."""
+    from repro.core.database import StringDatabase
+
+    params = ConstructionParams.pure(2.0, beta=0.1, noiseless=True, threshold=1.0)
+    structure = build_private_counting_structure(
+        StringDatabase(["aaaa", "abe", "absab", "babe", "bee", "bees"]),
+        params,
+        rng=np.random.default_rng(5),
+    )
+    dense = PrivateCountingTrie.from_payload(structure.to_payload())
+    sparse = PrivateCountingTrie.from_payload(structure.to_payload())
+    sparse.DENSE_TRANSITION_LIMIT = 0
+    assert dense._transitions is not None and sparse._transitions is None
+    return dense, sparse
+
+
+class TestJoinedBatches:
+    """``batch_query_joined``, the entry a binary ``/batch`` request
+    reaches, is ``batch_query``'s walk: bit for bit the same counts, on
+    mixed-length and uniform-length lists and on both walks."""
+
+    @staticmethod
+    def check(walks, patterns: list[str]) -> None:
+        for trie in walks:
+            joined = trie.batch_query_joined("\x00".join(patterns))
+            assert joined.tobytes() == trie.batch_query(patterns).tobytes()
+
+    @given(patterns=st.lists(st.text(_WALK_CHARS, max_size=7), min_size=1, max_size=40))
+    @settings(max_examples=80, deadline=None)
+    def test_mixed_lengths(self, walks, patterns):
+        self.check(walks, patterns)
+
+    @given(patterns=_UNIFORM_BATCHES)
+    @settings(max_examples=80, deadline=None)
+    def test_uniform_lengths(self, walks, patterns):
+        self.check(walks, patterns)
+
+    def test_the_empty_text_is_one_empty_pattern(self, walks):
+        for trie in walks:
+            assert trie.batch_query_joined("").tolist() == [trie.query("")]
+
+    def test_uniform_text_takes_the_uniform_path(self, walks, monkeypatch):
+        taken = []
+        uniform = PrivateCountingTrie._batch_query_uniform
+
+        def spy(self, flat_codes, length, m, *tables):
+            taken.append((length, m))
+            return uniform(self, flat_codes, length, m, *tables)
+
+        monkeypatch.setattr(PrivateCountingTrie, "_batch_query_uniform", spy)
+        dense = walks[0]
+        dense.batch_query_joined("ab\x00be\x00zz")
+        dense.batch_query_joined("ab\x00b\x00zz")  # mixed lengths
+        dense.batch_query(["\x00b", "ab"])  # NUL inside a pattern
+        assert taken == [(2, 3)]
 
 
 class TestMiningParity:
