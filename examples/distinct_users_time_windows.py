@@ -85,7 +85,7 @@ def main() -> None:
                 f"(naive composition would be {window * EPSILON:5.1f})"
             )
 
-        total = scheduler.continual.total_epsilon
+        total = scheduler.status()["spent_epsilon"]
         print(
             f"\nafter {NUM_WINDOWS} windows: spent eps = {total:g} "
             f"= bit_length({NUM_WINDOWS}) * {EPSILON:g} — the O(log T) tree "

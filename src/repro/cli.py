@@ -386,7 +386,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     from repro import faults
     import repro.serving  # noqa: F401 - importing registers every failpoint site
     import repro.serving.cluster  # noqa: F401 - router/worker sites
-    import repro.serving.schedule  # noqa: F401 - scheduler site
 
     if args.action == "list":
         sites = sorted(faults.list_failpoints(), key=lambda site: site.name)

@@ -21,12 +21,13 @@ walk one dense transition table.
     accounting across releases of the same database, refusing builds that
     would exceed a global ``(epsilon, delta)`` cap.
 ``schedule``
-    :class:`EpochScheduler` — the continual-release loop: watch an
-    append-only :class:`~repro.api.CorpusStream`, build every epoch's
-    release under the ``O(log T)`` dyadic-tree budget schedule
-    (:class:`~repro.dp.ContinualAccountant`), charge the ledger, publish
-    the next store version and hot-reload the serving tier
-    (``dpsc epochs run/status``; see ``docs/CONTINUAL.md``).
+    :class:`EpochScheduler` — the continual-release loop: for every
+    pending epoch of an append-only :class:`~repro.api.CorpusStream`,
+    build the epoch's release under the ``O(log T)`` dyadic-tree budget
+    schedule (:class:`~repro.dp.ContinualAccountant`), charge the ledger
+    (the schedule's one record), publish the next store version and
+    hot-reload the serving tier (``dpsc epochs run/status``; see
+    ``docs/CONTINUAL.md``).
 ``server`` / ``client``
     A thread-per-connection JSON API (``/query``, ``/batch``, ``/mine``,
     ``/releases``, ``/healthz``) with request micro-batching and

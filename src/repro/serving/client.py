@@ -176,7 +176,6 @@ class ServingClient:
         retries: int = 4,
         backoff: BackoffPolicy | None = None,
         seed: int = 0,
-        endpoint_timeouts: Mapping[str, float] | None = None,
     ) -> None:
         self.base_url = base_url.rstrip("/")
         scheme, separator, rest = self.base_url.partition("://")
@@ -194,9 +193,6 @@ class ServingClient:
         self.retries = int(retries)
         self.backoff = backoff if backoff is not None else BackoffPolicy(cap=1.0)
         self.seed = seed
-        self.endpoint_timeouts = dict(
-            DEFAULT_ENDPOINT_TIMEOUTS if endpoint_timeouts is None else endpoint_timeouts
-        )
         #: per-instance registry (``metrics`` stays the server-scrape method
         #: for backwards compatibility, so the client's own counters live
         #: under ``telemetry``).
@@ -228,7 +224,7 @@ class ServingClient:
         """The total budget for one call to ``endpoint``."""
         if self.timeout is not None:
             return self.timeout
-        return self.endpoint_timeouts.get(endpoint, DEFAULT_TIMEOUT)
+        return DEFAULT_ENDPOINT_TIMEOUTS.get(endpoint, DEFAULT_TIMEOUT)
 
     @property
     def num_retries(self) -> int:

@@ -7,11 +7,11 @@ relays every request except ``GET /healthz``, ``GET /metrics`` and
 ``POST /admin/reload`` to one worker as received — method, path with query
 string, body, and only the ``Content-Type``, ``Accept`` and
 ``X-DPSC-Deadline`` headers — and writes back the worker's status,
-``Content-Type`` and body unchanged.  Workers run the exact single-process
-handler code, so every relayed answer, JSON or raw float64, success or
-error, is the single-process answer by construction.  Nothing on the relay
-path parses a body: a ``/batch`` counts its patterns from the worker's
-``X-DPSC-Patterns`` answer header.
+``Content-Type``, ``X-DPSC-Patterns`` and body unchanged.  Workers run the
+exact single-process handler code, so every relayed answer, JSON or raw
+float64, success or error, is the single-process answer by construction.
+Nothing on the relay path parses a body: a ``/batch`` counts its patterns
+from the worker's ``X-DPSC-Patterns`` answer header.
 
 Worker connections are keep-alive :class:`wire.Connection` objects and
 pooled: a forward takes an idle connection to its worker or opens one, and
@@ -356,9 +356,10 @@ class Router:
 
     def relay(
         self, method: str, target: str, body: bytes | None, headers: Mapping[str, str]
-    ) -> tuple[int, bytes, str]:
+    ) -> tuple[int, bytes, str, dict[str, str] | None]:
         """One client request, forwarded as received through
-        :meth:`forward_any`: its status, body and ``Content-Type``.
+        :meth:`forward_any`: its status, body, ``Content-Type`` and, on a
+        ``/batch`` answer, the ``X-DPSC-Patterns`` header.
 
         ``headers`` names are lowercased, as :func:`wire.read_headers`
         returns them.  Only :data:`RELAYED_HEADERS` go along.  A ``/query``,
@@ -384,12 +385,18 @@ class Router:
                 headers=forwarded,
             )
         endpoint = target.partition("?")[0][1:]
+        patterns = reply.get(_PATTERNS)
         if status == 200 and endpoint in _COUNTED:
             self._requests[endpoint].inc()
             self._latency[endpoint].observe(time.perf_counter() - started)
             if endpoint == "batch":
-                self._batch_patterns.inc(int(reply.get(_PATTERNS, 0)))
-        return status, data, reply.get("content-type", "application/json")
+                self._batch_patterns.inc(int(patterns or 0))
+        return (
+            status,
+            data,
+            reply.get("content-type", "application/json"),
+            None if patterns is None else {PATTERNS_HEADER: patterns},
+        )
 
     def health(self) -> dict:
         self._requests["healthz"].inc()

@@ -13,7 +13,7 @@ retries onto a surviving (or freshly respawned) worker and the client sees
 a complete, bit-identical response — just slower.  Liveness is checked two
 ways: ``Process.is_alive`` (catches process death instantly) and a rate-
 limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
-``heartbeat_misses`` consecutive failures).  A worker whose last
+:data:`HEARTBEAT_MISSES` consecutive failures).  A worker whose last
 :data:`~repro.serving.cluster.workers.FAILED_ANSWERS_LIMIT` relayed
 answers were all 500s is replaced too: the router wakes the monitor at
 that count, so a worker whose query handler fails every request leaves
@@ -56,6 +56,12 @@ from repro.serving.store import ReleaseStore
 
 __all__ = ["Cluster"]
 
+#: how often the monitor wakes when no router failure wakes it sooner.
+HEARTBEAT_INTERVAL = 0.25
+#: the least time between two HTTP ``/healthz`` probes of one worker.
+HTTP_HEARTBEAT_INTERVAL = 2.0
+#: consecutive failed probes after which a live worker counts as wedged.
+HEARTBEAT_MISSES = 3
 #: the socket timeout of one HTTP ``/healthz`` heartbeat.
 HEARTBEAT_TIMEOUT = 5.0
 
@@ -73,9 +79,6 @@ class Cluster:
         host: str = "127.0.0.1",
         port: int = 0,
         mmap: bool = True,
-        heartbeat_interval: float = 0.25,
-        http_heartbeat_interval: float = 2.0,
-        heartbeat_misses: int = 3,
     ) -> None:
         if workers < 1:
             raise ReproError("a cluster needs at least one worker")
@@ -84,9 +87,6 @@ class Cluster:
         self.num_workers = workers
         self.host = host
         self.requested_port = port
-        self.heartbeat_interval = heartbeat_interval
-        self.http_heartbeat_interval = http_heartbeat_interval
-        self.heartbeat_misses = heartbeat_misses
         self._pool = WorkerPool(self.store.root, mmap=mmap)
         self.table = WorkerTable()
         self.router = Router(self.table)
@@ -165,7 +165,7 @@ class Cluster:
 
     def _monitor(self) -> None:
         while not self._stopping.is_set():
-            self._wake.wait(timeout=self.heartbeat_interval)
+            self._wake.wait(timeout=HEARTBEAT_INTERVAL)
             self._wake.clear()
             if self._stopping.is_set():
                 return
@@ -189,14 +189,14 @@ class Cluster:
                 self._respawn(worker)
                 continue
             last = self._last_probe.get(worker.worker_id, 0.0)
-            if now - last < self.http_heartbeat_interval:
+            if now - last < HTTP_HEARTBEAT_INTERVAL:
                 continue
             self._last_probe[worker.worker_id] = now
             if worker.heartbeat(timeout=HEARTBEAT_TIMEOUT):
                 worker.missed_heartbeats = 0
             else:
                 worker.missed_heartbeats += 1
-                if worker.missed_heartbeats >= self.heartbeat_misses:
+                if worker.missed_heartbeats >= HEARTBEAT_MISSES:
                     # alive but wedged: reclaim the slot the hard way
                     worker.kill()
                     self._respawn(worker)

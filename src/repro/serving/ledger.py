@@ -16,12 +16,12 @@ restarts.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -55,15 +55,13 @@ class BudgetLedger:
     path:
         Optional JSON file the ledger loads on construction and rewrites
         after every charge, so accounting is durable across curator runs.
-    audit_path:
-        Optional JSON-lines file receiving one append-only record per
-        accounting *event* — every successful charge, every refusal, every
-        published release version (:meth:`record_release`) — with
-        timestamp, curator pid and the running totals at that moment.
-        Defaults to ``<path stem>.audit.jsonl`` next to ``path`` when the
-        ledger is persistent, and to no audit log for in-memory ledgers.
-        The audit log is the *who-did-what-when* trail; ``path`` stays the
-        authoritative record of the balances themselves.
+        A persistent ledger also appends one record per accounting *event*
+        — every successful charge, every refusal, every published release
+        version (:meth:`record_release`) — with timestamp, curator pid and
+        the running totals at that moment to ``<path stem>.audit.jsonl``
+        next to ``path`` (:attr:`audit_path`); in-memory ledgers keep no
+        trail.  The audit log is the *who-did-what-when* trail; ``path``
+        stays the authoritative record of the balances themselves.
 
     Durability and concurrency
     --------------------------
@@ -78,28 +76,21 @@ class BudgetLedger:
     and double-spend the cap.
     """
 
-    def __init__(
-        self,
-        cap: PrivacyBudget,
-        path: str | Path | None = None,
-        *,
-        audit_path: str | Path | None = None,
-    ) -> None:
+    def __init__(self, cap: PrivacyBudget, path: str | Path | None = None) -> None:
         self.cap = cap
         self._path = Path(path) if path is not None else None
-        if audit_path is not None:
-            self._audit_path: Path | None = Path(audit_path)
-        elif self._path is not None:
-            self._audit_path = self._path.with_name(self._path.stem + ".audit.jsonl")
-        else:
-            self._audit_path = None
+        self._audit_path = (
+            self._path.with_name(self._path.stem + ".audit.jsonl")
+            if self._path is not None
+            else None
+        )
         self._accountants: dict[str, PrivacyAccountant] = {}
         self._epochs: dict[str, list[dict]] = {}
         self._lock = threading.Lock()
         self._file_lock = (
             FileLock(self._path.with_name(self._path.name + ".lock"))
             if self._path is not None
-            else None
+            else contextlib.nullcontext()
         )
         self._signature: tuple[int, int] | None = None
         if self._path is not None and self._path.exists():
@@ -134,12 +125,9 @@ class BudgetLedger:
         """Would charging ``budget`` stay within the cap?"""
         with self._lock:
             self._refresh_if_stale()
-            return self._can_afford(database_id, budget)
+            return self._can_afford(database_id, budget.epsilon, budget.delta)
 
-    def _can_afford(self, database_id: str, budget: PrivacyBudget) -> bool:
-        return self._can_afford_raw(database_id, budget.epsilon, budget.delta)
-
-    def _can_afford_raw(self, database_id: str, epsilon: float, delta: float) -> bool:
+    def _can_afford(self, database_id: str, epsilon: float, delta: float) -> bool:
         """Affordability over raw floats — epoch charges may be exactly zero
         (non-power-of-two epochs of the tree schedule), which
         :class:`PrivacyBudget` cannot represent."""
@@ -161,35 +149,7 @@ class BudgetLedger:
         the advisory file lock, against freshly re-read accounting whenever
         another process changed the file since we last saw it.
         """
-        with self._lock:
-            if self._file_lock is None:
-                self._charge_locked(database_id, budget, label)
-                return
-            with self._file_lock:
-                self._refresh_if_stale()
-                self._charge_locked(database_id, budget, label)
-
-    def _charge_locked(
-        self, database_id: str, budget: PrivacyBudget, label: str
-    ) -> None:
-        if not self._can_afford(database_id, budget):
-            accountant = self._accountant(database_id)
-            self._audit("refusal", database_id, label=label, budget=budget)
-            raise BudgetExceededError(
-                f"charging ({budget.epsilon:g}, {budget.delta:g}) to "
-                f"{database_id!r} would exceed the global cap "
-                f"({self.cap.epsilon:g}, {self.cap.delta:g}); already spent "
-                f"({accountant.total_epsilon:g}, {accountant.total_delta:g})",
-                requested=(budget.epsilon, budget.delta),
-                spent=(accountant.total_epsilon, accountant.total_delta),
-                cap=(self.cap.epsilon, self.cap.delta),
-            )
-        self._accountant(database_id).spend(label, budget.epsilon, budget.delta)
-        # Audit before the balance save: if the curator dies between the
-        # two, the trail shows a charge the ledger never booked (a visible,
-        # privacy-safe over-report), never a booked charge with no trail.
-        self._audit("charge", database_id, label=label, budget=budget)
-        self._save()
+        self._book(database_id, budget.epsilon, budget.delta, label)
 
     def entries(self, database_id: str | None = None) -> list[tuple[str, CompositionRecord]]:
         """``(database_id, record)`` pairs, optionally for one database."""
@@ -217,50 +177,67 @@ class BudgetLedger:
         those epochs still get a durable ledger entry and an audit record,
         so the trail shows every release, not just the charged ones.
         Epochs must arrive in order (1, 2, 3, ...) per database; the charge
-        runs under the same in-process + advisory-file locking and
-        atomic-save discipline as :meth:`charge`, so a crash mid-epoch can
-        never lose or double-book accounting.
+        runs through the same locked, atomic step as :meth:`charge`, so a
+        crash mid-epoch can never lose or double-book accounting.
         """
-        with self._lock:
-            if self._file_lock is None:
-                self._charge_epoch_locked(database_id, epoch, epsilon, delta, label)
-                return
-            with self._file_lock:
-                self._refresh_if_stale()
-                self._charge_epoch_locked(database_id, epoch, epsilon, delta, label)
-
-    def _charge_epoch_locked(
-        self, database_id: str, epoch: int, epsilon: float, delta: float, label: str
-    ) -> None:
         if epsilon < 0 or delta < 0:
             raise PrivacyParameterError("cannot charge a negative epoch budget")
-        recorded = self._epochs.setdefault(database_id, [])
-        expected = len(recorded) + 1
-        if epoch != expected:
-            raise PrivacyParameterError(
-                f"epochs must be charged in order for {database_id!r}: "
-                f"expected epoch {expected}, got {epoch}"
-            )
-        detail = {"epoch": epoch, "epsilon": epsilon, "delta": delta}
-        if not self._can_afford_raw(database_id, epsilon, delta):
+        self._book(database_id, epsilon, delta, label, epoch)
+
+    def _book(
+        self,
+        database_id: str,
+        epsilon: float,
+        delta: float,
+        label: str,
+        epoch: int | None = None,
+    ) -> None:
+        """The one check-refuse-spend-audit-save step behind :meth:`charge`
+        and (with ``epoch``) :meth:`charge_epoch`, under the in-process lock
+        and, for a persistent ledger, the advisory file lock."""
+        with self._lock, self._file_lock:
+            self._refresh_if_stale()
+            amount = {"epsilon": epsilon, "delta": delta}
+            if epoch is not None:
+                recorded = self._epochs.setdefault(database_id, [])
+                expected = len(recorded) + 1
+                if epoch != expected:
+                    raise PrivacyParameterError(
+                        f"epochs must be charged in order for {database_id!r}: "
+                        f"expected epoch {expected}, got {epoch}"
+                    )
+                amount = {"epoch": epoch, **amount}
             accountant = self._accountant(database_id)
-            self._audit("refusal", database_id, label=label, extra=detail)
-            raise BudgetExceededError(
-                f"charging epoch {epoch} ({epsilon:g}, {delta:g}) to "
-                f"{database_id!r} would exceed the global cap "
-                f"({self.cap.epsilon:g}, {self.cap.delta:g}); already spent "
-                f"({accountant.total_epsilon:g}, {accountant.total_delta:g})",
-                requested=(epsilon, delta),
-                spent=(accountant.total_epsilon, accountant.total_delta),
-                cap=(self.cap.epsilon, self.cap.delta),
-            )
-        self._accountant(database_id).spend(label, epsilon, delta)
-        recorded.append({**detail, "label": label})
-        # Same invariant as charge(): audit before the balance save, so a
-        # crash in between over-reports (a charge with no booked balance)
-        # instead of under-reporting.
-        self._audit("charge_epoch", database_id, label=label, extra=detail)
-        self._save()
+            if not self._can_afford(database_id, epsilon, delta):
+                self._audit("refusal", database_id, label=label, extra=amount)
+                what = "" if epoch is None else f"epoch {epoch} "
+                raise BudgetExceededError(
+                    f"charging {what}({epsilon:g}, {delta:g}) to "
+                    f"{database_id!r} would exceed the global cap "
+                    f"({self.cap.epsilon:g}, {self.cap.delta:g}); already spent "
+                    f"({accountant.total_epsilon:g}, {accountant.total_delta:g})",
+                    requested=(epsilon, delta),
+                    spent=(accountant.total_epsilon, accountant.total_delta),
+                    cap=(self.cap.epsilon, self.cap.delta),
+                )
+            accountant.spend(label, epsilon, delta)
+            if epoch is not None:
+                recorded.append({**amount, "label": label})
+            # Audit before the balance save: if the curator dies between the
+            # two, the trail shows a charge the ledger never booked (a
+            # visible, privacy-safe over-report), never a booked charge with
+            # no trail.
+            event = "charge" if epoch is None else "charge_epoch"
+            try:
+                self._audit(event, database_id, label=label, extra=amount)
+                self._save()
+            except BaseException:
+                # A charge the file does not hold is not booked in memory
+                # either, so this handle and a reopened one agree on it.
+                accountant.records.pop()
+                if epoch is not None:
+                    recorded.pop()
+                raise
 
     def epoch_entries(self, database_id: str | None = None) -> list[dict]:
         """The durable per-epoch records, in charge order.
@@ -310,7 +287,6 @@ class BudgetLedger:
         database_id: str,
         *,
         label: str | None = None,
-        budget: PrivacyBudget | None = None,
         extra: dict | None = None,
     ) -> None:
         """Append one audit record; called with the ledger lock held."""
@@ -329,9 +305,6 @@ class BudgetLedger:
         }
         if label is not None:
             record["label"] = label
-        if budget is not None:
-            record["epsilon"] = budget.epsilon
-            record["delta"] = budget.delta
         if extra:
             record.update(extra)
         append_jsonl(self._audit_path, record)
@@ -482,21 +455,17 @@ def build_release(
     rng: np.random.Generator | None = None,
     kind: str = "heavy-path",
     registry=None,
-    builder: Callable[..., PrivateCountingTrie] | None = None,
     store=None,
-    release_name: str | None = None,
     release_format: str | None = None,
     **build_kwargs,
 ) -> PrivateCountingTrie:
     """Build a private structure only if the ledger authorizes its budget.
 
     The construction is dispatched through the :mod:`repro.api` structure
-    registry: ``kind`` names any registered structure kind and
-    ``build_kwargs`` are forwarded to its builder (e.g. ``q=4`` for the
-    q-gram kinds), so every kind — including ones registered by downstream
-    scenarios — gets ledger-guarded releases.  ``builder`` bypasses the
-    registry with an explicit callable (kept for ablations and older
-    callers).
+    registry (``registry``, default the process-wide one): ``kind`` names
+    any registered structure kind and ``build_kwargs`` are forwarded to its
+    builder (e.g. ``q=4`` for the q-gram kinds), so every kind — including
+    ones registered by downstream scenarios — gets ledger-guarded releases.
 
     The affordability check runs *before* the construction, so a refused
     build never touches the sensitive database; the charge is recorded only
@@ -505,10 +474,10 @@ def build_release(
     decision is itself privately computed).
 
     When ``store`` (a :class:`repro.serving.ReleaseStore`) is given, the
-    built structure is additionally saved as the next version of
-    ``release_name`` (default: ``database_id``) in ``release_format``
-    (``"json"`` / ``"binary"`` / ``None`` for the store default) and the
-    publication — version, digest *and* payload format — is audited via
+    built structure is additionally saved as the next version of the
+    release named ``database_id`` in ``release_format`` (``"json"`` /
+    ``"binary"`` / ``None`` for the store default) and the publication —
+    version, digest *and* payload format — is audited via
     :meth:`BudgetLedger.record_release`, so build + persist + audit is one
     atomic-enough step for CLI and api callers.
     """
@@ -516,23 +485,16 @@ def build_release(
     if not ledger.can_afford(database_id, budget):
         # Re-raise through charge() for the detailed error message.
         ledger.charge(database_id, budget, label)
-    if builder is not None:
-        structure = builder(database, params, rng=rng, **build_kwargs)
-    else:
-        if registry is None:
-            # Imported lazily: repro.api sits above serving in the layer
-            # diagram, so the ledger only reaches for it at call time.
-            from repro.api.registry import default_registry
+    if registry is None:
+        # Imported lazily: repro.api sits above serving in the layer
+        # diagram, so the ledger only reaches for it at call time.
+        from repro.api.registry import default_registry
 
-            registry = default_registry()
-        structure = registry.build(
-            kind, database, params, rng=rng, **build_kwargs
-        )
+        registry = default_registry()
+    structure = registry.build(kind, database, params, rng=rng, **build_kwargs)
     ledger.charge(database_id, budget, label)
     if store is not None:
-        record = store.save(
-            release_name or database_id, structure, format=release_format
-        )
+        record = store.save(database_id, structure, format=release_format)
         ledger.record_release(
             database_id,
             version=record.version,

@@ -51,8 +51,11 @@ __all__ = [
 #: inherited locks, and identical behaviour across platforms).
 _SPAWN = multiprocessing.get_context("spawn")
 
-#: default traffic mix: (query, batch, mine, healthz) probabilities.
-DEFAULT_MIX = (0.62, 0.25, 0.03, 0.10)
+#: the traffic mix: (query, batch, mine, healthz) probabilities.
+MIX = (0.62, 0.25, 0.03, 0.10)
+#: how long a client process may take to start, and to replay its slice.
+SPAWN_TIMEOUT = 120.0
+RUN_TIMEOUT = 600.0
 
 
 class LoadTestError(ReproError):
@@ -134,7 +137,6 @@ def generate_workload(
     num_operations: int,
     *,
     seed: int = 0,
-    mix: Sequence[float] = DEFAULT_MIX,
     max_batch: int = 64,
     releases: Sequence[str] | None = None,
 ) -> list[Operation]:
@@ -142,9 +144,10 @@ def generate_workload(
 
     Patterns are drawn from each release's stored patterns (the traffic
     analysts actually send), their prefixes/extensions, and misses, so both
-    the stored-count and the dead-state paths get exercised.  The same
-    ``(service releases, num_operations, seed, mix)`` always produce the
-    same workload — the determinism the bit-identical check rests on.
+    the stored-count and the dead-state paths get exercised, in the
+    proportions of :data:`MIX`.  The same ``(service releases,
+    num_operations, seed)`` always produce the same workload — the
+    determinism the bit-identical check rests on.
     """
     rng = np.random.default_rng(seed)
     names = sorted(releases) if releases else _release_names(service)
@@ -156,7 +159,7 @@ def generate_workload(
         pool += [p + p[0] for p in stored[:64]]
         pool += ["", "\x00", "zzz-miss", "…"]
         pools[name] = pool
-    probabilities = np.asarray(mix, dtype=float)
+    probabilities = np.asarray(MIX, dtype=float)
     probabilities = probabilities / probabilities.sum()
     kinds = ("query", "batch", "mine", "healthz")
     operations: list[Operation] = []
@@ -318,29 +321,57 @@ def run_load_test(
     seconds = time.perf_counter() - started
     after = _health(target) if verify_counters else None
 
+    return _result(
+        workload,
+        expected,
+        results,
+        errors,
+        [sample for thread_samples in samples for sample in thread_samples],
+        seconds,
+        before,
+        after,
+        check=check,
+        replay=f"concurrent replay with {threads} threads",
+        threads=threads,
+    )
+
+
+def _result(
+    workload: list[Operation],
+    expected: list[object],
+    results: list[object],
+    errors: list[str],
+    samples: list[tuple[str, float]],
+    seconds: float,
+    before: dict | None,
+    after: dict | None,
+    *,
+    check: bool,
+    replay: str,
+    threads: int = 0,
+    processes: int = 0,
+) -> LoadTestResult:
+    """Judge one concurrent ``replay`` against the serial one: mismatches,
+    ``/healthz`` counter deltas (unless ``before`` is ``None``: counters not
+    verified) and per-kind latency histograms; with ``check`` a divergence
+    raises :class:`LoadTestError`."""
     mismatches = [
         index
         for index in range(len(workload))
         if workload[index].kind != "healthz" and results[index] != expected[index]
     ]
     deltas = expected_counter_deltas(workload)
-    counters_consistent = True
-    if verify_counters:
-        counters_consistent = all(
-            after[key] - before[key] == deltas[key] for key in deltas
-        )
+    counters_consistent = before is None or all(
+        after[key] - before[key] == deltas[key] for key in deltas
+    )
     # ungated histograms: the load test *is* the measurement, so it records
     # regardless of the global telemetry switch.
     histograms: dict[str, Histogram] = {}
-    for thread_samples in samples:
-        for kind, latency in thread_samples:
-            histogram = histograms.get(kind)
-            if histogram is None:
-                histogram = histograms[kind] = Histogram(gated=False)
-            histogram.observe(latency)
-    percentiles = {
-        kind: histogram.percentiles() for kind, histogram in histograms.items()
-    }
+    for kind, latency in samples:
+        histogram = histograms.get(kind)
+        if histogram is None:
+            histogram = histograms[kind] = Histogram(gated=False)
+        histogram.observe(latency)
     result = LoadTestResult(
         threads=threads,
         operations=len(workload),
@@ -353,7 +384,10 @@ def run_load_test(
         mismatches=mismatches,
         errors=errors,
         counters_consistent=counters_consistent,
-        percentiles=percentiles,
+        processes=processes,
+        percentiles={
+            kind: histogram.percentiles() for kind, histogram in histograms.items()
+        },
     )
     if check and not (result.bit_identical and result.counters_consistent):
         detail = "; ".join(errors[:3]) or (
@@ -362,9 +396,8 @@ def run_load_test(
             else "health counters drifted from the workload totals"
         )
         raise LoadTestError(
-            f"concurrent replay with {threads} threads diverged from the "
-            f"serial replay ({len(mismatches)} mismatches, "
-            f"{len(errors)} errors): {detail}"
+            f"{replay} diverged from the serial replay ({len(mismatches)} "
+            f"mismatches, {len(errors)} errors): {detail}"
         )
     return result
 
@@ -412,8 +445,6 @@ def run_load_test_processes(
     expected: Sequence[object] | None = None,
     check: bool = False,
     verify_counters: bool = True,
-    spawn_timeout: float = 120.0,
-    run_timeout: float = 600.0,
 ) -> LoadTestResult:
     """Replay ``workload`` from ``processes`` spawned *client processes*.
 
@@ -457,9 +488,9 @@ def run_load_test_processes(
             child_conn.close()
             members.append((process, parent_conn))
         for offset, (process, parent_conn) in enumerate(members):
-            if not parent_conn.poll(spawn_timeout):
+            if not parent_conn.poll(SPAWN_TIMEOUT):
                 raise LoadTestError(
-                    f"client process {offset} not ready within {spawn_timeout:.0f}s"
+                    f"client process {offset} not ready within {SPAWN_TIMEOUT:.0f}s"
                 )
             parent_conn.recv()  # "ready"
 
@@ -470,10 +501,10 @@ def run_load_test_processes(
         errors: list[str] = []
         samples: list[tuple[str, float]] = []
         for offset, (process, parent_conn) in enumerate(members):
-            if not parent_conn.poll(run_timeout):
+            if not parent_conn.poll(RUN_TIMEOUT):
                 raise LoadTestError(
                     f"client process {offset} produced no results within "
-                    f"{run_timeout:.0f}s"
+                    f"{RUN_TIMEOUT:.0f}s"
                 )
             indices, outcomes, member_samples, member_errors = parent_conn.recv()
             for index, outcome in zip(indices, outcomes):
@@ -494,49 +525,16 @@ def run_load_test_processes(
             except OSError:  # pragma: no cover
                 pass
 
-    mismatches = [
-        index
-        for index in range(len(workload))
-        if workload[index].kind != "healthz" and results[index] != expected[index]
-    ]
-    deltas = expected_counter_deltas(workload)
-    counters_consistent = True
-    if verify_counters:
-        counters_consistent = all(
-            after[key] - before[key] == deltas[key] for key in deltas
-        )
-    histograms: dict[str, Histogram] = {}
-    for kind, latency in samples:
-        histogram = histograms.get(kind)
-        if histogram is None:
-            histogram = histograms[kind] = Histogram(gated=False)
-        histogram.observe(latency)
-    result = LoadTestResult(
-        threads=0,
-        operations=len(workload),
-        seconds=seconds,
-        num_queries=deltas["queries"],
-        num_batches=deltas["batches"],
-        num_batch_patterns=deltas["batch_patterns"],
-        num_mines=deltas["mines"],
-        num_healthz=sum(1 for op in workload if op.kind == "healthz"),
-        mismatches=mismatches,
-        errors=errors,
-        counters_consistent=counters_consistent,
-        percentiles={
-            kind: histogram.percentiles() for kind, histogram in histograms.items()
-        },
+    return _result(
+        workload,
+        expected,
+        results,
+        errors,
+        samples,
+        seconds,
+        before,
+        after,
+        check=check,
+        replay=f"multi-process replay with {processes} clients",
         processes=processes,
     )
-    if check and not (result.bit_identical and result.counters_consistent):
-        detail = "; ".join(errors[:3]) or (
-            f"ops {mismatches[:10]} diverged"
-            if mismatches
-            else "health counters drifted from the workload totals"
-        )
-        raise LoadTestError(
-            f"multi-process replay with {processes} clients diverged from "
-            f"the serial replay ({len(mismatches)} mismatches, "
-            f"{len(errors)} errors): {detail}"
-        )
-    return result

@@ -734,7 +734,7 @@ class _Handler(JSONHandler):
             except UnicodeDecodeError:
                 self._error("request body is not valid UTF-8", 400)
                 return
-            payload = {"release": parse_qs(query).get("release", [None])[0]}
+            payload = {}
         else:
             try:
                 payload = json.loads(self.body.decode("utf-8")) if self.body else {}
@@ -749,11 +749,14 @@ class _Handler(JSONHandler):
         if self._refuse_or_inject():
             return
         release = payload.get("release")
-        if release is not None and not isinstance(release, str):
+        if release is None and query:
+            # a body that names no release takes the query string's
+            release = parse_qs(query).get("release", [None])[0]
+        elif release is not None and not isinstance(release, str):
             self._error("'release' must be a string or null", 400)
             return
         try:
-            if self.path == "/query":
+            if path == "/query":
                 pattern = payload.get("pattern")
                 if not isinstance(pattern, str):
                     self._error("'pattern' must be a string", 400)
@@ -769,7 +772,7 @@ class _Handler(JSONHandler):
                 self._answer_counts(
                     self.service.batch_joined_counts(joined, release), release
                 )
-            elif self.path == "/batch":
+            elif path == "/batch":
                 patterns = payload.get("patterns")
                 if not isinstance(patterns, list) or not all(
                     isinstance(p, str) for p in patterns
@@ -777,7 +780,7 @@ class _Handler(JSONHandler):
                     self._error("'patterns' must be a list of strings", 400)
                     return
                 self._answer_counts(self.service.batch_counts(patterns, release), release)
-            elif self.path == "/mine":
+            elif path == "/mine":
                 threshold = _finite_number(payload.get("threshold"))
                 if threshold is None:
                     self._error("'threshold' must be a finite number", 400)
@@ -809,7 +812,7 @@ class _Handler(JSONHandler):
                     }
                 )
             else:
-                self._error(f"unknown path {self.path!r}", 404)
+                self._error(f"unknown path {path!r}", 404)
         except ReleaseNotFoundError as error:
             self._error(str(error), 404)
         except ReproError as error:

@@ -41,7 +41,6 @@ class TestRegistration:
     def test_serving_sites_register_on_import(self):
         import repro.serving  # noqa: F401
         import repro.serving.cluster  # noqa: F401
-        import repro.serving.schedule  # noqa: F401
 
         names = {point.name for point in faults.list_failpoints()}
         assert {
@@ -50,7 +49,6 @@ class TestRegistration:
             "binfmt.read",
             "worker.handle",
             "router.relay",
-            "schedule.epoch_build",
         } <= names
 
     def test_disarmed_hit_is_a_no_op(self):

@@ -35,6 +35,45 @@ class TestAuditSemantics:
         assert ledger.audit_path is None
         assert ledger.audit_entries() == []
 
+    @pytest.mark.parametrize(
+        ("method", "keys"),
+        [
+            ("charge", ["epsilon", "delta"]),
+            ("charge_epoch", ["epoch", "epsilon", "delta"]),
+        ],
+    )
+    def test_a_refusal_leaves_the_ledger_file_and_appends_one_record(
+        self, ledger, tmp_path, method, keys
+    ):
+        def charge(epoch: int) -> None:
+            if method == "charge":
+                ledger.charge("db", PrivacyBudget(3.0, 1e-6), "greedy")
+            else:
+                ledger.charge_epoch("db", epoch, 3.0, 1e-6, label="greedy")
+
+        charge(1)
+        path = tmp_path / "ledger.json"
+        before = path.read_bytes()
+        trail = ledger.audit_entries()
+        with pytest.raises(BudgetExceededError):
+            charge(2)
+        assert path.read_bytes() == before
+        after = ledger.audit_entries()
+        assert after[:-1] == trail
+        assert after[-1]["event"] == "refusal"
+        assert list(after[-1]) == [
+            "ts",
+            "pid",
+            "event",
+            "database_id",
+            "spent_epsilon",
+            "spent_delta",
+            "cap_epsilon",
+            "cap_delta",
+            "label",
+            *keys,
+        ]
+
     def test_every_charge_is_recorded_with_running_totals(self, ledger):
         ledger.charge("db", PrivacyBudget(1.0, 1e-6), "first")
         ledger.charge("db", PrivacyBudget(2.0, 1e-6), "second")

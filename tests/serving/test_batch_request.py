@@ -10,8 +10,11 @@ The property: on ``dpsc serve`` and through the router (relaying to it),
 with ``release=`` set and unset, ``client.batch(ps)`` is the release's
 ``batch_query(ps)`` for lists of empty patterns, astral code points, lone
 surrogates and NUL-containing patterns, and for the empty batch.  Raw
-requests on both servers: a body that is not UTF-8 is a JSON 400, an
-unknown ``?release=`` a 404, and a declared body over ``MAX_BODY`` a 413.
+requests on both servers: a binary batch answers with its pattern count in
+``X-DPSC-Patterns``, a body that is not UTF-8 is a JSON 400, an unknown
+``?release=`` a 404, and a declared body over ``MAX_BODY`` a 413.  A JSON
+``POST`` routes on its path alone, and takes its release from the query
+string when its body names none.
 On ``dpsc serve``, a binary request counts, times, refuses an expired
 deadline and hits the ``worker.handle`` failpoint as a JSON one does.
 """
@@ -29,9 +32,9 @@ from repro import faults
 from repro.serving import QueryService, ServingClient, create_server, wire
 from repro.serving.cluster import Router, WorkerHandle, WorkerTable, create_router_server
 from repro.serving.resilience import DEADLINE_HEADER
-from repro.serving.server import PATTERNS_MEDIA_TYPE, encode_patterns
+from repro.serving.server import PATTERNS_HEADER, PATTERNS_MEDIA_TYPE, encode_patterns
 from tests.serving.test_release_format import make_structure
-from tests.serving.test_wire import _Running, until_closed
+from tests.serving.test_wire import _Running, post, until_closed
 
 RELEASES = {
     "demo": {"": 9.0, "a": 4.0, "ab": 5.0, "ba": 3.0, "abab": 1.5, "b\U0001F600": 2.5},
@@ -131,8 +134,32 @@ def binary_batch(target: str, body: bytes, *headers: str) -> bytes:
 def test_a_binary_batch_answers_json_counts(address, releases):
     [(line, headers, body)] = until_closed(address, binary_batch("/batch?release=other", b"ab\x00b\x00"))
     assert (line, headers["Content-Type"]) == ("HTTP/1.1 200 OK", "application/json")
+    assert headers[PATTERNS_HEADER] == "3"
     expected = releases["other"].batch_query(["ab", "b", ""]).tolist()
     assert json.loads(body) == {"release": "other", "counts": expected}
+
+
+@pytest.mark.parametrize(
+    ("target", "payload", "release"),
+    [
+        ("/query?release=other", {"pattern": "ab"}, "other"),
+        ("/query?release=other", {"pattern": "ab", "release": "demo"}, "demo"),
+        ("/batch?release=other", {"patterns": ["ab", "b", ""]}, "other"),
+        ("/mine?x=1", {"threshold": 2.0}, "demo"),
+    ],
+)
+def test_a_json_post_routes_on_its_path(address, target, payload, release):
+    """A JSON ``POST`` with a query string answers as the same request with
+    the release in its body: the body's ``release`` wins, else the query
+    string's."""
+    path = target.partition("?")[0]
+    [(line, _, body)] = until_closed(address, post(target, payload, "Connection: close"))
+    [(_, _, same)] = until_closed(
+        address, post(path, {**payload, "release": release}, "Connection: close")
+    )
+    assert line == "HTTP/1.1 200 OK"
+    assert json.loads(body) == json.loads(same)
+    assert json.loads(body)["release"] == release
 
 
 def test_a_body_that_is_not_utf8_is_a_json_400(address):

@@ -357,9 +357,12 @@ class TestHealthAndMetrics:
 
 
 class TestWorkerCrash:
-    def test_kill9_mid_batch_is_invisible_and_respawned(self, store, reference):
+    def test_kill9_mid_batch_is_invisible_and_respawned(
+        self, store, reference, monkeypatch
+    ):
         expected = reference.batch(UNIFORM)
-        with Cluster(store, workers=2, heartbeat_interval=0.1) as cluster:
+        monkeypatch.setattr("repro.serving.cluster.supervisor.HEARTBEAT_INTERVAL", 0.1)
+        with Cluster(store, workers=2) as cluster:
             client = ServingClient(cluster.url, timeout=60)
             mismatches: list[int] = []
             errors: list[str] = []
@@ -1038,7 +1041,7 @@ def test_a_504_neither_counts_nor_clears_the_500s_in_a_row():
 _PROXIED_HEARTBEAT = """
 import sys, threading, time
 from repro.serving import Cluster, QueryService, ReleaseStore, create_server
-from repro.serving.cluster import WorkerHandle
+from repro.serving.cluster import WorkerHandle, supervisor
 
 class Running:
     pid = None
@@ -1051,7 +1054,8 @@ service = QueryService.from_store(store, micro_batch=False)
 server = create_server(service)
 threading.Thread(target=server.serve_forever, daemon=True).start()
 probe = WorkerHandle("w0", 1, Running(), None, server.server_address[1]).heartbeat()
-with Cluster(store, workers=1, http_heartbeat_interval=0.2, heartbeat_misses=2) as cluster:
+supervisor.HTTP_HEARTBEAT_INTERVAL, supervisor.HEARTBEAT_MISSES = 0.2, 2
+with Cluster(store, workers=1) as cluster:
     time.sleep(1.5)
     respawns = cluster.respawns
 print(probe, respawns)
@@ -1076,10 +1080,13 @@ def test_an_http_proxy_does_not_fail_healthy_heartbeats(store):
     assert result.stdout.split() == [b"True", b"0"]
 
 
-def test_the_monitor_reports_a_failing_pass_and_keeps_running(store, capfd):
+def test_the_monitor_reports_a_failing_pass_and_keeps_running(
+    store, capfd, monkeypatch
+):
     """A pass of the supervisor's monitor that raises leaves its traceback
     on stderr, and the next pass still runs.  No worker is spawned."""
-    cluster = Cluster(store, workers=1, heartbeat_interval=0.01)
+    monkeypatch.setattr("repro.serving.cluster.supervisor.HEARTBEAT_INTERVAL", 0.01)
+    cluster = Cluster(store, workers=1)
     passes: list[int] = []
     second = threading.Event()
 

@@ -154,6 +154,27 @@ class TestEpochCrashSafety:
         ]
         assert ("charge_epoch", 2) in events
 
+    def test_a_failed_save_books_nothing_in_memory_either(self, tmp_path, monkeypatch):
+        path = tmp_path / "ledger.json"
+        ledger = BudgetLedger(PrivacyBudget(10.0), path=path)
+        ledger.charge_epoch("db", 1, 4.0)
+
+        def failing_replace(src, dst):
+            raise OSError("simulated failed atomic replace")
+
+        monkeypatch.setattr(fsio.os, "replace", failing_replace)
+        with pytest.raises(OSError):
+            ledger.charge_epoch("db", 2, 1.0)
+        monkeypatch.undo()
+        # The handle agrees with the file: epoch 2 is still to be charged...
+        assert ledger.next_epoch("db") == 2
+        assert ledger.spent("db").epsilon == pytest.approx(4.0)
+        # ...and the same handle books it once the disk takes the write.
+        ledger.charge_epoch("db", 2, 1.0)
+        reopened = BudgetLedger(PrivacyBudget(10.0), path=path)
+        assert [entry["epoch"] for entry in reopened.epoch_entries("db")] == [1, 2]
+        assert reopened.spent("db").epsilon == pytest.approx(5.0)
+
     def test_schedule_resumes_cleanly_after_crash(self, tmp_path, monkeypatch):
         path = tmp_path / "ledger.json"
         ledger = BudgetLedger(PrivacyBudget(10.0), path=path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import StructureRegistry
 from repro.core.params import ConstructionParams
 from repro.dp.composition import PrivacyBudget
 from repro.exceptions import BudgetExceededError
@@ -177,6 +178,8 @@ class TestGuardedBuild:
 
             return build_private_counting_structure(database, build_params, rng=rng)
 
+        registry = StructureRegistry()
+        registry.register("counting", counting_builder)
         for _ in range(2):
             build_release(
                 example_db,
@@ -184,7 +187,8 @@ class TestGuardedBuild:
                 ledger=ledger,
                 database_id="example",
                 rng=np.random.default_rng(0),
-                builder=counting_builder,
+                kind="counting",
+                registry=registry,
             )
         assert calls == ["built", "built"]
         # Third build would compose to epsilon = 6 > 5: refused *before*
@@ -196,7 +200,8 @@ class TestGuardedBuild:
                 ledger=ledger,
                 database_id="example",
                 rng=np.random.default_rng(0),
-                builder=counting_builder,
+                kind="counting",
+                registry=registry,
             )
         assert calls == ["built", "built"]
         assert ledger.spent("example").epsilon == pytest.approx(4.0)
@@ -208,12 +213,15 @@ class TestGuardedBuild:
         def exploding_builder(database, build_params, rng=None):
             raise RuntimeError("construction crashed")
 
+        registry = StructureRegistry()
+        registry.register("exploding", exploding_builder)
         with pytest.raises(RuntimeError):
             build_release(
                 example_db,
                 params,
                 ledger=ledger,
                 database_id="example",
-                builder=exploding_builder,
+                kind="exploding",
+                registry=registry,
             )
         assert ledger.spent("example").epsilon == pytest.approx(0.0, abs=1e-9)

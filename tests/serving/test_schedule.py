@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import pytest
 
+import repro.serving._fsio as fsio
 from repro.api import CorpusStream
 from repro.core.params import ConstructionParams
 from repro.dp.composition import PrivacyBudget
@@ -183,3 +184,61 @@ class TestResume:
         )
         resumed = [release.digest for release in second.run_pending()]
         assert expected[2:] == resumed
+
+    def test_a_scheduler_opened_before_another_released_resumes_after_it(
+        self, tmp_path, stream, params
+    ):
+        straight = make_scheduler(tmp_path, stream, params, sub="a")
+        expected = [release.digest for release in straight.run_pending()]
+        first = make_scheduler(tmp_path, stream, params, sub="b")
+        second = EpochScheduler(
+            stream, first.store, first.ledger, params=params, seed=7
+        )
+        first.run_epoch()
+        assert second.released_epochs == 1
+        assert second.pending_epochs() == [2, 3, 4]
+        releases = second.run_pending()
+        assert [release.epoch for release in releases] == [2, 3, 4]
+        assert [release.digest for release in releases] == expected[1:]
+        assert first.ledger.spent("demo").epsilon == pytest.approx(6.0)
+
+    def test_status_follows_a_ledger_another_handle_advanced(
+        self, tmp_path, stream, params
+    ):
+        first = make_scheduler(tmp_path, stream, params)
+        other = EpochScheduler(
+            stream,
+            ReleaseStore(first.store.root),
+            BudgetLedger(PrivacyBudget(20.0), path=tmp_path / "a" / "ledger.json"),
+            params=params,
+            seed=7,
+        )
+        other.run_epoch()
+        other.run_epoch()
+        status = first.status()
+        assert status["released_epochs"] == len(status["epochs"]) == 2
+        assert status["pending_epochs"] == [3, 4]
+        assert first.released_epochs == 2
+        assert first.run_epoch().epoch == 3
+
+    def test_a_failed_ledger_save_is_retried_by_the_same_scheduler(
+        self, tmp_path, stream, params, monkeypatch
+    ):
+        scheduler = make_scheduler(tmp_path, stream, params)
+        scheduler.run_epoch()
+        real_replace = fsio.os.replace
+
+        def failing_ledger_replace(src, dst):
+            if str(dst).endswith("ledger.json"):
+                raise OSError("simulated failed ledger save")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(fsio.os, "replace", failing_ledger_replace)
+        with pytest.raises(OSError):
+            scheduler.run_epoch()
+        monkeypatch.undo()
+        # Nothing was published and the schedule still stands at epoch 2.
+        assert scheduler.store.versions("demo") == [1]
+        assert scheduler.pending_epochs() == [2, 3, 4]
+        assert scheduler.run_epoch().epoch == 2
+        assert scheduler.version_for_epoch(2) == 2
