@@ -10,7 +10,7 @@ injection logs written by the router and by every worker process must
 verify exactly against the pure recomputation of the seeded schedule
 (:func:`repro.faults.verify_log` — the run is replayable, not merely
 survivable); the killed worker must be respawned; and the framework must
-be free when disarmed: over 16 blocks of N interleaved pairs of ``/batch``
+be free when disarmed: over 32 blocks of N interleaved pairs of ``/batch``
 round trips, injection off versus armed at an irrelevant site, the median
 ratio of the blocks' fastest round trips stays within noise of 1.
 
@@ -45,7 +45,7 @@ FULL = {
     "overhead_repeats": 40,
 }
 
-#: the median of 16 per-block ratios of interleaved round trips sits at
+#: the median of 32 per-block ratios of interleaved round trips sits at
 #: ~1.0 on a shared machine; the gate allows 5%.  A ``worker.handle`` delay of 10% of the
 #: round trip fails it (``tests/faults/test_failpoints.py``).
 OVERHEAD_GATE = 1.05
@@ -145,7 +145,8 @@ def _main() -> int:
                 f"{row['workers']} workers, {row['client_errors']} client "
                 f"errors, {row['mismatches']} mismatches, "
                 f"{row['injected_router']}+{row['injected_worker']} faults "
-                f"injected (router+workers), {row['respawns']} respawn(s), "
+                f"injected (router+workers), {row['respawns']} respawn(s) "
+                f"(all workers live {row['respawn_ms']:.0f}ms after the kill), "
                 f"p99={row['p99_ms']:.0f}ms (deadline {row['deadline_s']:g}s), "
                 f"replay_identical={row['replay_identical']}"
             )

@@ -139,7 +139,8 @@ def _main() -> int:
             )
         else:
             print(
-                f"reload drill: {row['reloads']} reloads, "
+                f"reload drill: {row['reloads']} reloads "
+                f"({', '.join(f'{ms:.0f}' for ms in row['reload_ms'])} ms), "
                 f"{row['queries_served']} queries, "
                 f"{row['client_errors']} client errors, "
                 f"serving v{row['final_version_serving']} "

@@ -2314,11 +2314,14 @@ def run_continual_release(
       store, every release from epoch 2 on triggers
       :meth:`Cluster.reload` while client threads hammer the tier
       continuously: the run must finish with *zero* client-visible
-      failures and the cluster serving the final epoch's version.
+      failures and the cluster serving the final epoch's version.  The
+      drill row lists each reload's duration (``reload_ms``), timed around
+      the scheduler's :meth:`Cluster.reload` call.
     """
     import tempfile
     import threading
     from pathlib import Path
+    from types import SimpleNamespace
 
     from repro.api import CorpusStream
     from repro.serving import (
@@ -2360,12 +2363,21 @@ def run_continual_release(
         first = scheduler.run_epoch()  # the cluster needs one version to boot
         client_errors: list[str] = []
         queries_done = [0]
+        reload_ms: list[float] = []
         reloads = 0
         final_version_serving = None
         releases = [first]
         if reload_drill:
             with Cluster(scheduler.store, workers=workers) as cluster:
-                scheduler.cluster = cluster
+
+                def timed_reload() -> dict:
+                    started = time.perf_counter()
+                    summary = cluster.reload()
+                    reload_ms.append((time.perf_counter() - started) * 1e3)
+                    return summary
+
+                # the scheduler calls reload() and nothing else of its cluster
+                scheduler.cluster = SimpleNamespace(reload=timed_reload)
                 stop = threading.Event()
 
                 def hammer() -> None:
@@ -2433,6 +2445,7 @@ def run_continual_release(
                     "workers": workers,
                     "clients": clients,
                     "reloads": reloads,
+                    "reload_ms": reload_ms,
                     "queries_served": queries_done[0],
                     "client_errors": len(client_errors),
                     "zero_failures": not client_errors,
@@ -2450,7 +2463,7 @@ def run_continual_release(
 # E29: chaos drill — seeded fault injection against the resilient tier.
 # ----------------------------------------------------------------------
 #: blocks whose ratios :func:`failpoint_overhead` takes the median of.
-OVERHEAD_BLOCKS = 16
+OVERHEAD_BLOCKS = 32
 
 
 def failpoint_overhead(port: int, body: bytes, armed: list, *, repeats: int) -> dict:
@@ -2541,6 +2554,10 @@ def run_chaos_drill(
       router and by every worker verify exactly against the pure
       recomputation of the seeded schedule
       (:func:`repro.faults.verify_log`).
+
+    The drill row also records ``respawn_ms``: the time from the
+    ``kill -9`` until the worker table counts ``workers`` live members
+    again, read from outside the tier while the clients keep going.
 
     The overhead row prices the framework when *disarmed*: blocks of
     ``overhead_repeats`` interleaved pairs of ``/batch`` round-trips against
@@ -2651,15 +2668,17 @@ def run_chaos_drill(
                 for thread in threads:
                     thread.start()
                 time.sleep(0.2)  # let traffic get in flight, then crash one
+                killed = time.perf_counter()
                 cluster.workers()[0].kill()
-                for thread in threads:
-                    thread.join(timeout=120)
                 deadline = time.monotonic() + 30
                 while (
                     len(cluster.table.live()) < workers
                     and time.monotonic() < deadline
                 ):
-                    time.sleep(0.05)
+                    time.sleep(0.005)
+                respawn_ms = (time.perf_counter() - killed) * 1e3
+                for thread in threads:
+                    thread.join(timeout=120)
                 health = cluster.router.health()
                 respawns = int(cluster.respawns)
                 live_after = len(cluster.table.live())
@@ -2696,6 +2715,7 @@ def run_chaos_drill(
                 "sheds": int(health["sheds"]),
                 "deadline_exceeded": int(health["deadline_exceeded"]),
                 "respawns": respawns,
+                "respawn_ms": respawn_ms,
                 "workers_live_after": live_after,
                 "injected_router": len(router_entries),
                 "injected_worker": len(worker_entries),

@@ -43,9 +43,10 @@ Actions (see :class:`FaultSpec`):
     :meth:`Failpoint.corrupt` (only sites that move bytes support it —
     ``binfmt.read`` feeds the flipped bytes to its checksum checks).
 
-Worker processes are spawn-started, so they arm from inherited environment
-variables (:func:`arm_from_env`; see :func:`env_for`).  This module is
-stdlib-only and sits below every other layer, like ``repro.obs``.
+Worker processes arm from environment variables (:func:`arm_from_env`;
+see :func:`env_for`): their supervisor's environment when it started
+them, which travels in the worker config.  This module is stdlib-only and
+sits below every other layer, like ``repro.obs``.
 """
 
 from __future__ import annotations
@@ -523,7 +524,7 @@ def verify_log(
 
 
 # ----------------------------------------------------------------------
-# Environment arming (spawn-started workers inherit os.environ)
+# Environment arming (workers start with their supervisor's os.environ)
 # ----------------------------------------------------------------------
 def env_for(
     specs: Iterable[FaultSpec | Mapping],
@@ -553,7 +554,7 @@ def arm_from_env(environ: Mapping[str, str] | None = None) -> bool:
     """Arm from ``DPSC_FAULTS`` / ``DPSC_FAULTS_SEED`` / ``DPSC_FAULTS_SCOPE``
     / ``DPSC_FAULTS_LOG``; returns whether a schedule was armed.
 
-    Called by every spawned worker (and ``dpsc serve``) at startup; a
+    Called by every cluster worker (and ``dpsc serve``) at startup; a
     malformed spec raises rather than silently running without chaos."""
     environ = os.environ if environ is None else environ
     raw = environ.get(ENV_SPECS)

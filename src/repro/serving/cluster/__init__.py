@@ -5,14 +5,14 @@ A hierarchy-of-coordinators over the single-process server: a root
 each an ordinary :class:`~repro.serving.server.QueryService` over the same
 mmap'd ``.dpsb`` release (~one resident copy regardless of worker count).
 
-* :mod:`repro.serving.cluster.workers` — spawn-safe worker processes,
-  readiness handshake, orphan prevention, the pool and the router's
-  worker table;
+* :mod:`repro.serving.cluster.workers` — worker processes forked by one
+  preloaded fork server, readiness handshake, orphan prevention, the pool
+  and the router's worker table;
 * :mod:`repro.serving.cluster.router` — relays every request but
   ``/healthz``, ``/metrics`` and ``/admin/reload`` to one worker as
   received and writes back the worker's status, ``Content-Type`` and body
-  unchanged; a request a worker failed goes at once to the next live
-  worker; load shedding, tier-wide ``/metrics`` and ``/healthz``;
+  unchanged; a request a worker failed goes at once to the next worker;
+  load shedding, tier-wide ``/metrics`` and ``/healthz``;
 * :mod:`repro.serving.cluster.supervisor` — :class:`Cluster`: lifecycle,
   heartbeat monitoring, crash respawn, atomic hot reload, graceful drain.
 

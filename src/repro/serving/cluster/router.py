@@ -23,11 +23,12 @@ table (hot reload, respawn): those would otherwise sit in
 
 Failure policy: every endpoint is an idempotent read (queries are
 post-processing; the only server-side state is counters), so any live
-worker answers a request bit-identically, and "try another live worker" is
+worker answers a request bit-identically, and "try another worker" is
 the whole rule (:meth:`Router.forward_any`).  A request that failed on a
 worker — a connection failure or a 5xx answer — goes at once to the next
-live worker it has not failed on, and waits :data:`RETRY_WAIT` only once
-every live worker has failed it, until :data:`RETRY_TIMEOUT`.  A
+worker it has not failed on, and waits :data:`RETRY_WAIT` only once
+every worker has failed it, until :data:`RETRY_TIMEOUT`.  The relay never
+polls a worker's process: the supervisor's monitor does.  A
 ``kill -9`` mid-batch costs latency, never a lost or wrong answer.
 Connection failures also wake the supervisor immediately
 (:meth:`WorkerTable.note_failure`) so the respawn races the retry deadline,
@@ -303,19 +304,23 @@ class Router:
         deadline: Deadline | None = None,
         headers: dict[str, str] | None = None,
     ) -> Answer:
-        """Forward to some live worker, retrying on failure.
+        """Forward to some worker of the table, retrying on failure.
 
         Safe because every endpoint is an idempotent read: re-executing a
         query on a second worker after the first died mid-response returns
         the same deterministic counts.  One rule: the round-robin start is
         drawn once per request, and after a failed attempt (a connection
         failure or a 5xx answer) the next one goes at once to the next
-        live worker this request has not failed on.  Only once every live
-        worker has failed it does the request wait :data:`RETRY_WAIT` and
-        go round them all again, until :data:`RETRY_TIMEOUT`; the freshest
-        5xx is relayed if that runs out.  So one failing worker costs a
-        request at most one extra round trip, and a request keeps waiting
-        through the crash-respawn window the supervisor races.  An expired
+        worker this request has not failed on.  Only once every worker has
+        failed it does the request wait :data:`RETRY_WAIT` and go round
+        them all again, until :data:`RETRY_TIMEOUT`; the freshest 5xx is
+        relayed if that runs out.  So one failing worker costs a request at
+        most one extra round trip, and a request keeps waiting through the
+        crash-respawn window the supervisor races.  No attempt asks a
+        worker's process whether it is alive: the supervisor's monitor
+        polls processes, and a dead worker stays in the table until the
+        monitor replaces it, costing a request that draws it that one
+        failed attempt (its port refuses the connection).  An expired
         request ``deadline`` stops the loop early with 504: nobody is
         waiting for the answer any more.
         """
@@ -329,11 +334,11 @@ class Router:
                 raise RouterHTTPError(
                     504, f"deadline expired while forwarding {method} {path}"
                 )
-            live = self.table.live()
-            ring = [live[(start + offset) % len(live)] for offset in range(len(live))]
+            workers = self.table.workers()
+            ring = [workers[(start + i) % len(workers)] for i in range(len(workers))]
             worker = next((w for w in ring if w.port not in failed), None)
             if worker is None:
-                # nothing live, or every live worker failed this request
+                # no worker, or every worker failed this request
                 if time.monotonic() >= give_up:
                     if last_error is not None:
                         return last_error

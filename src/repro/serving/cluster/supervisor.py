@@ -13,10 +13,11 @@ retries onto a surviving (or freshly respawned) worker and the client sees
 a complete, bit-identical response — just slower.  Liveness is checked two
 ways: ``Process.is_alive`` (catches process death instantly) and a rate-
 limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
-:data:`HEARTBEAT_MISSES` consecutive failures).  A worker whose last
-:data:`~repro.serving.cluster.workers.FAILED_ANSWERS_LIMIT` relayed
-answers were all 500s is replaced too: the router wakes the monitor at
-that count, so a worker whose query handler fails every request leaves
+:data:`HEARTBEAT_MISSES` consecutive failures).  The monitor is the only
+place that polls worker processes; the router's relay never does.  A
+worker whose last :data:`~repro.serving.cluster.workers.FAILED_ANSWERS_LIMIT`
+relayed answers were all 500s is replaced too: the router wakes the monitor
+at that count, so a worker whose query handler fails every request leaves
 rotation instead of costing every request that draws it a retry.
 
 **Hot reload.**  ``reload()`` resolves the store's current versions; when

@@ -1,4 +1,4 @@
-"""Pre-forked query workers: spawn, liveness, respawn, drain.
+"""Pre-forked query workers: fork-server starts, liveness, respawn, drain.
 
 One worker is one OS process running the plain single-process server
 (:func:`repro.serving.server.create_server` over a
@@ -10,10 +10,18 @@ maps them read-only (PR 7's measurement, now multiplied by the pool).
 
 Process discipline (all of it load-bearing for the cluster tests):
 
-* **spawn, not fork** — workers start through the ``spawn`` start method,
-  so they never inherit the supervisor's locks, sockets or numpy state
-  mid-operation; everything a worker needs travels as a picklable config
-  dict plus one duplex control pipe.
+* **forked by one fork server, never by the supervisor** — workers start
+  through ``multiprocessing``'s ``forkserver`` context (:func:`_context`).
+  The first worker of a process starts the fork server: a fresh
+  interpreter that imports what a worker runs once (:func:`_preload`) and
+  then only forks, from an idle loop that runs no Python thread.  So a
+  worker never inherits the supervisor's locks, sockets or threads
+  mid-operation, and every later worker (a respawn, a reload's
+  generation) is a fork of the preloaded image, not an interpreter start
+  that re-imports the world.  Everything a worker needs travels as a
+  picklable config dict plus one duplex control pipe.  That includes the
+  supervisor's environment at this start (``DPSC_FAULTS*`` included),
+  since a fork-server child inherits the fork server's.
 * **readiness handshake** — the child builds its service, binds port 0 and
   reports ``("ready", port)`` (or ``("error", message)``) before the
   supervisor counts it as a member; a worker that cannot load the release
@@ -21,13 +29,15 @@ Process discipline (all of it load-bearing for the cluster tests):
 * **orphan prevention** — a daemon thread in the worker blocks on the
   control pipe.  If the supervisor dies — even ``kill -9``, where no
   cleanup runs — the OS closes the pipe, the read raises ``EOFError`` and
-  the worker ``os._exit``\\ s.  Routers crash; workers must not linger.
+  the worker ``os._exit``\\ s.  The fork server exits once the supervisor
+  and every worker it forked are gone.  Routers crash; workers must not
+  linger.
 * **graceful drain** — a ``"stop"`` control message (or SIGTERM directly
   to the worker) stops accepting and closes the service before the
   process exits, the same drain order as the single-process path.
   Handler threads are daemon threads and are not joined: a request in
-  flight when the worker exits fails at the router, which retries it on a
-  live worker.
+  flight when the worker exits fails at the router, which retries it on
+  another worker.
 """
 
 from __future__ import annotations
@@ -35,8 +45,10 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import time
+import types
 from typing import Mapping
 
 from repro.exceptions import ReproError
@@ -44,15 +56,51 @@ from repro.serving import wire
 
 __all__ = ["WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"]
 
-#: Workers are spawned, never forked: a forked child would inherit the
-#: supervisor's lock and socket state at an arbitrary instant.
-SPAWN = multiprocessing.get_context("spawn")
 #: how long a generation's workers may take to report ready, in seconds.
 SPAWN_TIMEOUT = 60.0
 #: consecutive 500 answers after which the monitor replaces a worker: its
 #: process and ``/healthz`` may be fine while its query handler fails every
 #: request, and each request that draws it pays one failed round trip.
 FAILED_ANSWERS_LIMIT = 8
+
+
+def _preload() -> list[str]:
+    """The modules the fork server imports once, for every worker it forks.
+
+    Importing this module imports the ``repro`` package, which holds
+    everything :func:`worker_main` runs.  A worker also re-runs the
+    supervisor's main module as ``__mp_main__`` before it unpickles its
+    target (``repro.cli`` under ``dpsc serve``, or a script), so the
+    modules that main module imported are preloaded too, and the re-run
+    finds them imported.  The main module itself is
+    not: ``runpy`` warns about re-running a module already imported, and
+    CPython 3.10–3.13 never pass the fork server a script's path.
+    ``multiprocessing`` re-runs no ``__main__`` module of a package
+    (``python -m pytest``), so then nothing more is preloaded.  A preload
+    that fails to import is skipped, and the worker imports it itself.
+    """
+    main = sys.modules["__main__"]
+    name = getattr(getattr(main, "__spec__", None), "name", None) or ""
+    modules = {__name__}
+    if not name.endswith("__main__"):
+        for value in list(vars(main).values()):  # one snapshot under the GIL
+            module = (
+                value.__name__
+                if isinstance(value, types.ModuleType)
+                else getattr(value, "__module__", None)
+            )
+            if isinstance(module, str) and module not in ("__main__", name) and module in sys.modules:
+                modules.add(module)
+    return sorted(modules)
+
+
+def _context():
+    """The ``forkserver`` context every worker starts through, with its
+    preload set.  It exists on POSIX only, so it is looked up when a
+    worker starts, not at import."""
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(_preload())
+    return context
 
 
 def _watch_control(conn, server) -> None:
@@ -76,22 +124,27 @@ def _watch_control(conn, server) -> None:
 
 
 def worker_main(config: dict, conn) -> None:
-    """Entry point of one spawned worker process.
+    """Entry point of one worker process.
 
-    ``config`` is a plain picklable dict: ``store_root``, ``versions``
-    (name -> pinned version) and ``mmap``.  ``conn`` is the child end of
-    the control pipe.  The worker listens on an ephemeral localhost port.
+    ``config`` is a plain picklable dict: ``store_root`` (absolute),
+    ``versions`` (name -> pinned version), ``mmap`` and ``environ`` (the
+    supervisor's environment when it started this worker).  ``conn`` is
+    the child end of the control pipe.  The worker listens on an ephemeral
+    localhost port.
     """
-    # Imports happen in the child (spawn re-imports the world anyway); kept
-    # inside the function so importing this module stays cheap.
+    # The fork server imported these with the ``repro`` package, so they
+    # cost a worker nothing.
     from repro import faults
     from repro.serving.server import QueryService, create_server, install_graceful_shutdown
     from repro.serving.store import ReleaseStore
 
     try:
-        # Chaos schedules travel by environment (spawn inherits os.environ):
+        # A fork-server child starts with the fork server's environment;
+        # take the supervisor's instead.  Chaos schedules travel in it:
         # DPSC_FAULTS / _SEED / _SCOPE / _LOG arm this worker's failpoints
         # before any release is loaded, so every site is in scope.
+        os.environ.clear()
+        os.environ.update(config["environ"])
         faults.arm_from_env()
         store = ReleaseStore(config["store_root"])
         service = QueryService.from_store(
@@ -224,7 +277,9 @@ class WorkerPool:
     """Spawns workers over one release store; owns no routing policy."""
 
     def __init__(self, store_root, *, mmap: bool = True) -> None:
-        self.store_root = str(store_root)
+        # absolute: a later chdir of the supervisor must not move the
+        # store of a worker it starts then
+        self.store_root = os.path.abspath(store_root)
         self.mmap = mmap
         self._sequence = 0
         self._lock = threading.Lock()
@@ -240,6 +295,7 @@ class WorkerPool:
             "store_root": self.store_root,
             "versions": {name: int(v) for name, v in versions.items()},
             "mmap": self.mmap,
+            "environ": dict(os.environ),
         }
 
     def spawn_worker(
@@ -253,18 +309,21 @@ class WorkerPool:
     ) -> list[WorkerHandle]:
         """``count`` ready workers serving the same pinned ``versions``.
 
-        All processes start before any readiness is awaited, so a
-        generation of N costs one interpreter cold-start, not N in series.
-        On any failure every already-started member is torn down — a
-        generation is all-ready or absent, never half-alive.
+        All processes start before any readiness is awaited, so the
+        members load their releases side by side.  Each start is a fork of
+        the preloaded fork server, which the first start of the process
+        launches (:func:`_context`).  On any failure every already-started
+        member is torn down — a generation is all-ready or absent, never
+        half-alive.
         """
         config = self._config(versions)
+        context = _context()
         started: list[tuple[str, object, object]] = []
         try:
             for _ in range(count):
                 worker_id = self._next_id()
-                parent_conn, child_conn = SPAWN.Pipe(duplex=True)
-                process = SPAWN.Process(
+                parent_conn, child_conn = context.Pipe(duplex=True)
+                process = context.Process(
                     target=worker_main,
                     args=(config, child_conn),
                     name=f"repro-cluster-{worker_id}",
@@ -310,8 +369,11 @@ class WorkerTable:
 
     One lock, one list: ``swap`` replaces the whole generation (hot
     reload), ``replace`` swaps a single respawned member in.  The router
-    only ever reads a snapshot (``live()``), so a swap mid-request simply
-    means retries land on the new generation.  ``note_failure`` is the
+    only ever reads a snapshot (``workers()``), so a swap mid-request simply
+    means retries land on the new generation.  It never polls a member's
+    process, whose ``is_alive()`` is a selector round on a fork-server
+    child: a dead member's port refuses the attempt anyway.  ``live()``
+    serves the scrapes and gauges.  ``note_failure`` is the
     router -> supervisor fast path: a connection failure wakes the monitor
     immediately instead of waiting out the heartbeat interval.
     """

@@ -19,10 +19,15 @@ acceptance contract:
   validator with gauges per-worker-labelled (never summed);
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
   live sibling and the supervisor respawns the dead one;
-* killing the router process leaves **no orphan workers**, and an
-  ``http_proxy`` in the environment fails no heartbeat of a healthy one;
+* killing the router process leaves **no orphan workers** and no fork
+  server, and an ``http_proxy`` in the environment fails no heartbeat of
+  a healthy one;
+* every worker, a respawned one included, is forked by one fork server,
+  and a fault schedule put in the environment after that fork server
+  started still arms the next cluster's workers;
 * hot reload swaps worker generations without dropping a request, and the
   router keeps no connection to a retired worker;
+* the relay never polls a worker's process (``WorkerHandle.is_alive``);
 * a ``/query`` reaches its worker carrying the client's
   ``X-DPSC-Deadline``; a worker that answers every request 500 costs a
   request at most one retry and no ``RETRY_WAIT``; the round-robin start
@@ -63,6 +68,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from repro import faults
 from repro.core.construction import build_private_counting_structure
 from repro.core.params import ConstructionParams
 from repro.obs import validate_exposition
@@ -399,7 +405,7 @@ _HOST_SCRIPT = """\
 import json, sys, time
 from repro.serving import Cluster, ReleaseStore
 
-# The __main__ guard is load-bearing: spawn workers re-import this module.
+# The __main__ guard is load-bearing: every worker re-runs this script.
 if __name__ == "__main__":
     cluster = Cluster(ReleaseStore(sys.argv[1]), workers=2)
     cluster.start()
@@ -419,8 +425,23 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
+)
+
+
+def _parent_pid(pid: int) -> int:
+    """The parent of process ``pid``: a worker's is the fork server."""
+    with open(f"/proc/{pid}/stat") as handle:
+        # pid (comm) state ppid ...; comm may hold spaces and parentheses
+        return int(handle.read().rpartition(")")[2].split()[1])
+
+
 class TestOrphanPrevention:
+    @linux_only
     def test_sigkilled_router_leaves_no_orphan_workers(self, store, tmp_path):
+        """Neither a worker nor the fork server that forked them outlives
+        the supervisor's ``kill -9``."""
         script = tmp_path / "host_cluster.py"
         script.write_text(_HOST_SCRIPT)
         env = dict(os.environ)
@@ -435,6 +456,9 @@ class TestOrphanPrevention:
             line = process.stdout.readline()
             pids = json.loads(line)
             assert len(pids) == 2 and all(_pid_alive(pid) for pid in pids)
+            fork_servers = {_parent_pid(pid) for pid in pids}
+            assert len(fork_servers) == 1 and process.pid not in fork_servers
+            pids += fork_servers
             os.kill(process.pid, signal.SIGKILL)  # no chance to clean up
             process.wait(timeout=10)
             deadline = time.monotonic() + 15
@@ -445,6 +469,49 @@ class TestOrphanPrevention:
             if process.poll() is None:  # pragma: no cover - drill failed
                 process.kill()
             process.stdout.close()
+
+
+class TestForkServer:
+    def test_workers_arm_faults_set_after_the_fork_server_started(
+        self, store, tmp_path, monkeypatch
+    ):
+        """A fork-server child inherits the environment the fork server
+        started with.  A ``worker.handle`` schedule put in ``os.environ``
+        after one cluster has come and gone must still arm the next
+        cluster's workers, the way E29 arms them."""
+        with Cluster(store, workers=1):
+            pass  # the fork server runs from here on, without the schedule
+        log = tmp_path / "faults.jsonl"
+        spec = faults.FaultSpec(site="worker.handle", action="delay", delay_ms=0.0)
+        for key, value in faults.env_for([spec], scope="worker", log_path=log).items():
+            monkeypatch.setenv(key, value)
+        with Cluster(store, workers=2) as cluster, ServingClient(cluster.url) as client:
+            for _ in range(4):
+                client.query("ab")
+            pids = {worker.pid for worker in cluster.workers()}
+        fired = faults.read_log(log)
+        assert len(fired) == 4
+        assert {entry["site"] for entry in fired} == {"worker.handle"}
+        assert {entry["pid"] for entry in fired} == pids
+
+    @linux_only
+    def test_a_respawned_worker_is_forked_by_the_first_fork_server(
+        self, store, monkeypatch
+    ):
+        """Every worker, the first generation's and a respawned one alike,
+        is a fork of one fork server, not of the supervisor."""
+        monkeypatch.setattr("repro.serving.cluster.supervisor.HEARTBEAT_INTERVAL", 0.05)
+        with Cluster(store, workers=2) as cluster:
+            first = [worker.pid for worker in cluster.workers()]
+            fork_servers = {_parent_pid(pid) for pid in first}
+            assert len(fork_servers) == 1 and os.getpid() not in fork_servers
+            cluster.workers()[0].kill()
+            deadline = time.monotonic() + 30
+            while len(cluster.table.live()) < 2 or cluster.respawns < 1:
+                assert time.monotonic() < deadline, "no respawn"
+                time.sleep(0.02)
+            (respawned,) = [w.pid for w in cluster.workers() if w.pid not in first]
+            assert _parent_pid(respawned) in fork_servers
 
 
 class TestHotReload:
@@ -662,6 +729,33 @@ def test_router_query_carries_the_client_deadline_to_the_worker():
         assert status == 200
         assert answer["count"] == 1.5
         assert worker.deadlines == [deadline]
+
+
+def test_the_relay_never_asks_whether_a_worker_is_alive(monkeypatch):
+    """``is_alive()`` of a fork-server child is a selector round; only the
+    supervisor's monitor polls worker processes.  100 requests relayed
+    over stand-in workers, which no monitor watches, make no
+    ``WorkerHandle.is_alive`` call on them (a monitor of another cluster
+    in this process may poll its own workers meanwhile)."""
+    polled: list[WorkerHandle] = []
+    is_alive = WorkerHandle.is_alive
+
+    def spy(self) -> bool:
+        polled.append(self)
+        return is_alive(self)
+
+    monkeypatch.setattr(WorkerHandle, "is_alive", spy)
+    with _router_over([_query_worker(), _query_worker()]) as (router, url):
+        stand_ins = router.table.workers()
+        conn = http.client.HTTPConnection(url.split("//", 1)[1], timeout=10)
+        try:
+            for _ in range(100):
+                conn.request("POST", "/query", body=b'{"pattern": "ab"}')
+                response = conn.getresponse()
+                assert (response.status, json.loads(response.read())["count"]) == (200, 1.5)
+        finally:
+            conn.close()
+    assert [worker for worker in polled if worker in stand_ins] == []
 
 
 def test_a_failing_worker_costs_a_request_one_retry_and_no_wait(monkeypatch):
