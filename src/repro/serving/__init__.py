@@ -60,7 +60,7 @@ walk one dense transition table.
     fault injection (:mod:`repro.faults`) by the chaos drill (E29;
     ``docs/RESILIENCE.md``).  The router's retry rule lives in
     :mod:`repro.serving.cluster.router`: a failed request goes at once to
-    the next live worker.
+    the next worker.
 
 Everything above is safe under the concurrency it advertises: counters
 are immutable snapshots whose lazy views are built once under a lock, and

@@ -82,10 +82,10 @@ _TARGET_SAFE = "".join(map(chr, range(0x21, 0x7F)))
 #: worker handler thread, so a burst of concurrent forwards closes its
 #: surplus instead of pooling it.
 MAX_IDLE_PER_WORKER = 16
-#: how long one request keeps looking for a live worker that answers it;
+#: how long one request keeps looking for a worker that answers it;
 #: the supervisor's respawn of a crashed worker races this.
 RETRY_TIMEOUT = 15.0
-#: the pause after every live worker has failed one request, before it
+#: the pause after every worker has failed one request, before it
 #: tries them all again.
 RETRY_WAIT = 0.05
 #: the socket timeout of a relayed round trip (a large ``/batch`` included).

@@ -425,20 +425,19 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-linux_only = pytest.mark.skipif(
-    not sys.platform.startswith("linux"), reason="reads /proc/<pid>/stat"
-)
-
-
 def _parent_pid(pid: int) -> int:
     """The parent of process ``pid``: a worker's is the fork server."""
-    with open(f"/proc/{pid}/stat") as handle:
-        # pid (comm) state ppid ...; comm may hold spaces and parentheses
-        return int(handle.read().rpartition(")")[2].split()[1])
+    if sys.platform.startswith("linux"):
+        with open(f"/proc/{pid}/stat") as handle:
+            # pid (comm) state ppid ...; comm may hold spaces and parentheses
+            return int(handle.read().rpartition(")")[2].split()[1])
+    ps = subprocess.run(
+        ["ps", "-o", "ppid=", "-p", str(pid)], capture_output=True, text=True, check=True
+    )
+    return int(ps.stdout)
 
 
 class TestOrphanPrevention:
-    @linux_only
     def test_sigkilled_router_leaves_no_orphan_workers(self, store, tmp_path):
         """Neither a worker nor the fork server that forked them outlives
         the supervisor's ``kill -9``."""
@@ -494,7 +493,6 @@ class TestForkServer:
         assert {entry["site"] for entry in fired} == {"worker.handle"}
         assert {entry["pid"] for entry in fired} == pids
 
-    @linux_only
     def test_a_respawned_worker_is_forked_by_the_first_fork_server(
         self, store, monkeypatch
     ):
