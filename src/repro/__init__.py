@@ -58,49 +58,59 @@ Subpackages
     all over the one array counter every kind builds
     (``PrivateCountingTrie``, exported there as ``CompiledTrie``; see
     ``docs/SERVING.md``).
+
+Every export resolves on first access (:mod:`repro._lazy`):
+``import repro`` loads no subpackage, ``from repro import Dataset`` loads
+``repro.api`` and what it needs, and a process that serves releases never
+loads the construction pipeline (``docs/ARCHITECTURE.md``).
 """
 
-from repro.api import (
-    CorpusStream,
-    Dataset,
-    PrivateCounter,
-    StructureKind,
-    StructureRegistry,
-    default_registry,
-    register_structure_kind,
-)
-from repro.core import (
-    DOCUMENT_COUNT,
-    SUBSTRING_COUNT,
-    ConstructionParams,
-    ExactCountingOracle,
-    PrivateCountingTrie,
-    StringDatabase,
-    build_private_counting_structure,
-    build_simple_trie_baseline,
-    check_mining_guarantee,
-    mine_frequent_qgrams,
-    mine_frequent_substrings,
-)
-from repro.counting import (
-    AhoCorasickEngine,
-    CountingEngine,
-    NaiveEngine,
-    SuffixArrayEngine,
-    make_engine,
-    resolve_backend,
-)
-from repro.dp import ContinualAccountant, GaussianMechanism, LaplaceMechanism, PrivacyBudget
-from repro.serving import (
-    BudgetLedger,
-    CompiledTrie,
-    EpochScheduler,
-    QueryService,
-    ReleaseStore,
-    ServingClient,
-    build_release,
-)
-from repro.trees import private_colored_counts, private_hierarchical_counts, private_tree_counts
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.api import (
+        CorpusStream,
+        Dataset,
+        PrivateCounter,
+        StructureKind,
+        StructureRegistry,
+        default_registry,
+        register_structure_kind,
+    )
+    from repro.core import (
+        DOCUMENT_COUNT,
+        SUBSTRING_COUNT,
+        ConstructionParams,
+        ExactCountingOracle,
+        PrivateCountingTrie,
+        StringDatabase,
+        build_private_counting_structure,
+        build_simple_trie_baseline,
+        check_mining_guarantee,
+        mine_frequent_qgrams,
+        mine_frequent_substrings,
+    )
+    from repro.counting import (
+        AhoCorasickEngine,
+        CountingEngine,
+        NaiveEngine,
+        SuffixArrayEngine,
+        make_engine,
+        resolve_backend,
+    )
+    from repro.dp import ContinualAccountant, GaussianMechanism, LaplaceMechanism, PrivacyBudget
+    from repro.serving import (
+        BudgetLedger,
+        CompiledTrie,
+        EpochScheduler,
+        QueryService,
+        ReleaseStore,
+        ServingClient,
+        build_release,
+    )
+    from repro.trees import private_colored_counts, private_hierarchical_counts, private_tree_counts
 
 __version__ = "1.0.0"
 
@@ -145,3 +155,50 @@ __all__ = [
     "private_tree_counts",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.api": (
+            "CorpusStream",
+            "Dataset",
+            "PrivateCounter",
+            "StructureKind",
+            "StructureRegistry",
+            "default_registry",
+            "register_structure_kind",
+        ),
+        "repro.core": (
+            "DOCUMENT_COUNT",
+            "SUBSTRING_COUNT",
+            "ConstructionParams",
+            "ExactCountingOracle",
+            "PrivateCountingTrie",
+            "StringDatabase",
+            "build_private_counting_structure",
+            "build_simple_trie_baseline",
+            "check_mining_guarantee",
+            "mine_frequent_qgrams",
+            "mine_frequent_substrings",
+        ),
+        "repro.counting": (
+            "AhoCorasickEngine",
+            "CountingEngine",
+            "NaiveEngine",
+            "SuffixArrayEngine",
+            "make_engine",
+            "resolve_backend",
+        ),
+        "repro.dp": ("ContinualAccountant", "GaussianMechanism", "LaplaceMechanism", "PrivacyBudget"),
+        "repro.serving": (
+            "BudgetLedger",
+            "CompiledTrie",
+            "EpochScheduler",
+            "QueryService",
+            "ReleaseStore",
+            "ServingClient",
+            "build_release",
+        ),
+        "repro.trees": ("private_colored_counts", "private_hierarchical_counts", "private_tree_counts"),
+    },
+)

@@ -21,7 +21,9 @@ The experiments are the same ones the benchmark harness runs; the registry
 below maps each id to the paper's figures and theorems.  Structure builds
 go through the unified :mod:`repro.api` layer: ``--kind`` selects any
 registered structure kind (docs/API.md) and the serving commands are
-documented in docs/SERVING.md.
+documented in docs/SERVING.md.  Each command imports what it runs when it
+runs, so ``dpsc serve`` and ``dpsc query`` load neither the construction
+pipeline nor the experiments.
 """
 
 from __future__ import annotations
@@ -29,27 +31,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
 
-from repro.analysis import experiments, reporting
-from repro.api import CorpusStream, Dataset, default_registry
-from repro.core.mining import mine_frequent_substrings
-from repro.core.params import ConstructionParams
 from repro.dp.composition import PrivacyBudget
 from repro.exceptions import ReproError
-from repro.serving import (
-    BudgetLedger,
-    EpochScheduler,
-    QueryService,
-    ReleaseStore,
-    ServingClient,
-    build_release,
-    serve_forever,
-)
-from repro.workloads.genome import genome_with_motifs
-from repro.workloads.transit import transit_trajectories
+
+if TYPE_CHECKING:
+    from repro.api import CorpusStream
+    from repro.core.params import ConstructionParams
+    from repro.serving import BudgetLedger, ReleaseStore
 
 __all__ = ["main", "EXPERIMENT_REGISTRY"]
 
@@ -57,113 +49,125 @@ __all__ = ["main", "EXPERIMENT_REGISTRY"]
 _SINGLE_ONLY = "applies to the single-process server only"
 
 
+def _experiment(name: str, *args, **kwargs) -> Callable[[], list[dict]]:
+    """A runner that calls ``repro.analysis.experiments.<name>(*args,
+    **kwargs)``, importing the experiments only when it runs."""
+
+    def run() -> list[dict]:
+        from repro.analysis import experiments
+
+        return getattr(experiments, name)(*args, **kwargs)
+
+    return run
+
+
 def _registry() -> dict[str, tuple[str, Callable[[], list[dict]]]]:
     """Experiment id -> (title, runner with benchmark-sized defaults)."""
     return {
-        "E1": ("Example 1 / Figure 1: exact counts", experiments.run_example_counts),
+        "E1": ("Example 1 / Figure 1: exact counts", _experiment("run_example_counts")),
         "E2": (
             "Examples 2-4 / Figure 2: candidate sets and heavy paths",
-            experiments.run_candidate_figure,
+            _experiment("run_candidate_figure"),
         ),
         "E3": (
             "Figure 3: difference sequence and prefix sums",
-            experiments.run_prefix_sum_figure,
+            _experiment("run_prefix_sum_figure"),
         ),
         "E4": (
             "Theorem 1: pure-DP error scaling in ell",
-            lambda: experiments.run_error_scaling([8, 12, 16], trials=2),
+            _experiment("run_error_scaling", [8, 12, 16], trials=2),
         ),
         "E5": (
             "Theorem 2: document vs substring counting",
-            lambda: experiments.run_document_vs_substring([8, 16, 32]),
+            _experiment("run_document_vs_substring", [8, 16, 32]),
         ),
         "E6": (
             "Theorem 3/4: q-gram error",
-            lambda: experiments.run_qgram_error([2, 4]),
+            _experiment("run_qgram_error", [2, 4]),
         ),
         "E7": (
             "Theorem 4: q-gram construction time",
-            lambda: experiments.run_qgram_timing([(40, 20), (80, 20), (160, 20)]),
+            _experiment("run_qgram_timing", [(40, 20), (80, 20), (160, 20)]),
         ),
         "E8": (
             "Baseline comparison (simple trie vs heavy paths)",
-            lambda: experiments.run_baseline_comparison([8, 16, 24]),
+            _experiment("run_baseline_comparison", [8, 16, 24]),
         ),
         "E9": (
             "Private frequent-substring mining",
-            lambda: experiments.run_mining_experiment(n=200, epsilons=(20.0, 50.0)),
+            _experiment("run_mining_experiment", n=200, epsilons=(20.0, 50.0)),
         ),
         "E10": (
             "Theorem 5 packing lower bound",
-            lambda: experiments.run_packing_experiment([16, 24, 32]),
+            _experiment("run_packing_experiment", [16, 24, 32]),
         ),
         "E11": (
             "Theorem 6 substring-count lower bound",
-            lambda: experiments.run_substring_lb_experiment([8, 16, 32]),
+            _experiment("run_substring_lb_experiment", [8, 16, 32]),
         ),
         "E12": (
             "Theorem 7 marginals reduction",
-            lambda: experiments.run_marginals_experiment([4, 8]),
+            _experiment("run_marginals_experiment", [4, 8]),
         ),
         "E13": (
             "Theorem 8 tree counting",
-            lambda: experiments.run_tree_counting_experiment([32, 128, 512]),
+            _experiment("run_tree_counting_experiment", [32, 128, 512]),
         ),
         "E14": (
             "Theorem 9 / colored tree counting",
-            lambda: experiments.run_colored_counting_experiment([32, 128]),
+            _experiment("run_colored_counting_experiment", [32, 128]),
         ),
         "E15": (
             "Query-time linearity",
-            lambda: experiments.run_query_time_experiment([1, 2, 4, 8, 16]),
+            _experiment("run_query_time_experiment", [1, 2, 4, 8, 16]),
         ),
         "E16": (
             "Binary-tree prefix sums vs naive noise",
-            lambda: experiments.run_prefix_sum_ablation([8, 32, 128]),
+            _experiment("run_prefix_sum_ablation", [8, 32, 128]),
         ),
         "E17": (
             "Heavy-path ablation",
-            lambda: experiments.run_heavy_path_ablation([8, 16]),
+            _experiment("run_heavy_path_ablation", [8, 16]),
         ),
         "E18": (
             "Hierarchical counting strategies (heavy paths vs range counting vs leaf sums)",
-            lambda: experiments.run_tree_strategy_comparison([32, 128, 512]),
+            _experiment("run_tree_strategy_comparison", [32, 128, 512]),
         ),
         "E19": (
             "Candidate-growth ablation (doubling vs one-letter extension)",
-            lambda: experiments.run_candidate_growth_ablation([8, 16, 32]),
+            _experiment("run_candidate_growth_ablation", [8, 16, 32]),
         ),
         "E20": (
             "Batched queries vs per-pattern query loops (every kind; batches and a mixed stream)",
-            lambda: experiments.run_batch_query_benchmark(),
+            _experiment("run_batch_query_benchmark"),
         ),
         "E21": (
             "Counting-engine equivalence and speedup (batched Aho-Corasick vs per-pattern)",
-            lambda: experiments.run_counting_engine_benchmark(),
+            _experiment("run_counting_engine_benchmark"),
         ),
         "E23": (
             "Concurrent serving: bit-identical replays and throughput vs threads",
-            lambda: experiments.run_concurrent_serving(),
+            _experiment("run_concurrent_serving"),
         ),
         "E24": (
             "Construction pipeline: array build vs linked-object reference (bit-identical)",
-            lambda: experiments.run_construction_benchmark(),
+            _experiment("run_construction_benchmark"),
         ),
         "E26": (
             "Release formats: cold-start latency and RSS, JSON vs binary vs binary+mmap",
-            lambda: experiments.run_release_format_benchmark(),
+            _experiment("run_release_format_benchmark"),
         ),
         "E27": (
             "Sharded serving tier: worker-count throughput scaling, bit identity, crash drill",
-            lambda: experiments.run_serving_scale(),
+            _experiment("run_serving_scale"),
         ),
         "E28": (
             "Continual release: O(log T) tree-schedule spend, digest-stable replay, hot reload",
-            lambda: experiments.run_continual_release(),
+            _experiment("run_continual_release"),
         ),
         "E29": (
             "Chaos drill: seeded fault injection + worker kills, zero client errors, replayable",
-            lambda: experiments.run_chaos_drill(),
+            _experiment("run_chaos_drill"),
         ),
     }
 
@@ -178,6 +182,8 @@ def _cmd_list(_: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.analysis import reporting
+
     requested = args.experiment.upper()
     if requested == "ALL":
         experiment_ids = list(EXPERIMENT_REGISTRY)
@@ -197,6 +203,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_quickstart(_: argparse.Namespace) -> int:
+    from repro.analysis import experiments
+    from repro.api import Dataset
+
     database = experiments.example_database()
     print(f"database: {list(database)}")
     structure = (
@@ -222,11 +231,15 @@ def _cmd_quickstart(_: argparse.Namespace) -> int:
 
 def _cli_params(args: argparse.Namespace) -> ConstructionParams:
     """Construction parameters from the shared mine/releases flags."""
+    from repro.core.params import ConstructionParams
+
     return ConstructionParams(budget=PrivacyBudget(args.epsilon, args.delta), beta=0.1)
 
 
 def _kind_kwargs(args: argparse.Namespace) -> dict:
     """Builder keyword arguments the selected kind requires (e.g. ``q``)."""
+    from repro.api import default_registry
+
     kind = default_registry().get(args.kind)
     return {"q": args.q} if "q" in kind.requires else {}
 
@@ -234,6 +247,8 @@ def _kind_kwargs(args: argparse.Namespace) -> dict:
 def _build_cli_structure(args: argparse.Namespace, database, rng):
     """One structure built from the shared --kind/--epsilon/... flags
     (the block every structure-building subcommand shares)."""
+    from repro.api import Dataset
+
     return (
         Dataset.from_database(database)
         .with_params(_cli_params(args))
@@ -242,11 +257,9 @@ def _build_cli_structure(args: argparse.Namespace, database, rng):
 
 
 def _cmd_mine(args: argparse.Namespace) -> int:
-    rng = np.random.default_rng(args.seed)
-    if args.workload == "genome":
-        database = genome_with_motifs(args.n, args.ell, rng)
-    else:
-        database = transit_trajectories(args.n, args.ell, rng)
+    from repro.core.mining import mine_frequent_substrings
+
+    database, rng = _build_workload_database(args.workload, args.n, args.ell, args.seed)
     try:
         structure = _build_cli_structure(args, database, rng)
     except ReproError as error:
@@ -289,6 +302,9 @@ def _print_profile(structure) -> None:
 
 
 def _build_workload_database(workload: str, n: int, ell: int, seed: int):
+    from repro.workloads.genome import genome_with_motifs
+    from repro.workloads.transit import transit_trajectories
+
     rng = np.random.default_rng(seed)
     if workload == "genome":
         return genome_with_motifs(n, ell, rng), rng
@@ -297,6 +313,7 @@ def _build_workload_database(workload: str, n: int, ell: int, seed: int):
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro import faults
+    from repro.serving.store import ReleaseStore
 
     # DPSC_FAULTS et al. arm a chaos schedule for this process (workers
     # additionally arm themselves from the inherited environment).
@@ -307,7 +324,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
     store = ReleaseStore(args.store)
     if args.workers > 1:
-        from repro.serving import Cluster
+        from repro.serving.cluster import Cluster
 
         cluster = Cluster(
             store,
@@ -337,6 +354,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"router listening on http://{args.host}:{cluster.port}")
         cluster.serve_forever()
         return 0
+    from repro.serving.server import QueryService, serve_forever
+
     try:
         service = QueryService.from_store(
             store,
@@ -360,6 +379,8 @@ def _cmd_query(args: argparse.Namespace) -> int:
     if not args.patterns and args.mine is None:
         print("error: provide at least one pattern or --mine THRESHOLD", file=sys.stderr)
         return 2
+    from repro.serving.client import ServingClient
+
     try:
         with ServingClient(args.url, timeout=args.timeout) as client:
             if args.mine is not None:
@@ -384,8 +405,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
     """Inspect and arm the deterministic failpoint framework
     (docs/RESILIENCE.md)."""
     from repro import faults
-    import repro.serving  # noqa: F401 - importing registers every failpoint site
-    import repro.serving.cluster  # noqa: F401 - router/worker sites
+    import repro.serving.cluster.router  # noqa: F401 - it and its imports register every site
 
     if args.action == "list":
         sites = sorted(faults.list_failpoints(), key=lambda site: site.name)
@@ -457,6 +477,7 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
     answer is bit-identical to a serial replay (the E23 harness)."""
     from repro.serving import (
         QueryService,
+        ReleaseStore,
         ServingClient,
         execute_operation,
         generate_workload,
@@ -619,7 +640,11 @@ def _cmd_bench_load(args: argparse.Namespace) -> int:
 
 
 def _cmd_releases(args: argparse.Namespace) -> int:
+    from repro.serving.store import ReleaseStore
+
     if args.url:
+        from repro.serving.client import ServingClient
+
         try:
             with ServingClient(args.url) as client:
                 infos = client.releases()
@@ -651,6 +676,8 @@ def _cmd_releases(args: argparse.Namespace) -> int:
         else:
             print("(nothing to migrate: every release is already binary)")
     if args.build:
+        from repro.serving.ledger import BudgetLedger, build_release
+
         database, rng = _build_workload_database(
             args.build, args.n, args.ell, args.seed
         )
@@ -706,6 +733,8 @@ def _cmd_releases(args: argparse.Namespace) -> int:
 def _epoch_stream(args: argparse.Namespace) -> CorpusStream:
     """A synthetic append-only stream: the workload's documents split into
     ``--epochs`` contiguous arrival batches."""
+    from repro.api import CorpusStream
+
     database, _rng = _build_workload_database(args.workload, args.n, args.ell, args.seed)
     documents = list(database)
     epochs = max(1, args.epochs)
@@ -724,6 +753,8 @@ def _epoch_stream(args: argparse.Namespace) -> CorpusStream:
 
 
 def _open_epoch_ledger(store: ReleaseStore, args: argparse.Namespace) -> BudgetLedger:
+    from repro.serving.ledger import BudgetLedger
+
     return BudgetLedger(
         PrivacyBudget(args.cap_epsilon, args.cap_delta),
         path=store.root / "ledger.json",
@@ -731,12 +762,16 @@ def _open_epoch_ledger(store: ReleaseStore, args: argparse.Namespace) -> BudgetL
 
 
 def _cmd_epochs(args: argparse.Namespace) -> int:
+    from repro.serving.store import ReleaseStore
+
     store = ReleaseStore(args.store)
     if args.action == "status":
         ledger_path = store.root / "ledger.json"
         if not ledger_path.exists():
             print(f"(no ledger at {ledger_path}: no epochs have been released)")
             return 0
+        from repro.serving.ledger import BudgetLedger
+
         # Open with the *persisted* cap so a read-only status can never
         # tighten the recorded policy (the ledger keeps component-wise mins).
         persisted = json.loads(ledger_path.read_text()).get("cap") or {}
@@ -783,6 +818,8 @@ def _cmd_epochs(args: argparse.Namespace) -> int:
         return 0
 
     # action == "run": drive the scheduler over a synthetic stream.
+    from repro.serving.schedule import EpochScheduler
+
     try:
         stream = _epoch_stream(args)
         ledger = _open_epoch_ledger(store, args)
@@ -1109,15 +1146,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _RegisteredKinds:
+    """The ``--kind`` choices: the kinds of the structure registry, read
+    when a build command parses ``--kind`` or prints its help, so building
+    the parser imports no structure code."""
+
+    def __contains__(self, kind: object) -> bool:
+        return kind in self._kinds()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._kinds())
+
+    @staticmethod
+    def _kinds() -> list[str]:
+        from repro.api import default_registry
+
+        return default_registry().kinds()
+
+
 def _add_build_arguments(parser: argparse.ArgumentParser) -> None:
     """Flags shared by every command that builds a structure: the kind
     (dispatched through the repro.api registry), its q-gram length and the
     approximate-DP delta."""
     parser.add_argument(
         "--kind",
-        choices=default_registry().kinds(),
+        choices=_RegisteredKinds(),
         default="heavy-path",
-        help="structure kind to build (see docs/API.md; q-gram kinds use --q)",
+        metavar="KIND",
+        help="structure kind to build: %(choices)s (see docs/API.md; q-gram "
+        "kinds use --q)",
     )
     parser.add_argument(
         "--q",

@@ -66,7 +66,6 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro.core.array_build import build_array_trie, counter_columns, pack_strings
 from repro.dp.composition import PrivacyBudget
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -245,8 +244,12 @@ class PrivateCountingTrie:
         unless it is a key itself.  The trie is radix-built over the sorted
         patterns by the array pipeline's own :func:`~repro.core.array_build.
         build_array_trie` and assembled by :func:`~repro.core.array_build.
-        counter_columns`, so every producer shares one layout.
+        counter_columns`, so every producer shares one layout.  The build
+        helpers are imported here: a process that only loads and serves
+        releases never loads them.
         """
+        from repro.core.array_build import build_array_trie, counter_columns, pack_strings
+
         patterns = sorted(pattern for pattern in counts if pattern)
         matrix, lengths = pack_strings(patterns)
         trie, node_row = build_array_trie(matrix, lengths)

@@ -19,22 +19,30 @@ The observability layer for the whole package.  It sits *below* every other
 Telemetry is on by default; :func:`set_enabled` (False) reduces histogram
 observations and span recording to single flag checks, which the
 observability micro-benchmark asserts costs <5% on the serving hot path.
+
+Every export resolves on first access (:mod:`repro._lazy`): a server
+loads the registry and the exporter, not the spans or the aggregation.
 """
 
-from repro.obs.aggregate import merge_snapshots, snapshot_percentile
-from repro.obs.export import render_snapshot, validate_exposition
-from repro.obs.registry import (
-    DEFAULT_BUCKET_GROWTH,
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    enabled,
-    log_buckets,
-    set_enabled,
-)
-from repro.obs.spans import BuildProfile, Span, current_span, span, trace
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.obs.aggregate import merge_snapshots, snapshot_percentile
+    from repro.obs.export import render_snapshot, validate_exposition
+    from repro.obs.registry import (
+        DEFAULT_BUCKET_GROWTH,
+        DEFAULT_LATENCY_BUCKETS,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        enabled,
+        log_buckets,
+        set_enabled,
+    )
+    from repro.obs.spans import BuildProfile, Span, current_span, span, trace
 
 __all__ = [
     "Counter",
@@ -56,3 +64,23 @@ __all__ = [
     "render_snapshot",
     "snapshot_percentile",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.aggregate": ("merge_snapshots", "snapshot_percentile"),
+        "repro.obs.export": ("render_snapshot", "validate_exposition"),
+        "repro.obs.registry": (
+            "DEFAULT_BUCKET_GROWTH",
+            "DEFAULT_LATENCY_BUCKETS",
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "enabled",
+            "log_buckets",
+            "set_enabled",
+        ),
+        "repro.obs.spans": ("BuildProfile", "Span", "current_span", "span", "trace"),
+    },
+)

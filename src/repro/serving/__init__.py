@@ -69,42 +69,52 @@ and store write their JSON state atomically under advisory file locks —
 see the "Concurrency & durability" section of ``docs/SERVING.md`` and
 ``dpsc serve`` / ``dpsc query`` / ``dpsc releases`` / ``dpsc bench-load``
 for the command-line entry points.
+
+Every export resolves on first access (:mod:`repro._lazy`): importing
+``repro.serving.server`` loads the server, the store and the array
+counter, not the ledger, the scheduler or the construction pipeline that
+they build with.
 """
 
-from repro.core.private_trie import PrivateCountingTrie as CompiledTrie
-from repro.serving.binfmt import read_binary, write_binary
-from repro.serving.cluster import Cluster
-from repro.serving.client import (
-    DEFAULT_ENDPOINT_TIMEOUTS,
-    ServingClient,
-    ServingClientError,
-)
-from repro.serving.ledger import BudgetLedger, build_release
-from repro.serving.resilience import (
-    DEADLINE_HEADER,
-    AdmissionGate,
-    BackoffPolicy,
-    Deadline,
-    call_with_retries,
-)
-from repro.serving.loadtest import (
-    LoadTestError,
-    LoadTestResult,
-    Operation,
-    execute_operation,
-    generate_workload,
-    run_load_test,
-    run_load_test_processes,
-)
-from repro.serving.schedule import EpochRelease, EpochScheduler
-from repro.serving.server import (
-    MicroBatcher,
-    QueryService,
-    create_server,
-    install_graceful_shutdown,
-    serve_forever,
-)
-from repro.serving.store import ReleaseRecord, ReleaseStore
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.private_trie import PrivateCountingTrie as CompiledTrie
+    from repro.serving.binfmt import read_binary, write_binary
+    from repro.serving.cluster import Cluster
+    from repro.serving.client import (
+        DEFAULT_ENDPOINT_TIMEOUTS,
+        ServingClient,
+        ServingClientError,
+    )
+    from repro.serving.ledger import BudgetLedger, build_release
+    from repro.serving.resilience import (
+        DEADLINE_HEADER,
+        AdmissionGate,
+        BackoffPolicy,
+        Deadline,
+        call_with_retries,
+    )
+    from repro.serving.loadtest import (
+        LoadTestError,
+        LoadTestResult,
+        Operation,
+        execute_operation,
+        generate_workload,
+        run_load_test,
+        run_load_test_processes,
+    )
+    from repro.serving.schedule import EpochRelease, EpochScheduler
+    from repro.serving.server import (
+        MicroBatcher,
+        QueryService,
+        create_server,
+        install_graceful_shutdown,
+        serve_forever,
+    )
+    from repro.serving.store import ReleaseRecord, ReleaseStore
 
 __all__ = [
     "Cluster",
@@ -138,3 +148,43 @@ __all__ = [
     "read_binary",
     "write_binary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.private_trie": ("PrivateCountingTrie as CompiledTrie",),
+        "repro.serving.binfmt": ("read_binary", "write_binary"),
+        "repro.serving.cluster": ("Cluster",),
+        "repro.serving.client": (
+            "DEFAULT_ENDPOINT_TIMEOUTS",
+            "ServingClient",
+            "ServingClientError",
+        ),
+        "repro.serving.ledger": ("BudgetLedger", "build_release"),
+        "repro.serving.resilience": (
+            "DEADLINE_HEADER",
+            "AdmissionGate",
+            "BackoffPolicy",
+            "Deadline",
+            "call_with_retries",
+        ),
+        "repro.serving.loadtest": (
+            "LoadTestError",
+            "LoadTestResult",
+            "Operation",
+            "execute_operation",
+            "generate_workload",
+            "run_load_test",
+            "run_load_test_processes",
+        ),
+        "repro.serving.schedule": ("EpochRelease", "EpochScheduler"),
+        "repro.serving.server": (
+            "MicroBatcher",
+            "QueryService",
+            "create_server",
+            "install_graceful_shutdown",
+            "serve_forever",
+        ),
+        "repro.serving.store": ("ReleaseRecord", "ReleaseStore"),
+    },
+)

@@ -18,16 +18,25 @@ mmap'd ``.dpsb`` release (~one resident copy regardless of worker count).
 
 Entry points: ``Cluster(store, workers=N).start()`` in-process, or
 ``dpsc serve --store ... --workers N`` from the command line.
+
+Every export resolves on first access (:mod:`repro._lazy`): the fork
+server imports :mod:`~repro.serving.cluster.workers` without the router or
+the supervisor, which no worker runs.
 """
 
-from repro.serving.cluster.router import Router, RouterHTTPError, create_router_server
-from repro.serving.cluster.supervisor import Cluster
-from repro.serving.cluster.workers import (
-    WorkerHandle,
-    WorkerPool,
-    WorkerTable,
-    worker_main,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.serving.cluster.router import Router, RouterHTTPError, create_router_server
+    from repro.serving.cluster.supervisor import Cluster
+    from repro.serving.cluster.workers import (
+        WorkerHandle,
+        WorkerPool,
+        WorkerTable,
+        worker_main,
+    )
 
 __all__ = [
     "Cluster",
@@ -39,3 +48,12 @@ __all__ = [
     "create_router_server",
     "worker_main",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "repro.serving.cluster.router": ("Router", "RouterHTTPError", "create_router_server"),
+        "repro.serving.cluster.supervisor": ("Cluster",),
+        "repro.serving.cluster.workers": ("WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"),
+    },
+)

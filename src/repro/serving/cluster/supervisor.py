@@ -5,14 +5,16 @@ generations of workers, the :class:`WorkerTable` the router reads, the
 :class:`Router` on the public port, and a monitor thread — and owns the
 three lifecycle stories the tier promises:
 
-**Crash recovery.**  The monitor wakes on a heartbeat interval *and*
-immediately whenever the router hits a connection failure
-(``WorkerTable.note_failure``), so a ``kill -9``'d worker is respawned
-while the router's retry deadline is still running: the in-flight batch
-retries onto a surviving (or freshly respawned) worker and the client sees
-a complete, bit-identical response — just slower.  Liveness is checked two
-ways: ``Process.is_alive`` (catches process death instantly) and a rate-
-limited HTTP ``/healthz`` probe (catches a wedged-but-running worker after
+**Crash recovery.**  The monitor waits on the serving generation's
+process sentinels, so it wakes the moment a worker dies (a ``kill -9``
+included, with or without traffic), and it wakes at once whenever the
+router hits a connection failure (``WorkerTable.note_failure``), or else
+every heartbeat interval.  A dead worker is respawned while the router's
+retry deadline is still running: the in-flight batch retries onto a
+surviving (or freshly respawned) worker and the client sees a complete,
+bit-identical response — just slower.  Liveness is checked two ways:
+``Process.is_alive`` (catches process death instantly) and a rate-limited
+HTTP ``/healthz`` probe (catches a wedged-but-running worker after
 :data:`HEARTBEAT_MISSES` consecutive failures).  The monitor is the only
 place that polls worker processes; the router's relay never does.  A
 worker whose last :data:`~repro.serving.cluster.workers.FAILED_ANSWERS_LIMIT`
@@ -46,10 +48,12 @@ from __future__ import annotations
 import threading
 import time
 import traceback
+from multiprocessing.connection import wait
 from pathlib import Path
 from typing import Sequence
 
 from repro.exceptions import ReleaseNotFoundError, ReproError
+from repro.serving import wire
 from repro.serving.cluster.router import Router, create_router_server
 from repro.serving.cluster.workers import WorkerHandle, WorkerPool, WorkerTable
 from repro.serving.server import install_graceful_shutdown
@@ -57,7 +61,8 @@ from repro.serving.store import ReleaseStore
 
 __all__ = ["Cluster"]
 
-#: how often the monitor wakes when no router failure wakes it sooner.
+#: how often the monitor wakes when no worker death or router failure wakes
+#: it sooner.
 HEARTBEAT_INTERVAL = 0.25
 #: the least time between two HTTP ``/healthz`` probes of one worker.
 HTTP_HEARTBEAT_INTERVAL = 2.0
@@ -97,7 +102,7 @@ class Cluster:
         self._reload_lock = threading.Lock()
         self._stopping = threading.Event()
         self._stop_requested = threading.Event()
-        self._wake = threading.Event()
+        self._wake = wire.Waker()
         self._respawns = 0
         self._last_probe: dict[str, float] = {}
         self._started = False
@@ -162,32 +167,43 @@ class Cluster:
     # Monitoring / crash recovery
     # ------------------------------------------------------------------
     def _note_failure(self, worker: WorkerHandle) -> None:  # noqa: ARG002
-        self._wake.set()
+        self._wake.wake()
 
     def _monitor(self) -> None:
+        respawned = True
         while not self._stopping.is_set():
-            self._wake.wait(timeout=HEARTBEAT_INTERVAL)
+            # A dead worker's sentinel stays readable: after a failed
+            # respawn only the tick or a router failure wakes the retry.
+            sentinels = [
+                worker.process.sentinel
+                for worker in self.table.workers()
+                if respawned and worker.generation == self.table.generation
+            ]
+            wait([self._wake.sock, *sentinels], timeout=HEARTBEAT_INTERVAL)
             self._wake.clear()
             if self._stopping.is_set():
                 return
             try:
-                self._check_workers()
+                respawned = self._check_workers()
             except Exception:  # noqa: BLE001 - the monitor must survive
                 traceback.print_exc()  # to stderr: a failing pass leaves a trace
 
-    def _check_workers(self) -> None:
+    def _check_workers(self) -> bool:
+        """One pass over the serving generation; False when a respawn
+        failed."""
         now = time.monotonic()
+        respawned = True
         for worker in self.table.workers():
             if worker.generation != self.table.generation:
                 continue  # an old generation draining; not ours to police
             if not worker.is_alive():
-                self._respawn(worker)
+                respawned &= self._respawn(worker)
                 continue
             if worker.failing:
                 # alive and heartbeating, but every request it answers is a
                 # 500: replace it as a wedged one
                 worker.kill()
-                self._respawn(worker)
+                respawned &= self._respawn(worker)
                 continue
             last = self._last_probe.get(worker.worker_id, 0.0)
             if now - last < HTTP_HEARTBEAT_INTERVAL:
@@ -200,9 +216,11 @@ class Cluster:
                 if worker.missed_heartbeats >= HEARTBEAT_MISSES:
                     # alive but wedged: reclaim the slot the hard way
                     worker.kill()
-                    self._respawn(worker)
+                    respawned &= self._respawn(worker)
+        return respawned
 
-    def _respawn(self, dead: WorkerHandle) -> None:
+    def _respawn(self, dead: WorkerHandle) -> bool:
+        """Replace ``dead``; False when no replacement could start."""
         versions = dict(self.table.versions)
         generation = self.table.generation
         try:
@@ -210,7 +228,7 @@ class Cluster:
         except ReproError:
             # store vanished or resources exhausted; the next monitor pass
             # retries, and the router keeps retrying surviving workers.
-            return
+            return False
         if self.table.replace(dead, replacement):
             self._respawns += 1
             self._last_probe.pop(dead.worker_id, None)
@@ -221,6 +239,7 @@ class Cluster:
         except OSError:  # pragma: no cover - already closed
             pass
         dead.process.join(timeout=0)
+        return True
 
     # ------------------------------------------------------------------
     # Hot reload
@@ -245,6 +264,7 @@ class Cluster:
                 versions, generation, self.num_workers
             )
             old = self.table.swap(handles, generation, versions)
+            self._wake.wake()  # watch the new generation's sentinels
             self._drain_workers(old)
             return {
                 "reloaded": True,
@@ -273,7 +293,7 @@ class Cluster:
             return
         self._stopped = True
         self._stopping.set()
-        self._wake.set()
+        self._wake.wake()
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=10.0)
         # Stop accepting and close the public port; workers drain last.
@@ -287,6 +307,7 @@ class Cluster:
         self.router.close()
         self.table.on_failure = None
         self._drain_workers(self.table.swap([], self.table.generation, {}))
+        self._wake.close()
 
     def _request_stop(self) -> None:
         self._stop_requested.set()

@@ -51,8 +51,11 @@ import time
 import types
 from typing import Mapping
 
+from repro import faults
 from repro.exceptions import ReproError
 from repro.serving import wire
+from repro.serving.server import QueryService, create_server, install_graceful_shutdown
+from repro.serving.store import ReleaseStore
 
 __all__ = ["WorkerHandle", "WorkerPool", "WorkerTable", "worker_main"]
 
@@ -67,8 +70,10 @@ FAILED_ANSWERS_LIMIT = 8
 def _preload() -> list[str]:
     """The modules the fork server imports once, for every worker it forks.
 
-    Importing this module imports the ``repro`` package, which holds
-    everything :func:`worker_main` runs.  A worker also re-runs the
+    This module imports at its top everything :func:`worker_main` runs
+    (the server, the release store, the failpoints and with them numpy and
+    the array counter), so importing it preloads the whole worker and a
+    fork of the fork server imports nothing more.  A worker also re-runs the
     supervisor's main module as ``__mp_main__`` before it unpickles its
     target (``repro.cli`` under ``dpsc serve``, or a script), so the
     modules that main module imported are preloaded too, and the re-run
@@ -132,12 +137,6 @@ def worker_main(config: dict, conn) -> None:
     the child end of the control pipe.  The worker listens on an ephemeral
     localhost port.
     """
-    # The fork server imported these with the ``repro`` package, so they
-    # cost a worker nothing.
-    from repro import faults
-    from repro.serving.server import QueryService, create_server, install_graceful_shutdown
-    from repro.serving.store import ReleaseStore
-
     try:
         # A fork-server child starts with the fork server's environment;
         # take the supervisor's instead.  Chaos schedules travel in it:

@@ -36,9 +36,10 @@ from __future__ import annotations
 
 import functools
 import re
+import selectors
 import socket
 import socketserver
-import ssl
+import threading
 import time
 from http import HTTPStatus
 from typing import Mapping
@@ -54,6 +55,7 @@ __all__ = [
     "RemoteDisconnected",
     "Request",
     "Server",
+    "Waker",
     "encode_answer",
     "http_date",
     "parse_netloc",
@@ -82,6 +84,8 @@ _FIELD_LINE = re.compile(rb"[!#$%&'*+\-.^_`|~0-9A-Za-z]+:[^\x00-\x08\x0a-\x1f\x7
 _PHRASES = {status.value: status.phrase for status in HTTPStatus}
 _WEEKDAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = ("", "Jan", "Feb", "Mar", "Apr", "May", "Jun", "Jul", "Aug", "Sep", "Oct", "Nov", "Dec")
+#: the selector ``socketserver`` uses: poll(2) where it exists.
+_ServerSelector = getattr(selectors, "PollSelector", selectors.SelectSelector)
 
 
 class ProtocolError(Exception):
@@ -237,13 +241,86 @@ def encode_answer(
     return (head + "\r\n").encode("latin-1") + body
 
 
+class Waker:
+    """A socket pair that wakes a thread blocked in a selector (or in
+    ``multiprocessing.connection.wait``) on :attr:`sock`: :meth:`wake` from
+    any thread makes it readable, :meth:`clear` drains it.  Neither end
+    ever blocks: a full buffer means a wake is already pending."""
+
+    def __init__(self) -> None:
+        self.sock, self._writer = socket.socketpair()
+        self.sock.setblocking(False)
+        self._writer.setblocking(False)
+
+    def wake(self) -> None:
+        try:
+            self._writer.send(b"\0")
+        except OSError:  # full (a wake is pending) or closed
+            pass
+
+    def clear(self) -> None:
+        try:
+            while self.sock.recv(4096):
+                pass
+        except OSError:  # drained (BlockingIOError) or closed
+            pass
+
+    def close(self) -> None:
+        self.sock.close()
+        self._writer.close()
+
+
 class Server(socketserver.ThreadingTCPServer):
     """A thread-per-connection TCP server for a handler that speaks this
     subset.  Handler threads are daemon threads, so closing the server
-    joins none of them."""
+    joins none of them.
+
+    :meth:`serve_forever` blocks in its selector until a connection or
+    :meth:`shutdown` arrives, so a shutdown returns as soon as the loop has
+    seen it instead of after ``socketserver``'s half-second poll."""
 
     allow_reuse_address = True
     daemon_threads = True
+
+    def __init__(self, server_address, handler_class, bind_and_activate: bool = True) -> None:
+        # before the base class binds: a failed bind calls server_close()
+        self._waker = Waker()
+        self._stop = False
+        self._stopped = threading.Event()
+        super().__init__(server_address, handler_class, bind_and_activate)
+
+    def serve_forever(self, poll_interval: float | None = None) -> None:
+        """Accept connections until :meth:`shutdown`; ``poll_interval``
+        is accepted for ``socketserver`` compatibility and unused."""
+        self._stopped.clear()
+        try:
+            with _ServerSelector() as selector:
+                selector.register(self, selectors.EVENT_READ)
+                selector.register(self._waker.sock, selectors.EVENT_READ)
+                while not self._stop:
+                    ready = selector.select()
+                    if self._stop:
+                        break
+                    for key, _ in ready:
+                        if key.fileobj is self:
+                            self._handle_request_noblock()
+                        else:
+                            self._waker.clear()
+                    self.service_actions()
+        finally:
+            self._stop = False
+            self._stopped.set()
+
+    def shutdown(self) -> None:
+        """Stop :meth:`serve_forever` and wait until it has returned.  As
+        with ``socketserver``, it must run on another thread."""
+        self._stop = True
+        self._waker.wake()
+        self._stopped.wait()
+
+    def server_close(self) -> None:
+        super().server_close()
+        self._waker.close()
 
 
 def parse_netloc(netloc: str, default_port: int) -> tuple[str, int]:
@@ -291,6 +368,8 @@ class Connection:
             # still wait for the peer's delayed ACK under Nagle
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if tls:
+                import ssl  # only an https client loads it, never a server
+
                 sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
         except BaseException:
             sock.close()

@@ -18,7 +18,9 @@ acceptance contract:
   answer formats), and its merged ``/metrics`` passes the exposition
   validator with gauges per-worker-labelled (never summed);
 * a worker ``kill -9``'d mid-batch costs nothing: the router retries on a
-  live sibling and the supervisor respawns the dead one;
+  live sibling and the supervisor respawns the dead one, and one killed
+  with no traffic is replaced as soon as it dies, not on the monitor's
+  next tick;
 * killing the router process leaves **no orphan workers** and no fork
   server, and an ``http_proxy`` in the environment fails no heartbeat of
   a healthy one;
@@ -399,6 +401,23 @@ class TestWorkerCrash:
             assert len(cluster.table.live()) == 2
             # The tier still answers bit-identically after the respawn.
             assert client.batch(UNIFORM) == expected
+
+    def test_a_worker_killed_without_traffic_is_replaced_at_once(self, store, monkeypatch):
+        """The monitor waits on the serving workers' process sentinels, so
+        a worker killed while no request draws it is replaced long before
+        the next heartbeat tick."""
+        monkeypatch.setattr("repro.serving.cluster.supervisor.HEARTBEAT_INTERVAL", 5.0)
+        with Cluster(store, workers=2) as cluster:
+            victim = cluster.workers()[0]
+            killed = time.monotonic()
+            os.kill(victim.pid, signal.SIGKILL)
+            while cluster.respawns < 1 and time.monotonic() - killed < 10:
+                time.sleep(0.01)
+            replaced_s = time.monotonic() - killed
+            assert cluster.respawns == 1
+            assert replaced_s < 1.0
+            assert victim not in cluster.workers()
+            assert all(worker.heartbeat() for worker in cluster.workers())
 
 
 _HOST_SCRIPT = """\
@@ -1059,13 +1078,16 @@ class _FailingHandler(BaseHTTPRequestHandler):
 
 class _StandInProcess:
     """The process of an in-process stand-in worker: alive until killed,
-    which stops its server; also the no-op control pipe of its handle."""
+    which stops its server and, like a process's death, makes its
+    ``sentinel`` readable; also the no-op control pipe of its handle."""
 
     pid = None
 
     def __init__(self, server: ThreadingHTTPServer) -> None:
         self.server = server
         self.alive = True
+        self._sentinel, self._life = socket.socketpair()
+        self.sentinel = self._sentinel.fileno()
 
     def is_alive(self) -> bool:
         return self.alive
@@ -1073,6 +1095,7 @@ class _StandInProcess:
     def kill(self) -> None:
         if self.alive:
             self.alive = False
+            self._life.close()
             self.server.shutdown()
             self.server.server_close()
 
@@ -1195,7 +1218,7 @@ def test_the_monitor_reports_a_failing_pass_and_keeps_running(
         assert second.wait(timeout=10)
     finally:
         cluster._stopping.set()
-        cluster._wake.set()
+        cluster._wake.wake()
         monitor.join(timeout=10)
     assert not monitor.is_alive()
     err = capfd.readouterr().err

@@ -8,7 +8,8 @@ bad request line, a space before a colon and
 conflicting ``Content-Length`` values, 501 for ``Transfer-Encoding`` and
 unknown methods, every error body JSON and every error closing the
 connection.  So do keep-alive, HTTP/1.0, ``Connection: close``,
-``Expect: 100-continue`` and pipelining.
+``Expect: 100-continue`` and pipelining, and a server's ``shutdown`` returns
+without waiting for a poll.
 
 Two hypothesis properties hold the codec to the standard library: for
 generated header blocks, :func:`wire.read_headers` either reads each
@@ -364,6 +365,30 @@ def test_encoded_answers_parse_with_the_stdlib(status, body, content_type, extra
         assert response.getheader(name) == value
     assert response.will_close == close
     assert response.read() == body
+
+
+def test_shutdown_does_not_wait_for_a_poll():
+    """``Server.shutdown`` wakes the accept loop, so it returns at once;
+    ``socketserver``'s loop looks for it only every half second."""
+    service = QueryService({"demo": make_structure(COUNTS)}, micro_batch=False)
+    try:
+        for _ in range(5):
+            server = create_server(service)
+            thread = _serve(server)
+            connection = wire.Connection(*server.server_address[:2], timeout=5)
+            try:
+                assert connection.request("GET", "/healthz")[0] == 200
+            finally:
+                connection.close()
+            started = time.monotonic()
+            server.shutdown()
+            shutdown_s = time.monotonic() - started
+            server.server_close()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+            assert shutdown_s < 0.1
+    finally:
+        service.close()
 
 
 def test_http_date_is_rfc_9110():

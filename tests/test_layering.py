@@ -6,10 +6,14 @@ nothing in :mod:`repro.serving` imports a standard-library HTTP stack:
 every hop speaks :mod:`repro.serving.wire` (``repro.analysis`` keeps its
 ``http.client`` probes as independent clients).
 
-The check parses the source instead of importing it: ``import repro.core``
-runs the top-level package, which loads ``repro.serving`` and everything
-else, so ``sys.modules`` would prove nothing.  Every import statement
-counts, including those inside functions and ``TYPE_CHECKING`` blocks.
+The check parses the source, so every import statement counts, including
+those inside functions and ``TYPE_CHECKING`` blocks.  A second check
+imports every module of the lower layers in a fresh interpreter and finds
+no upper layer in ``sys.modules``: the package inits resolve their exports
+on first access, so importing ``repro.core`` no longer loads
+``repro.serving`` and everything else, and the modules an import loads are
+the ones it needs.  Loading more is never undone, so one interpreter for
+all lower layers proves it for each.
 """
 
 from __future__ import annotations
@@ -76,6 +80,21 @@ def test_layer_imports_nothing_above_it(layer):
         if (found := upward_imports(path))
     }
     assert violations == {}
+
+
+def test_importing_the_lower_layers_loads_no_upper_layer():
+    from tests.test_import_boundary import loaded_modules
+
+    modules = [
+        ".".join(("repro", *path.relative_to(PACKAGE).with_suffix("").parts)).removesuffix(
+            ".__init__"
+        )
+        for layer in LOWER
+        for path in sorted((PACKAGE / layer).rglob("*.py"))
+    ]
+    loaded = loaded_modules(f"import importlib\nfor name in {modules!r}:\n    importlib.import_module(name)")
+    assert set(modules) <= loaded
+    assert sorted(module for module in loaded if is_upper(module)) == []
 
 
 def test_the_check_sees_every_import_form(tmp_path):
